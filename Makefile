@@ -37,6 +37,13 @@ test:
 # before the full-tree race pass.
 race:
 	$(GO) test -race -count=2 ./internal/obs/...
+	# The worklist matching kernel holds no locks and issues no atomics: each
+	# vertex writes only its own candidate, row and match entries, and every
+	# read of another vertex's entries sits across a pass barrier (propose
+	# reads match, written only by the previous claim phase; claim reads
+	# cand, written only by this pass's propose phase). The race detector is
+	# the only guard on that argument, so the package races at elevated count.
+	$(GO) test -race -count=2 ./internal/matching/...
 	# The PLP shared-label sweeps and the ensemble pipeline race at elevated
 	# count: the mark scatter is the kernel's one concurrently written
 	# surface (see the internal/plp package comment for the consistency
@@ -65,7 +72,7 @@ vet-obs:
 		echo "vet-obs: recorder passed by value or interface (want *obs.Recorder):"; \
 		echo "$$bad"; exit 1; \
 	fi
-	@bad=$$(grep -nE '^func (worklistPropose|worklistClaim|edgeSweepBest|edgeSweepClaim|countSweepRange|scatterSweepRange|dedupBuckets|dedupBucketsTimed|sortDedupBucket|dedupSorted)\(' \
+	@bad=$$(grep -nE '^func (worklistPropose|worklistClaim|rowCountRange|rowScatterRange|edgeSweepBest|edgeSweepClaim|countSweepRange|scatterSweepRange|dedupBuckets|dedupBucketsTimed|sortDedupBucket|dedupSorted)\(' \
 		internal/matching/matching.go internal/contract/contract.go | grep 'obs\.Recorder'); \
 	if [ -n "$$bad" ]; then \
 		echo "vet-obs: per-edge worker takes the recorder (count locally, flush via *obs.Hot):"; \

@@ -479,6 +479,18 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 	// handed to the Result directly.
 	sizesIdx := 0
 	var sizes []int64
+	// The roll-up ping-pong pairs (nil without an arena): per-community
+	// sizes, and the weighted degrees, which roll through every contraction
+	// as d_c = Σ d_member instead of being recomputed from the edges.
+	var sizePair, degPair *[2][]int64
+	if s != nil {
+		sizePair, degPair = &s.sizes, &s.degs
+	}
+	// deg of the current community graph when a roll-up (or a stage) has
+	// already produced it, nil when the next phase must compute it; degIdx
+	// is the degree ping-pong half it lives in.
+	var nextDeg []int64
+	degIdx := 0
 	if s != nil {
 		s.sizes[0] = buf.Grow(s.sizes[0], int(n))
 		sizes = s.sizes[0]
@@ -505,6 +517,11 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 	cg := g
 	finish := func(term Termination, deg []int64, cg *graph.Graph, sizes []int64) (*Result, error) {
 		rec.ClearLabels()
+		if s != nil {
+			// The matching row store is edge-sized; an arena kept between
+			// runs (incremental serving, harness sweeps) should not pin it.
+			s.match.ReleaseRows()
+		}
 		res.Termination = term
 		res.NumCommunities = cg.NumVertices()
 		if s != nil {
@@ -514,12 +531,8 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		}
 		res.FinalCoverage = coverage(ec, cg, totW)
 		if deg == nil {
-			if s != nil {
-				deg = cg.WeightedDegreesInto(p, s.deg)
-				s.deg = deg
-			} else {
-				deg = cg.WeightedDegrees(p)
-			}
+			// Half 0: nothing else reads the degree buffers once the run ends.
+			deg = degreesOf(ec, cg, s, 0)
 		}
 		res.FinalModularity = modularityOf(ec, cg, deg, totW)
 		res.Total = time.Since(start)
@@ -556,13 +569,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		// The entry partition (identity) for the stats row: its coverage is
 		// the input's self-loop fraction and its modularity needs the input
 		// degrees.
-		var deg0 []int64
-		if s != nil {
-			deg0 = g.WeightedDegreesInto(p, s.deg)
-			s.deg = deg0
-		} else {
-			deg0 = g.WeightedDegrees(p)
-		}
+		deg0 := degreesOf(ec, g, s, degIdx)
 		cov0 := coverage(ec, g, totW)
 		mod0 := modularityOf(ec, g, deg0, totW)
 		if opt.Ledger.Enabled() {
@@ -633,7 +640,8 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 				}
 			})
 		}
-		sizes, sizesIdx = rollupSizes(ec, s, sizes, sizesIdx, mapping, int(k))
+		sizes, sizesIdx = rollup(ec, s, sizePair, sizes, sizesIdx, mapping, int(k))
+		nextDeg, degIdx = rollup(ec, s, degPair, deg0, degIdx, mapping, int(k))
 		res.Stats = append(res.Stats, PhaseStats{
 			Phase:        0,
 			Vertices:     n,
@@ -671,7 +679,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		}
 		cg = ng
 		if opt.Engine == EnginePLP {
-			return finish(TermPLPConverged, nil, cg, sizes)
+			return finish(TermPLPConverged, nextDeg, cg, sizes)
 		}
 		phaseStart = 1
 	}
@@ -715,16 +723,12 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 					totW, ng.TotalWeight(p))
 			}
 		}
-		sizes, sizesIdx = rollupSizes(ec, s, sizes, sizesIdx, seed.comm, int(seed.k))
+		sizes, sizesIdx = rollup(ec, s, sizePair, sizes, sizesIdx, seed.comm, int(seed.k))
 		// The seed partition's quality, evaluated on its community graph,
-		// anchors the metric trajectory of the incremental levels.
-		var deg0 []int64
-		if s != nil {
-			deg0 = ng.WeightedDegreesInto(p, s.deg)
-			s.deg = deg0
-		} else {
-			deg0 = ng.WeightedDegrees(p)
-		}
+		// anchors the metric trajectory of the incremental levels; its
+		// degrees serve the first matching level too.
+		deg0 := degreesOf(ec, ng, s, degIdx)
+		nextDeg = deg0
 		cov0 := coverage(ec, ng, totW)
 		mod0 := modularityOf(ec, ng, deg0, totW)
 		maxBucket := g.MaxBucketLen()
@@ -764,15 +768,15 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 
 	for phase := phaseStart; ; phase++ {
 		if err := ec.Err(); err != nil {
-			res, _ := finish(TermCanceled, nil, cg, sizes)
+			res, _ := finish(TermCanceled, nextDeg, cg, sizes)
 			return res, fmt.Errorf("core: canceled at phase %d: %w", phase, err)
 		}
 		if opt.MaxPhases > 0 && phase >= opt.MaxPhases {
-			return finish(TermMaxPhases, nil, cg, sizes)
+			return finish(TermMaxPhases, nextDeg, cg, sizes)
 		}
 		cov := coverage(ec, cg, totW)
 		if opt.MinCoverage > 0 && cov >= opt.MinCoverage {
-			return finish(TermCoverage, nil, cg, sizes)
+			return finish(TermCoverage, nextDeg, cg, sizes)
 		}
 
 		phSpan := rec.BeginPhase(phase, cg.NumVertices(), cg.NumEdges())
@@ -803,12 +807,17 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		rec.SetKernel("score")
 		scSpan := rec.Begin(obs.CatKernel, "score", -1)
 		t0 := time.Now()
-		var deg []int64
-		if s != nil {
-			deg = cg.WeightedDegreesInto(p, s.deg)
-			s.deg = deg
-		} else {
-			deg = cg.WeightedDegrees(p)
+		// Degrees: rolled up through the previous contraction, or computed
+		// from the edges when no mapping produced them (the first level,
+		// after a refinement rebuild).
+		deg := nextDeg
+		if deg == nil {
+			deg = degreesOf(ec, cg, s, degIdx)
+		} else if opt.Validate {
+			if err := sameDegrees(deg, cg.WeightedDegrees(p)); err != nil {
+				phSpan.End()
+				return nil, fmt.Errorf("core: phase %d: %w", phase, err)
+			}
 		}
 		var scores []float64
 		if s != nil {
@@ -940,7 +949,10 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		// Track community sizes through the contraction (§III's
 		// "straight-forward" extension).
 		kNew := int(ng.NumVertices())
-		sizes, sizesIdx = rollupSizes(ec, s, sizes, sizesIdx, mapping, kNew)
+		sizes, sizesIdx = rollup(ec, s, sizePair, sizes, sizesIdx, mapping, kNew)
+		// The roll-up writes the other half, so deg (cg's degrees) stays
+		// valid for this level's modularity below.
+		nextDeg, degIdx = rollup(ec, s, degPair, deg, degIdx, mapping, kNew)
 
 		mod := modularityOf(ec, cg, deg, totW)
 		maxBucket := cg.MaxBucketLen()
@@ -1015,6 +1027,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 					newSizes[c]++
 				}
 				sizes = newSizes
+				nextDeg = nil // a rebuilt graph has no mapping from the rolled one
 				if opt.Validate {
 					if err := cg.Validate(); err != nil {
 						rSpan.End()
@@ -1030,56 +1043,83 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 	}
 }
 
-// rollupSizes folds the per-community vertex counts through a contraction
-// mapping into k new counts. With an arena the roll-up ping-pongs between
-// the scratch's double-buffered size arrays and uses the same
-// per-worker-stripe pattern as the contraction kernel — each worker
-// accumulates into its own k-wide partial, merged by a parallel reduction —
-// instead of one atomic add per old community, which serialized on heavily
-// merged regions. It returns the new sizes slice and double-buffer index.
-func rollupSizes(ec *exec.Ctx, s *Scratch, sizes []int64, sizesIdx int, mapping []int64, kNew int) ([]int64, int) {
-	if s != nil && ec.Serial(len(sizes)) {
-		other := sizesIdx ^ 1
-		s.sizes[other] = buf.Grow(s.sizes[other], kNew)
-		newSizes := s.sizes[other][:kNew]
-		clear(newSizes)
-		for c := range sizes {
-			if sizes[c] != 0 {
-				newSizes[mapping[c]] += sizes[c]
+// rollup folds per-community values — vertex counts, weighted degrees —
+// through a contraction mapping into kNew sums: new[mapping[c]] += old[c].
+// Both are exact under contraction (an edge inside a merged community
+// contributes its weight to both member degrees and twice to the merged
+// self-loop term of the new degree). With an arena the roll-up ping-pongs
+// between pair's halves (idx names the half holding vals; the result goes
+// to the other) and uses the same per-worker-stripe pattern as the
+// contraction kernel — each worker accumulates into its own kNew-wide
+// partial, merged by a parallel reduction — instead of one atomic add per
+// old community, which serialized on heavily merged regions. It returns the
+// new values and their half's index. Without an arena (s nil) the result is
+// freshly allocated and idx is returned unchanged.
+func rollup(ec *exec.Ctx, s *Scratch, pair *[2][]int64, vals []int64, idx int, mapping []int64, kNew int) ([]int64, int) {
+	if s != nil && ec.Serial(len(vals)) {
+		other := idx ^ 1
+		pair[other] = buf.Grow(pair[other], kNew)
+		out := pair[other][:kNew]
+		clear(out)
+		for c := range vals {
+			if vals[c] != 0 {
+				out[mapping[c]] += vals[c]
 			}
 		}
-		return newSizes, other
+		return out, other
 	}
 	if s != nil {
-		workers := ec.Workers(len(sizes))
-		s.sizeStripes = buf.Grow(s.sizeStripes, workers*kNew)
-		stripes := s.sizeStripes
+		workers := ec.Workers(len(vals))
+		s.rollStripes = buf.Grow(s.rollStripes, workers*kNew)
+		stripes := s.rollStripes
 		ec.ZeroInt64(stripes[:workers*kNew])
-		oldSizes := sizes // single-assignment alias for closure capture
-		ec.ForWorker(len(oldSizes), func(w, lo, hi int) {
+		ec.ForWorker(len(vals), func(w, lo, hi int) {
 			base := w * kNew
 			for c := lo; c < hi; c++ {
-				if oldSizes[c] != 0 {
-					stripes[base+int(mapping[c])] += oldSizes[c]
+				if vals[c] != 0 {
+					stripes[base+int(mapping[c])] += vals[c]
 				}
 			}
 		})
-		other := sizesIdx ^ 1
-		s.sizes[other] = buf.Grow(s.sizes[other], kNew)
-		newSizes := s.sizes[other][:kNew]
-		ec.MergeStripes(stripes, workers, kNew, newSizes)
-		return newSizes, other
+		other := idx ^ 1
+		pair[other] = buf.Grow(pair[other], kNew)
+		out := pair[other][:kNew]
+		ec.MergeStripes(stripes, workers, kNew, out)
+		return out, other
 	}
-	newSizes := make([]int64, kNew)
-	oldSizes := sizes
-	ec.For(len(oldSizes), func(lo, hi int) {
+	out := make([]int64, kNew)
+	ec.For(len(vals), func(lo, hi int) {
 		for c := lo; c < hi; c++ {
-			if oldSizes[c] != 0 {
-				atomic.AddInt64(&newSizes[mapping[c]], oldSizes[c])
+			if vals[c] != 0 {
+				atomic.AddInt64(&out[mapping[c]], vals[c])
 			}
 		}
 	})
-	return newSizes, sizesIdx
+	return out, idx
+}
+
+// degreesOf computes g's weighted degrees from its edges, into the arena's
+// degree half idx when s is non-nil.
+func degreesOf(ec *exec.Ctx, g *graph.Graph, s *Scratch, idx int) []int64 {
+	if s == nil {
+		return g.WeightedDegrees(ec.Threads())
+	}
+	s.degs[idx] = g.WeightedDegreesInto(ec.Threads(), s.degs[idx])
+	return s.degs[idx]
+}
+
+// sameDegrees is Options.Validate's check that rolled-up degrees equal the
+// ones recomputed from the community graph's edges.
+func sameDegrees(rolled, want []int64) error {
+	if len(rolled) != len(want) {
+		return fmt.Errorf("rolled-up degrees cover %d communities, graph has %d", len(rolled), len(want))
+	}
+	for c := range want {
+		if rolled[c] != want[c] {
+			return fmt.Errorf("rolled-up degree of community %d is %d, edges give %d", c, rolled[c], want[c])
+		}
+	}
+	return nil
 }
 
 // boolInt64 converts a flag to a span argument value.

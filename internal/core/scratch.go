@@ -6,7 +6,10 @@
 // community graph — on top of it. The arena keeps one reusable copy of each,
 // sized by the first (largest) phase: after phase 0 the steady-state loop
 // performs no heap allocations, and a harness sweep reusing one Scratch
-// across trials skips even the phase-0 allocations after the first run.
+// across trials skips even the phase-0 allocations after the first run —
+// except the matching kernel's edge-sized row store, which each run
+// reallocates at its first matching level so an arena kept between runs
+// pins only vertex-sized matching state.
 package core
 
 import (
@@ -21,13 +24,15 @@ import (
 // NewScratch()) is ready to use; buffers grow to the largest graph seen and
 // are recycled for everything smaller. It holds:
 //
-//   - the per-phase score and weighted-degree arrays;
+//   - the per-phase score array and the double-buffered weighted-degree
+//     arrays the roll-up ping-pongs between;
 //   - the matching kernels' match/candidate/lock/worklist state;
 //   - the contraction kernel's per-bucket counts and per-worker histogram
 //     stripes;
 //   - two community graphs used as ping-pong contraction destinations
 //     (phase i reads one and writes the other);
-//   - the double-buffered community-size arrays and their merge stripes;
+//   - the double-buffered community-size arrays and the merge stripes both
+//     roll-ups share;
 //   - a mapping buffer reused across phases when Options.DiscardLevels is
 //     set.
 //
@@ -35,11 +40,11 @@ import (
 // DetectWith never alias scratch memory, so they stay valid after the
 // arena is reused.
 type Scratch struct {
-	deg         []int64
+	degs        [2][]int64
 	scores      []float64
 	mapping     []int64
 	sizes       [2][]int64
-	sizeStripes []int64
+	rollStripes []int64
 	// part is the per-level edge-balanced schedule the engine installs on
 	// the execution context at the top of each phase (Options.Scheduler).
 	part     par.Partition

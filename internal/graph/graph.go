@@ -225,9 +225,11 @@ func (g *Graph) WeightedDegreesInto(p int, buf []int64) []int64 {
 			d[x] = 2 * g.Self[x]
 		}
 	})
-	// Each stored edge contributes to both endpoints. The U side is owned by
-	// the bucket being scanned so a plain add suffices; the V side may live
-	// anywhere, so it takes an atomic add (the paper's fetch-and-add).
+	// Each stored edge contributes to both endpoints, and both take an atomic
+	// add (the paper's fetch-and-add): the U side belongs to the bucket being
+	// scanned, but another bucket's V-side add can hit the same word at the
+	// same time. The engine computes this only for the first level; later
+	// levels roll degrees up through the contraction mapping instead.
 	par.ForDynamic(p, n, 0, func(lo, hi int) {
 		for x := lo; x < hi; x++ {
 			for e := g.Start[x]; e < g.End[x]; e++ {

@@ -7,21 +7,31 @@
 //
 // Two kernels are provided:
 //
-//   - Worklist: the paper's improved algorithm. An explicit array of
-//     currently unmatched vertices is swept in parallel; each vertex scans
-//     its own edge bucket for its best unmatched neighbor, compares its
-//     choice against the other side's candidate under a total order, and
-//     claims both sides with per-vertex locks. Vertices whose claim fails
-//     but that still have an unmatched positive neighbor stay on the list.
+//   - Worklist: the paper's improved algorithm. At entry one count/scatter
+//     over the level's buckets builds a symmetric row store holding only the
+//     positive-score edges, each row entry an inline (neighbor, score) pair.
+//     An explicit array of currently unmatched vertices is then swept in
+//     parallel: each vertex keeps its candidate — its best unmatched
+//     neighbor under the total edge order — while that neighbor stays
+//     unmatched, and otherwise rescans its row, swap-removing matched
+//     neighbors in place. A vertex claims its candidate exactly when the
+//     candidate names it back. Every vertex writes only its own candidate,
+//     row and match entries, and the pass barriers order every cross-vertex
+//     read, so the kernel takes no locks and issues no atomics. Vertices
+//     whose candidate was taken by someone else stay on the list and rescan
+//     — the pruning Sahu's Louvain work applies to its vertex-following
+//     sweeps.
 //
 //   - EdgeSweep: the 2011 algorithm kept as an ablation baseline. Every
 //     sweep runs over the whole edge array and funnels the per-vertex best
-//     through a lock per endpoint — the "frequent hot spots" that were
-//     tolerable with the Cray XMT's full/empty bits but crippled the
+//     through a CAS spinlock per endpoint — the "frequent hot spots" that
+//     were tolerable with the Cray XMT's full/empty bits but crippled the
 //     OpenMP port.
 //
-// Both kernels are non-deterministic under parallel execution: different
-// runs may return different maximal matchings, exactly as the paper notes.
+// Both kernels compute the locally-dominant matching under one strict total
+// order on edges, which is unique and equals the sorted greedy matching: the
+// result is the same for every thread count and schedule, even though the
+// passes race through it in different interleavings.
 package matching
 
 import (
@@ -91,67 +101,68 @@ func (k edgeKey) less(o edgeKey) bool {
 	return k.second < o.second
 }
 
+// rowEntry is one row-store entry: a positive-score neighbor and the score
+// of the edge to it, inline so a rescan touches one cache line per four
+// entries and never chases an edge id back into the triple arrays.
+type rowEntry struct {
+	nbr   int64
+	score float64
+}
+
 // Scratch holds the matching kernels' per-run state for reuse across engine
-// phases: the match array, the per-vertex candidate tables, the spinlock
-// array, and the worklist double-buffers with their pack workspace. A zero
-// Scratch is ready to use; grow reslices every buffer to the current vertex
-// count, allocating only when a graph larger than any seen before arrives —
-// after the first phase the steady-state loop allocates nothing here.
+// phases. A zero Scratch is ready to use; every buffer grows to the largest
+// graph seen and is resliced for anything smaller — after the first phase
+// the steady-state loop allocates nothing here.
 //
 // A Scratch must not be shared by concurrent matchings. When a kernel runs
 // with a Scratch, the returned Result.Match aliases scratch storage and is
 // only valid until the next use of the same Scratch.
 type Scratch struct {
-	match    []int64
-	candE    []int64
-	candKey  []edgeKey
-	candPass []int64
-	locks    *par.SpinLocks
+	// Shared by both kernels: the match array and each vertex's candidate
+	// (the worklist's best unmatched neighbor; the edge sweep's best edge
+	// id) plus the score of the edge a matched vertex took, which
+	// finishResult sums.
+	match     []int64
+	cand      []int64
+	candScore []float64
+
+	// Worklist state: the positive-edge row store (row x is
+	// rows[rowStart[x]:rowEnd[x]], shrinking as matched neighbors are
+	// swap-removed), the per-span count/cursor stripes that build it, and
+	// the worklist double-buffers with their pack workspace.
+	rowStart []int64
+	rowEnd   []int64
+	rows     []rowEntry
+	stripes  []int64
 	list     []int64 // worklist double-buffer, ping
 	list2    []int64 // worklist double-buffer, pong
 	keep     []int64
 	slots    []int64
-	// part is the per-pass degree-balanced schedule over the worklist:
-	// item i weighs deg(list[i])+1, so a pass hands every worker an equal
-	// share of bucket scanning instead of an equal share of vertices.
-	// Ranges are vertex-aligned — the claim phase keeps per-vertex
-	// candidate state, so a vertex must never split between workers.
+	// part is the row build's span schedule when the engine installed none,
+	// then the per-pass degree-balanced schedule over the worklist: item i
+	// weighs len(row(list[i]))+1, so a pass hands every worker an equal
+	// share of row scanning instead of an equal share of vertices. Pass
+	// ranges are vertex-aligned — a vertex's candidate and row belong to
+	// one worker.
 	part par.Partition
 	// drain accumulates the per-pass active counts (one append per pass,
 	// reused across runs, so the steady state stays off the heap).
 	drain []int64
+
+	// Edge-sweep-only state, grown only by EdgeSweepWith: the per-vertex
+	// best key and its pass stamp, and the per-vertex spinlocks guarding
+	// them.
+	candKey  []edgeKey
+	candPass []int64
+	locks    *par.SpinLocks
 }
 
-// grow resizes every buffer for an n-vertex graph. candPass entries are
-// reset to -1 (pass stamps restart at 0 every run); locks are reused as-is —
-// every lock is free between runs.
-func (s *Scratch) grow(ec *exec.Ctx, n int) {
-	s.match = buf.Grow(s.match, n)
-	s.candE = buf.Grow(s.candE, n)
-	s.candPass = buf.Grow(s.candPass, n)
-	s.keep = buf.Grow(s.keep, n)
-	s.slots = buf.Grow(s.slots, n)
-	if cap(s.candKey) < n {
-		s.candKey = make([]edgeKey, n)
-	}
-	s.candKey = s.candKey[:n]
-	if s.locks == nil || s.locks.Len() < n {
-		s.locks = par.NewSpinLocks(n)
-	}
-	if ec.Serial(n) {
-		for i := 0; i < n; i++ {
-			s.match[i] = Unmatched
-			s.candPass[i] = -1
-		}
-		return
-	}
-	ec.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s.match[i] = Unmatched
-			s.candPass[i] = -1
-		}
-	})
-}
+// ReleaseRows drops the positive-edge row store, the one buffer sized by
+// edges rather than vertices, so that a Scratch kept between detection runs
+// retains only vertex-sized matching state. The engine calls it when a run
+// ends; the next WorklistWith reallocates the store at its first (largest)
+// level and reuses it for every smaller level after.
+func (s *Scratch) ReleaseRows() { s.rows = nil }
 
 // orNew returns s, or a fresh Scratch when s is nil, letting the kernels
 // bind their scratch to a single-assignment variable (see WorklistWith).
@@ -167,16 +178,18 @@ func (s *Scratch) orNew() *Scratch {
 // strictly positive score participate. It allocates fresh state; the engine
 // calls WorklistWith to reuse buffers across phases.
 //
-// Each pass parallelizes over the array of still-active vertices. An active
-// vertex scans its own bucket (each edge is stored exactly once) and pushes
-// every available edge as a candidate proposal to *both* endpoints under the
-// total order (score, stored endpoints); "if edge {i, j} dominates the
-// scores adjacent to i and j, that edge will be found by one of the two
-// vertices" (§IV-B). A vertex then claims its best candidate edge exactly
-// when the other side's best candidate is the same edge — the
+// Each pass parallelizes over the array of still-active vertices in two
+// barrier-separated phases. Propose: an active vertex u keeps cand[u] while
+// that neighbor is still unmatched — its row only loses entries, so the
+// maximum survives — and otherwise rescans its row for the maximum under
+// the total order (score, stored endpoints), swap-removing matched
+// neighbors so each entry is dropped at most once. Claim: u takes cand[u]
+// = o exactly when cand[o] == u; "if edge {i, j} dominates the scores
+// adjacent to i and j, that edge will be found by one of the two vertices"
+// (§IV-B), and here by both, each writing its own match entry. This is the
 // locally-dominant discipline of Hoepman and Manne–Bisseling, which
-// guarantees weight within 2× of the maximum. Vertices whose claim was
-// frustrated but that still saw an available edge stay on the list; the
+// guarantees weight within 2× of the maximum. Vertices whose candidate was
+// taken stay on the list; vertices whose rows empty drop off, and the
 // matching is maximal when the list drains.
 func Worklist(ec *exec.Ctx, g *graph.Graph, scores []float64) Result {
 	return WorklistWith(ec, g, scores, nil)
@@ -184,11 +197,11 @@ func Worklist(ec *exec.Ctx, g *graph.Graph, scores []float64) Result {
 
 // WorklistWith is Worklist running out of s's reusable buffers; a nil s
 // behaves exactly like Worklist. When ec carries a recorder it records one
-// span per pass (worklist length in, requeued count out) and the
-// rounds/visits/claim/conflict counters; a nil recorder costs a handful of
-// predictable branches per pass — nothing per vertex or edge. When ec's
-// context is cancelled the pass loop exits early: the partial matching is
-// symmetric and claim-consistent, just not maximal.
+// span for the row build and one per pass (worklist length in, requeued
+// count out) and the rounds/visits/claim counters; a nil recorder costs a
+// handful of predictable branches per pass — nothing per vertex or edge.
+// When ec's context is cancelled the pass loop exits early: the partial
+// matching is symmetric and claim-consistent, just not maximal.
 func WorklistWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scratch) Result {
 	rec := ec.Recorder()
 	n := int(g.NumVertices())
@@ -197,37 +210,14 @@ func WorklistWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scrat
 	// heap-boxed at declaration, which the zero-allocation steady state
 	// cannot afford (same for lst below).
 	s := scratch.orNew()
-	s.grow(ec, n)
-	// The per-vertex candidate tables (candE/candKey/candPass) are stamped
-	// by pass so they never need clearing; they are guarded by the scratch's
-	// locks during phase A and read freely in phase B (the phases are
-	// barrier-separated).
 
-	// Initial worklist: vertices owning at least one edge, built with the
-	// parallel prefix-sum-and-scatter index pack. Vertices with empty
-	// buckets are passive — they receive proposals but the owning side
-	// performs the claim.
+	// Row store plus the initial worklist: every vertex with at least one
+	// positive edge, packed with the parallel prefix-sum-and-scatter.
+	rsp := rec.Begin(obs.CatMatch, "rows", -1)
+	buildRows(ec, g, scores, s, n)
 	keepFlags := s.keep
-	if ec.Serial(n) {
-		for x := 0; x < n; x++ {
-			if g.End[x] > g.Start[x] {
-				keepFlags[x] = 1
-			} else {
-				keepFlags[x] = 0
-			}
-		}
-	} else {
-		ec.For(n, func(lo, hi int) {
-			for x := lo; x < hi; x++ {
-				if g.End[x] > g.Start[x] {
-					keepFlags[x] = 1
-				} else {
-					keepFlags[x] = 0
-				}
-			}
-		})
-	}
 	list := ec.PackIndexInto(n, keepFlags, s.slots, s.list)
+	rsp.EndArgs("entries", s.rowStart[n], "active", int64(len(list)))
 
 	buf := s.list2
 	hot := rec.Hot() // nil when disabled; claim chunks flush into it
@@ -238,47 +228,45 @@ func WorklistWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scrat
 			break // cancelled: the matching so far is symmetric, stop refining it
 		}
 		s.drain = append(s.drain, int64(len(list)))
-		pass := int64(passes)
 		lst := list // single-assignment alias for closure capture
 		sp := rec.Begin(obs.CatMatch, "pass", -1)
 		var passT0 int64
 		if rec.Enabled() {
 			passT0 = obs.NowNS()
 		}
-		// Phase A: active vertices scan their buckets and push proposals to
-		// both endpoints of every available positive edge. The pass bodies
+		// Propose: refresh every active vertex's candidate. The pass bodies
 		// live in plain functions so the serial path evaluates no closure
 		// literal (a literal handed to ForDynamic escapes and heap-allocates
 		// even when the loop then runs on one worker).
 		balanced := !ec.Serial(len(lst)) && !ec.DynamicOnly()
 		if ec.Serial(len(lst)) {
-			worklistPropose(g, scores, s, lst, pass, 0, len(lst))
+			worklistPropose(s, lst, 0, len(lst))
 		} else if balanced {
 			// One degree-balanced schedule serves both phases of the pass,
-			// so a worker revisits in phase B the vertices it proposed for
-			// in phase A with the candidate tables still warm.
-			ec.BuildIndexed(&s.part, lst, g.Start, g.End)
+			// so a worker revisits in the claim the vertices it proposed for
+			// with their candidate entries still warm.
+			ec.BuildIndexed(&s.part, lst, s.rowStart, s.rowEnd)
 			ec.ForRanges("match/propose", &s.part, func(lo, hi int) {
-				worklistPropose(g, scores, s, lst, pass, lo, hi)
+				worklistPropose(s, lst, lo, hi)
 			})
 		} else {
 			ec.ForDynamic(len(lst), 0, func(lo, hi int) {
-				worklistPropose(g, scores, s, lst, pass, lo, hi)
+				worklistPropose(s, lst, lo, hi)
 			})
 		}
-		// Phase B: claim mutual best edges; compact the worklist. The keep
-		// flags live in reused scratch, so every entry is written (0 on the
-		// drop paths) rather than relying on a fresh zeroed allocation.
+		// Claim mutual candidates; compact the worklist. The keep flags live
+		// in reused scratch, so every entry is written (0 on the drop paths)
+		// rather than relying on a fresh zeroed allocation.
 		keep := keepFlags[:len(lst)]
 		if ec.Serial(len(lst)) {
-			worklistClaim(g, s, lst, keep, pass, hot, 0, len(lst))
+			worklistClaim(s, lst, keep, hot, 0, len(lst))
 		} else if balanced {
 			ec.ForRanges("match/claim", &s.part, func(lo, hi int) {
-				worklistClaim(g, s, lst, keep, pass, hot, lo, hi)
+				worklistClaim(s, lst, keep, hot, lo, hi)
 			})
 		} else {
 			ec.ForDynamic(len(lst), 0, func(lo, hi int) {
-				worklistClaim(g, s, lst, keep, pass, hot, lo, hi)
+				worklistClaim(s, lst, keep, hot, lo, hi)
 			})
 		}
 		// Compact into the other half of the double-buffer and swap, so the
@@ -297,89 +285,205 @@ func WorklistWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scrat
 	s.list, s.list2 = list[:0], buf[:0]
 	rec.Add(obs.CtrMatchRounds, int64(passes))
 	rec.FoldHot()
-	res := finishResult(ec, g, scores, s.match, passes)
+	res := finishResult(ec, s, n, passes)
 	res.Drain = s.drain
 	return res
 }
 
-// worklistPropose is phase A of one worklist pass over list[lo:hi]: each
-// active vertex scans its own bucket and proposes every available positive
-// edge to both endpoints under the total order.
-func worklistPropose(g *graph.Graph, scores []float64, s *Scratch, list []int64, pass int64, lo, hi int) {
-	match, locks := s.match, s.locks
-	candE, candKey, candPass := s.candE, s.candKey, s.candPass
-	for i := lo; i < hi; i++ {
-		u := list[i]
-		if atomic.LoadInt64(&match[u]) != Unmatched {
-			continue
+// buildRows fills s's row store from g's positive-score edges and resets
+// the per-vertex state: match and cand to Unmatched, rowEnd to the row's
+// end, and keep[x] to whether x has any positive edge. Parallel builds
+// count into one n-wide stripe per edge-exact span (the engine's installed
+// level partition when it matches g, a locally built one otherwise), turn
+// the stripes into private per-(span, row) cursors with StripeOffsets, and
+// replay the identical spans to scatter — the contract.ByMapping discipline
+// (DESIGN.md §7): plain stores, no atomics, and hub rows split across spans
+// without contention.
+func buildRows(ec *exec.Ctx, g *graph.Graph, scores []float64, s *Scratch, n int) {
+	s.match = buf.Grow(s.match, n)
+	s.cand = buf.Grow(s.cand, n)
+	s.candScore = buf.Grow(s.candScore, n)
+	s.rowEnd = buf.Grow(s.rowEnd, n)
+	s.keep = buf.Grow(s.keep, n)
+	s.slots = buf.Grow(s.slots, n)
+	s.rowStart = buf.Grow(s.rowStart, n+1)
+	rowStart := s.rowStart
+	if n == 0 {
+		rowStart[0] = 0
+		return
+	}
+	if ec.Serial(n) {
+		// One span: count straight into rowStart, and scatter with rowEnd
+		// as the (row-relative) cursors.
+		clear(rowStart)
+		rowCountRange(g, scores, rowStart, 0, n, g.Start[0], g.End[n-1])
+		total := ec.ExclusiveSumInt64(rowStart)
+		s.rows = buf.Grow(s.rows, int(total))
+		clear(s.rowEnd)
+		rowScatterRange(g, scores, s.rows, rowStart, s.rowEnd, 0, n, g.Start[0], g.End[n-1])
+		rowReset(s, 0, n)
+		return
+	}
+	pt := ec.Balanced(n, g.NumEdges())
+	if pt == nil {
+		ec.BuildBuckets(&s.part, n, g.Start, g.End)
+		pt = &s.part
+	}
+	spans := pt.Workers()
+	s.stripes = buf.Grow(s.stripes, spans*n)
+	stripes := s.stripes
+	ec.ZeroInt64(stripes)
+	ec.ForSpans("match/rows-count", pt, func(j int, sp par.Span) {
+		rowCountRange(g, scores, stripes[j*n:(j+1)*n], sp.LoV, sp.HiV, sp.LoE, sp.HiE)
+	})
+	ec.StripeOffsets(stripes, spans, n, rowStart)
+	rowStart[n] = 0
+	total := ec.ExclusiveSumInt64(rowStart)
+	s.rows = buf.Grow(s.rows, int(total))
+	rows := s.rows
+	ec.ForSpans("match/rows-scatter", pt, func(j int, sp par.Span) {
+		rowScatterRange(g, scores, rows, rowStart, stripes[j*n:(j+1)*n], sp.LoV, sp.HiV, sp.LoE, sp.HiE)
+	})
+	ec.For(n, func(lo, hi int) {
+		rowReset(s, lo, hi)
+	})
+}
+
+// rowCountRange counts the positive edges of buckets [lo, hi) into cnt, once
+// per endpoint. The first bucket is entered at edge eloFirst and the last
+// left at ehiLast (a span's clamps; whole buckets otherwise).
+func rowCountRange(g *graph.Graph, scores []float64, cnt []int64, lo, hi int, eloFirst, ehiLast int64) {
+	for x := lo; x < hi; x++ {
+		elo, ehi := g.Start[x], g.End[x]
+		if x == lo {
+			elo = eloFirst
 		}
-		for e := g.Start[u]; e < g.End[u]; e++ {
-			sc := scores[e]
-			if sc <= 0 {
-				continue
-			}
-			v := g.V[e]
-			if atomic.LoadInt64(&match[v]) != Unmatched {
-				continue
-			}
-			k := makeKey(sc, g.U[e], g.V[e])
-			for _, side := range [2]int64{u, v} {
-				locks.Lock(side)
-				if candPass[side] != pass || candKey[side].less(k) {
-					candPass[side] = pass
-					candKey[side] = k
-					candE[side] = e
-				}
-				locks.Unlock(side)
+		if x == hi-1 {
+			ehi = ehiLast
+		}
+		for e := elo; e < ehi; e++ {
+			if scores[e] > 0 {
+				cnt[g.U[e]]++
+				cnt[g.V[e]]++
 			}
 		}
 	}
 }
 
-// worklistClaim is phase B of one worklist pass over list[lo:hi]: claim
-// mutually best edges and set the keep flag for vertices that stay active.
-// Claim outcomes are counted into chunk-locals and flushed once into hot
-// (nil when observability is off) — never a per-vertex atomic.
-func worklistClaim(g *graph.Graph, s *Scratch, list, keep []int64, pass int64, hot *obs.Hot, lo, hi int) {
-	match, locks := s.match, s.locks
-	candE, candPass := s.candE, s.candPass
-	var claims, conflicts int64
-	for i := lo; i < hi; i++ {
-		keep[i] = 0
-		u := list[i]
-		if atomic.LoadInt64(&match[u]) != Unmatched {
-			continue // matched; drop
+// rowScatterRange replays rowCountRange's edge range, writing each positive
+// edge into both endpoints' rows at rowStart plus the private cursor.
+func rowScatterRange(g *graph.Graph, scores []float64, rows []rowEntry, rowStart, cur []int64, lo, hi int, eloFirst, ehiLast int64) {
+	for x := lo; x < hi; x++ {
+		elo, ehi := g.Start[x], g.End[x]
+		if x == lo {
+			elo = eloFirst
 		}
-		if candPass[u] != pass {
-			continue // no available edge anywhere near u; drop for good
+		if x == hi-1 {
+			ehi = ehiLast
 		}
-		e := candE[u]
-		a, b := g.U[e], g.V[e]
-		o := a // other endpoint of our best edge
-		if o == u {
-			o = b
-		}
-		if candPass[o] == pass && candE[o] == e {
-			// Mutually best: claim both sides. Both endpoints may run this
-			// claim; Lock2 serializes and the second sees the pair already
-			// made.
-			locks.Lock2(u, o)
-			if match[u] == Unmatched && match[o] == Unmatched {
-				atomic.StoreInt64(&match[u], o)
-				atomic.StoreInt64(&match[o], u)
-				claims++
-			} else {
-				conflicts++
+		for e := elo; e < ehi; e++ {
+			sc := scores[e]
+			if sc <= 0 {
+				continue
 			}
-			locks.Unlock2(u, o)
+			u, v := g.U[e], g.V[e]
+			rows[rowStart[u]+cur[u]] = rowEntry{v, sc}
+			cur[u]++
+			rows[rowStart[v]+cur[v]] = rowEntry{u, sc}
+			cur[v]++
 		}
-		if atomic.LoadInt64(&match[u]) == Unmatched {
-			// Still free but edges remain in reach: try again.
+	}
+}
+
+// rowReset resets vertices [lo, hi) for a new matching, turning rowEnd from
+// scatter cursor (serial build) or stale state into each row's end.
+func rowReset(s *Scratch, lo, hi int) {
+	match, cand, rowStart, rowEnd, keep := s.match, s.cand, s.rowStart, s.rowEnd, s.keep
+	for x := lo; x < hi; x++ {
+		match[x] = Unmatched
+		cand[x] = Unmatched
+		end := rowStart[x+1]
+		rowEnd[x] = end
+		if end > rowStart[x] {
+			keep[x] = 1
+		} else {
+			keep[x] = 0
+		}
+	}
+}
+
+// worklistPropose is the propose phase of one worklist pass over
+// list[lo:hi]: each active vertex keeps its candidate while the candidate is
+// unmatched, and otherwise rescans its row for the best unmatched neighbor,
+// swap-removing matched ones. It writes only the listed vertices' own cand,
+// candScore, row and rowEnd entries and reads match, which only the claim
+// phase (across a barrier) writes.
+func worklistPropose(s *Scratch, list []int64, lo, hi int) {
+	match, cand, candScore := s.match, s.cand, s.candScore
+	rowStart, rowEnd, rows := s.rowStart, s.rowEnd, s.rows
+	for i := lo; i < hi; i++ {
+		u := list[i]
+		if c := cand[u]; c != Unmatched && match[c] == Unmatched {
+			continue // the best neighbor is still free, so still the best
+		}
+		best, bestScore := Unmatched, 0.0
+		j, end := rowStart[u], rowEnd[u]
+		for j < end {
+			v := rows[j].nbr
+			if match[v] != Unmatched {
+				end--
+				rows[j] = rows[end]
+				continue
+			}
+			// Scores are strictly positive, so the first free entry always
+			// beats the initial zero.
+			if sc := rows[j].score; sc > bestScore || (sc == bestScore && tieBelow(u, best, v)) {
+				best, bestScore = v, sc
+			}
+			j++
+		}
+		rowEnd[u] = end
+		cand[u] = best
+		candScore[u] = bestScore
+	}
+}
+
+// tieBelow reports whether edge {u, a} ranks below edge {u, b} in the total
+// order when both carry the same score. The hash is only computed on score
+// ties, so a rescan costs one float compare per entry.
+func tieBelow(u, a, b int64) bool {
+	a1, a2 := graph.StoredOrder(u, a)
+	b1, b2 := graph.StoredOrder(u, b)
+	return makeKey(0, a1, a2).less(makeKey(0, b1, b2))
+}
+
+// worklistClaim is the claim phase of one worklist pass over list[lo:hi]:
+// u takes its candidate o when o's candidate is u, writing only match[u] (o
+// is on the list too and writes match[o] itself), and sets the keep flag
+// for vertices whose candidate was taken by someone else. A vertex whose
+// row drained (no candidate) drops for good. Claims are counted once per
+// pair into a chunk-local and flushed once into hot (nil when
+// observability is off) — never a per-vertex atomic.
+func worklistClaim(s *Scratch, list, keep []int64, hot *obs.Hot, lo, hi int) {
+	match, cand := s.match, s.cand
+	var claims int64
+	for i := lo; i < hi; i++ {
+		u := list[i]
+		o := cand[u]
+		switch {
+		case o == Unmatched:
+			keep[i] = 0
+		case cand[o] == u:
+			match[u] = o
+			if u < o {
+				claims++
+			}
+			keep[i] = 0
+		default:
 			keep[i] = 1
 		}
 	}
 	hot.Add(obs.CtrMatchClaims, claims)
-	hot.Add(obs.CtrMatchConflicts, conflicts)
 }
 
 // EdgeSweep computes the matching with the 2011 whole-edge-array algorithm
@@ -393,8 +497,8 @@ func EdgeSweep(ec *exec.Ctx, g *graph.Graph, scores []float64) Result {
 }
 
 // EdgeSweepWith is EdgeSweep running out of s's reusable buffers; a nil s
-// behaves exactly like EdgeSweep. The candidate tables double as the
-// per-vertex best-edge tables. Observability mirrors WorklistWith: one span
+// behaves exactly like EdgeSweep. The candidate array doubles as the
+// per-vertex best-edge table. Observability mirrors WorklistWith: one span
 // per whole-edge-array pass plus the rounds and claim/conflict counters (the
 // edge sweep has no worklist, so every pass reports the full vertex count as
 // its active size), and a cancelled context exits the pass loop early with a
@@ -403,7 +507,7 @@ func EdgeSweepWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scra
 	rec := ec.Recorder()
 	n := int(g.NumVertices())
 	s := scratch.orNew()
-	s.grow(ec, n)
+	s.growEdgeSweep(ec, n)
 
 	hot := rec.Hot()
 	s.drain = s.drain[:0]
@@ -455,9 +559,37 @@ func EdgeSweepWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scra
 	}
 	rec.Add(obs.CtrMatchRounds, int64(passes))
 	rec.FoldHot()
-	res := finishResult(ec, g, scores, s.match, passes)
+	res := finishResult(ec, s, n, passes)
 	res.Drain = s.drain
 	return res
+}
+
+// growEdgeSweep resizes the edge sweep's buffers for an n-vertex graph and
+// resets match to Unmatched and the pass stamps to -1 (stamps restart at 0
+// every run); locks are reused as-is — every lock is free between runs.
+func (s *Scratch) growEdgeSweep(ec *exec.Ctx, n int) {
+	s.match = buf.Grow(s.match, n)
+	s.cand = buf.Grow(s.cand, n)
+	s.candScore = buf.Grow(s.candScore, n)
+	s.candPass = buf.Grow(s.candPass, n)
+	s.candKey = buf.Grow(s.candKey, n)
+	if s.locks == nil || s.locks.Len() < n {
+		s.locks = par.NewSpinLocks(n)
+	}
+	if ec.Serial(n) {
+		resetEdgeSweep(s, 0, n)
+		return
+	}
+	ec.For(n, func(lo, hi int) {
+		resetEdgeSweep(s, lo, hi)
+	})
+}
+
+func resetEdgeSweep(s *Scratch, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		s.match[i] = Unmatched
+		s.candPass[i] = -1
+	}
 }
 
 // edgeSweepBest is sweep 1 of one edge-sweep pass over buckets [lo, hi): it
@@ -465,7 +597,7 @@ func EdgeSweepWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scra
 // slots and reports whether any eligible edge was seen.
 func edgeSweepBest(g *graph.Graph, scores []float64, s *Scratch, pass int64, lo, hi int) bool {
 	match, locks := s.match, s.locks
-	bestEdge, bestKey, bestPass := s.candE, s.candKey, s.candPass
+	bestEdge, bestKey, bestPass := s.cand, s.candKey, s.candPass
 	local := false
 	for x := int64(lo); x < int64(hi); x++ {
 		for e := g.Start[x]; e < g.End[x]; e++ {
@@ -499,7 +631,7 @@ func edgeSweepBest(g *graph.Graph, scores []float64, s *Scratch, pass int64, lo,
 // (nil when observability is off).
 func edgeSweepClaim(g *graph.Graph, scores []float64, s *Scratch, pass int64, hot *obs.Hot, lo, hi int) {
 	match, locks := s.match, s.locks
-	bestEdge, bestPass := s.candE, s.candPass
+	bestEdge, bestPass, matchScore := s.cand, s.candPass, s.candScore
 	var claims, conflicts int64
 	for x := int64(lo); x < int64(hi); x++ {
 		for e := g.Start[x]; e < g.End[x]; e++ {
@@ -515,6 +647,7 @@ func edgeSweepClaim(g *graph.Graph, scores []float64, s *Scratch, pass int64, ho
 			}
 			locks.Lock2(u, v)
 			if match[u] == Unmatched && match[v] == Unmatched {
+				matchScore[u], matchScore[v] = scores[e], scores[e]
 				atomic.StoreInt64(&match[u], v)
 				atomic.StoreInt64(&match[v], u)
 				claims++
@@ -528,22 +661,13 @@ func edgeSweepClaim(g *graph.Graph, scores []float64, s *Scratch, pass int64, ho
 	hot.Add(obs.CtrMatchConflicts, conflicts)
 }
 
-// finishResult counts pairs and sums matched-edge scores.
-func finishResult(ec *exec.Ctx, g *graph.Graph, scores []float64, match []int64, passes int) Result {
-	n := int(g.NumVertices())
+// finishResult counts pairs and sums matched-edge scores in O(n) from the
+// per-vertex state: each matched pair is tallied at its smaller endpoint,
+// whose candScore holds the score of the edge it took.
+func finishResult(ec *exec.Ctx, s *Scratch, n, passes int) Result {
+	match := s.match[:n]
 	if ec.Serial(n) {
-		var pairs int64
-		var weight float64
-		for x := int64(0); x < int64(n); x++ {
-			if m := match[x]; m != Unmatched && x < m {
-				pairs++
-			}
-			for e := g.Start[x]; e < g.End[x]; e++ {
-				if match[g.U[e]] == g.V[e] {
-					weight += scores[e]
-				}
-			}
-		}
+		pairs, weight := tallyPairs(s, 0, n)
 		return Result{Match: match, Pairs: pairs, Weight: weight, Passes: passes}
 	}
 	// Declared after the serial return: the closure takes their addresses,
@@ -551,22 +675,22 @@ func finishResult(ec *exec.Ctx, g *graph.Graph, scores []float64, match []int64,
 	var pairs int64
 	var weightBits uint64
 	ec.ForDynamic(n, 0, func(lo, hi int) {
-		var localPairs int64
-		var localWeight float64
-		for x := int64(lo); x < int64(hi); x++ {
-			if m := match[x]; m != Unmatched && x < m {
-				localPairs++
-			}
-			for e := g.Start[x]; e < g.End[x]; e++ {
-				if match[g.U[e]] == g.V[e] {
-					localWeight += scores[e]
-				}
-			}
-		}
+		localPairs, localWeight := tallyPairs(s, lo, hi)
 		atomic.AddInt64(&pairs, localPairs)
 		addFloatAtomic(&weightBits, localWeight)
 	})
 	return Result{Match: match, Pairs: pairs, Weight: floatFromBits(weightBits), Passes: passes}
+}
+
+func tallyPairs(s *Scratch, lo, hi int) (pairs int64, weight float64) {
+	match, candScore := s.match, s.candScore
+	for x := lo; x < hi; x++ {
+		if m := match[x]; m != Unmatched && int64(x) < m {
+			pairs++
+			weight += candScore[x]
+		}
+	}
+	return pairs, weight
 }
 
 // Verify checks that match is a valid maximal matching of the positively

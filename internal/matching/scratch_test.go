@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/exec"
@@ -10,41 +11,51 @@ import (
 
 // TestScratchReuseAcrossGraphs runs both kernels repeatedly through one
 // Scratch over graphs of shrinking and growing sizes — the engine's phase
-// pattern plus the harness's trial pattern — and checks every matching is
-// valid and maximal.
+// pattern plus the harness's trial pattern — on every schedule, and checks
+// every matching equals the sorted-greedy reference: stale row-store,
+// stripe and per-vertex entries past a smaller graph's extent must never
+// leak into its matching.
 func TestScratchReuseAcrossGraphs(t *testing.T) {
+	lj, _, err := gen.LJSim(2, gen.DefaultLJSim(4000, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	graphs := []*graph.Graph{
+		lj,
 		gen.CliqueChain(16, 6),
 		gen.Karate(),
 		gen.Ring(5),
-		gen.CliqueChain(32, 4), // bigger again: buffers must regrow
+		gen.CliqueChain(32, 4), // bigger again than the two before: buffers regrow
 	}
 	kernels := []struct {
 		name string
-		run  func(p int, g *graph.Graph, scores []float64, s *Scratch) Result
-	}{
-		{"worklist", func(p int, g *graph.Graph, scores []float64, s *Scratch) Result {
-			return WorklistWith(exec.Background(p), g, scores, s)
-		}},
-		{"edgesweep", func(p int, g *graph.Graph, scores []float64, s *Scratch) Result {
-			return EdgeSweepWith(exec.Background(p), g, scores, s)
-		}},
-	}
+		run  func(*exec.Ctx, *graph.Graph, []float64, *Scratch) Result
+	}{{"worklist", WorklistWith}, {"edgesweep", EdgeSweepWith}}
 	for _, k := range kernels {
-		var s Scratch
-		for gi, g := range graphs {
-			scores := make([]float64, len(g.U))
-			for e := range scores {
-				scores[e] = float64(e%7) + 0.5
-			}
-			for trial := 0; trial < 3; trial++ {
-				res := k.run(2, g, scores, &s)
-				if err := Verify(g, scores, res.Match); err != nil {
-					t.Fatalf("%s graph %d trial %d: %v", k.name, gi, trial, err)
+		for _, sc := range schedules() {
+			var s Scratch
+			for gi, g := range graphs {
+				scores := make([]float64, len(g.U))
+				for e := range scores {
+					scores[e] = float64(e%7) + 0.5
 				}
-				if int64(len(res.Match)) != g.NumVertices() {
-					t.Fatalf("%s graph %d: match sized %d for %d vertices",
-						k.name, gi, len(res.Match), g.NumVertices())
+				want := greedyReference(g, scores)
+				ec := ctxFor(t, context.Background(), sc, g)
+				for trial := 0; trial < 2; trial++ {
+					res := k.run(ec, g, scores, &s)
+					if err := Verify(g, scores, res.Match); err != nil {
+						t.Fatalf("%s %v graph %d trial %d: %v", k.name, sc, gi, trial, err)
+					}
+					if int64(len(res.Match)) != g.NumVertices() {
+						t.Fatalf("%s %v graph %d: match sized %d for %d vertices",
+							k.name, sc, gi, len(res.Match), g.NumVertices())
+					}
+					for v := range want {
+						if res.Match[v] != want[v] {
+							t.Fatalf("%s %v graph %d trial %d: match[%d] = %d, want %d",
+								k.name, sc, gi, trial, v, res.Match[v], want[v])
+						}
+					}
 				}
 			}
 		}

@@ -50,7 +50,9 @@ const (
 	// CtrMatchClaims counts successful pair claims.
 	CtrMatchClaims
 	// CtrMatchConflicts counts claims lost to a concurrent claim — the
-	// lock-protected analogue of a CAS retry.
+	// lock-protected analogue of a CAS retry. Only the edge-sweep ablation
+	// claims under locks; the worklist kernel's claims are lock-free
+	// mutual-candidate checks that cannot lose, so it always reports 0.
 	CtrMatchConflicts
 	// CtrScoreMasked counts edges masked by the MaxCommunitySize cap during
 	// the fused scoring sweep.
