@@ -309,42 +309,3 @@ func TestLayoutString(t *testing.T) {
 		t.Fatal("layout names wrong")
 	}
 }
-
-func TestPairQuickSortMatchesStdlib(t *testing.T) {
-	r := par.NewRNG(41)
-	for trial := 0; trial < 40; trial++ {
-		n := r.Intn(500)
-		v := make([]int64, n)
-		w := make([]int64, n)
-		for i := range v {
-			v[i] = r.Int63n(50) // plenty of duplicates
-			w[i] = int64(i)
-		}
-		type pair struct{ v, w int64 }
-		want := make([]pair, n)
-		for i := range want {
-			want[i] = pair{v[i], w[i]}
-		}
-		par.Sort(1, want, func(a, b pair) bool {
-			if a.v != b.v {
-				return a.v < b.v
-			}
-			return a.w < b.w
-		})
-		pairQuickSort(v, w)
-		// Keys must match the reference order; payloads must be a
-		// permutation within equal-key runs.
-		for i := range want {
-			if v[i] != want[i].v {
-				t.Fatalf("trial %d: key[%d] = %d, want %d", trial, i, v[i], want[i].v)
-			}
-		}
-		seen := map[int64]bool{}
-		for _, x := range w {
-			if seen[x] {
-				t.Fatalf("trial %d: payload duplicated", trial)
-			}
-			seen[x] = true
-		}
-	}
-}

@@ -83,8 +83,10 @@ func ListChase(ec *exec.Ctx, g *graph.Graph, match []int64) (*graph.Graph, []int
 		}
 	})
 
-	// Materialize the accumulated unique edges into bucket storage:
-	// count per first endpoint, prefix-sum offsets, scatter, per-bucket sort.
+	// Materialize the accumulated unique edges into bucket storage: count
+	// per first endpoint, prefix-sum offsets, scatter. The chains already
+	// merged duplicates, so the buckets need no further pass; their order is
+	// whatever the scatter's atomic cursors produced.
 	unique := pool
 	counts := make([]int64, k)
 	ec.For(int(unique), func(lo, hi int) {
@@ -98,6 +100,7 @@ func ListChase(ec *exec.Ctx, g *graph.Graph, match []int64) (*graph.Graph, []int
 	ec.For(int(k), func(lo, hi int) {
 		for c := lo; c < hi; c++ {
 			ng.Start[c] = cursor[c]
+			ng.End[c] = cursor[c] + counts[c]
 		}
 	})
 	ng.U = make([]int64, unique)
@@ -109,14 +112,6 @@ func ListChase(ec *exec.Ctx, g *graph.Graph, match []int64) (*graph.Graph, []int
 			ng.U[pos] = nodeU[i]
 			ng.V[pos] = nodeV[i]
 			ng.W[pos] = nodeW[i]
-		}
-	})
-	ec.ForDynamic(int(k), 0, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			s, cnt := ng.Start[c], counts[c]
-			// Chains already accumulated duplicates; only ordering remains.
-			sortDedupBucket(ng.V[s:s+cnt], ng.W[s:s+cnt])
-			ng.End[c] = s + cnt
 		}
 	})
 	ng.SetCounts(k, unique)

@@ -1099,13 +1099,47 @@ func rollup(ec *exec.Ctx, s *Scratch, pair *[2][]int64, vals []int64, idx int, m
 }
 
 // degreesOf computes g's weighted degrees from its edges, into the arena's
-// degree half idx when s is non-nil.
+// degree half idx when s is non-nil. The arena path runs on the team with
+// rollup's discipline: each worker adds both endpoints of its vertex range's
+// edges into its own n-wide stripe of s.rollStripes, and one MergeStripes
+// sums the stripes, so no edge takes an atomic add.
+// graph.WeightedDegrees stays the reference Options.Validate checks against.
 func degreesOf(ec *exec.Ctx, g *graph.Graph, s *Scratch, idx int) []int64 {
 	if s == nil {
 		return g.WeightedDegrees(ec.Threads())
 	}
-	s.degs[idx] = g.WeightedDegreesInto(ec.Threads(), s.degs[idx])
-	return s.degs[idx]
+	n := int(g.NumVertices())
+	s.degs[idx] = buf.Grow(s.degs[idx], n)
+	d := s.degs[idx]
+	if ec.Serial(n) {
+		clear(d)
+		degreeRange(g, d, 0, n)
+		return d
+	}
+	workers := ec.Workers(n)
+	s.rollStripes = buf.Grow(s.rollStripes, workers*n)
+	stripes := s.rollStripes[:workers*n]
+	ec.ZeroInt64(stripes)
+	ec.ForWorker(n, func(w, lo, hi int) {
+		degreeRange(g, stripes[w*n:(w+1)*n], lo, hi)
+	})
+	ec.MergeStripes(stripes, workers, n, d)
+	return d
+}
+
+// degreeRange adds the degree contributions of vertices [lo, hi) — twice
+// their self-loops and both endpoints of every edge in their buckets — into
+// the n-wide stripe st.
+func degreeRange(g *graph.Graph, st []int64, lo, hi int) {
+	for x := lo; x < hi; x++ {
+		sum := 2 * g.Self[x]
+		for e := g.Start[x]; e < g.End[x]; e++ {
+			w := g.W[e]
+			sum += w
+			st[g.V[e]] += w
+		}
+		st[x] += sum
+	}
 }
 
 // sameDegrees is Options.Validate's check that rolled-up degrees equal the

@@ -349,9 +349,9 @@ func (c *Ctx) Partition() *par.Partition { return c.part }
 // SetDynamicOnly disables (on=true) or restores (on=false) static balanced
 // scheduling on this context: while set, Balanced reports nil and kernels
 // that build private schedules fall back to dynamic chunking wherever the
-// sweep admits it. Contraction's histogram stripes require a static
-// schedule and are unaffected. Like SetPartition, a no-op on the shared
-// Background contexts; Release resets the flag.
+// sweep admits it. Contraction's histogram stripes and dedup position
+// arrays require a static schedule and are unaffected. Like SetPartition,
+// a no-op on the shared Background contexts; Release resets the flag.
 func (c *Ctx) SetDynamicOnly(on bool) {
 	if c.immutable {
 		return

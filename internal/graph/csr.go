@@ -85,6 +85,13 @@ func ToCSR(p int, g *Graph) *CSR {
 // scratch-held CSR costs nothing to refresh in the steady state. A nil c
 // behaves like ToCSR.
 func ToCSRInto(p int, g *Graph, c *CSR) *CSR {
+	c, _ = toCSRInto(p, g, c)
+	return c
+}
+
+// toCSRInto is ToCSRInto also reporting whether every bucket of g is sorted
+// by V, which its counting pass learns at the cost of one compare per edge.
+func toCSRInto(p int, g *Graph, c *CSR) (*CSR, bool) {
 	if c == nil {
 		c = &CSR{}
 	}
@@ -92,12 +99,23 @@ func ToCSRInto(p int, g *Graph, c *CSR) *CSR {
 	c.Offsets = buf.Grow(c.Offsets, n+1)
 	counts := c.Offsets
 	par.ZeroInt64(p, counts)
+	var unsorted int64
 	par.ForDynamic(p, n, 0, func(lo, hi int) {
+		sorted := true
 		for x := lo; x < hi; x++ {
+			prev := int64(-1)
 			for e := g.Start[x]; e < g.End[x]; e++ {
+				v := g.V[e]
 				atomicAdd(&counts[g.U[e]], 1)
-				atomicAdd(&counts[g.V[e]], 1)
+				atomicAdd(&counts[v], 1)
+				if v < prev {
+					sorted = false
+				}
+				prev = v
 			}
+		}
+		if !sorted {
+			atomicAdd(&unsorted, 1)
 		}
 	})
 	total := par.ExclusiveSumInt64(p, counts[:n])
@@ -122,5 +140,5 @@ func ToCSRInto(p int, g *Graph, c *CSR) *CSR {
 			}
 		}
 	})
-	return c
+	return c, unsorted == 0
 }

@@ -37,8 +37,9 @@ type Edge struct {
 //     and (U[e], V[e]) is in parity-hash order (see StoredOrder).
 //   - Each undirected edge {i, j} is stored exactly once, in the bucket of
 //     its parity-hash first endpoint.
-//   - Within a bucket produced by Build or contraction, edges are sorted by
-//     V and have distinct V values.
+//   - Every bucket holds distinct V values. Buckets from Build are also
+//     sorted by V; contraction leaves them in first-seen order, and readers
+//     that need sorted buckets (the Overlay's base lookups) sort a copy.
 type Graph struct {
 	// U, V, W hold the stored edge triples. U[e] is the bucket owner.
 	U, V, W []int64
@@ -193,20 +194,12 @@ func (g *Graph) sumBucketWeights(p int) int64 {
 // WeightedDegrees returns d[x] = 2·Self[x] + Σ_{e incident to x} W[e] for
 // every vertex, computed with p workers. This is the community volume used
 // by both the modularity and conductance scorers: d sums to 2·TotalWeight.
+// It is the reference the engine's own degree paths are checked against:
+// the engine computes level-0 degrees with per-worker stripes and rolls them
+// up through every contraction after that.
 func (g *Graph) WeightedDegrees(p int) []int64 {
-	return g.WeightedDegreesInto(p, nil)
-}
-
-// WeightedDegreesInto is WeightedDegrees writing into buf when its capacity
-// suffices (growing it otherwise), so the engine's phase loop can reuse one
-// degree buffer across phases. Every entry is overwritten; buf may be nil.
-func (g *Graph) WeightedDegreesInto(p int, buf []int64) []int64 {
 	n := int(g.n)
-	d := buf
-	if cap(d) < n {
-		d = make([]int64, n)
-	}
-	d = d[:n]
+	d := make([]int64, n)
 	if par.Serial(p, n) {
 		for x := 0; x < n; x++ {
 			d[x] = 2 * g.Self[x]
@@ -228,8 +221,7 @@ func (g *Graph) WeightedDegreesInto(p int, buf []int64) []int64 {
 	// Each stored edge contributes to both endpoints, and both take an atomic
 	// add (the paper's fetch-and-add): the U side belongs to the bucket being
 	// scanned, but another bucket's V-side add can hit the same word at the
-	// same time. The engine computes this only for the first level; later
-	// levels roll degrees up through the contraction mapping instead.
+	// same time.
 	par.ForDynamic(p, n, 0, func(lo, hi int) {
 		for x := lo; x < hi; x++ {
 			for e := g.Start[x]; e < g.End[x]; e++ {
@@ -270,7 +262,7 @@ func (g *Graph) Clone() *Graph {
 }
 
 // Validate checks every representation invariant and returns a descriptive
-// error for the first violation found. It is O(|V| + |E| log |E|) and meant
+// error for the first violation found. It is O(|V| log |V| + |E|) and meant
 // for tests and debugging, not inner loops.
 func (g *Graph) Validate() error {
 	if int64(len(g.Self)) != g.n || int64(len(g.Start)) != g.n || int64(len(g.End)) != g.n {
@@ -284,6 +276,9 @@ func (g *Graph) Validate() error {
 	var live int64
 	type span struct{ lo, hi, owner int64 }
 	spans := make([]span, 0, g.n)
+	// seen[v] == x+1 marks v as already a neighbor in x's bucket, so no
+	// per-bucket reset is needed.
+	seen := make([]int64, g.n)
 	for x := int64(0); x < g.n; x++ {
 		lo, hi := g.Start[x], g.End[x]
 		if lo > hi {
@@ -299,7 +294,6 @@ func (g *Graph) Validate() error {
 			spans = append(spans, span{lo, hi, x})
 		}
 		live += hi - lo
-		var prevV int64 = -1
 		for e := lo; e < hi; e++ {
 			u, v, w := g.U[e], g.V[e], g.W[e]
 			if u != x {
@@ -317,10 +311,10 @@ func (g *Graph) Validate() error {
 			if first, _ := StoredOrder(u, v); first != u {
 				return fmt.Errorf("graph: edge %d (%d,%d) violates parity-hash order", e, u, v)
 			}
-			if v <= prevV {
-				return fmt.Errorf("graph: bucket of %d not sorted/unique at edge %d (V=%d after %d)", x, e, v, prevV)
+			if seen[v] == x+1 {
+				return fmt.Errorf("graph: bucket of %d repeats neighbor %d at edge %d", x, v, e)
 			}
-			prevV = v
+			seen[v] = x + 1
 		}
 	}
 	if live != g.m {

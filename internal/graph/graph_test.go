@@ -286,6 +286,28 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestValidateDistinctNotSorted pins the bucket invariant contraction
+// relies on: neighbors must be distinct, not sorted.
+func TestValidateDistinctNotSorted(t *testing.T) {
+	bucket := func(vs ...int64) *Graph {
+		g := NewEmpty(6)
+		for _, v := range vs {
+			g.U = append(g.U, 0)
+			g.V = append(g.V, v)
+			g.W = append(g.W, 1)
+		}
+		g.End[0] = int64(len(vs))
+		g.SetCounts(6, int64(len(vs)))
+		return g
+	}
+	if err := bucket(4, 2).Validate(); err != nil {
+		t.Fatalf("unsorted bucket with distinct neighbors rejected: %v", err)
+	}
+	if err := bucket(2, 4, 2).Validate(); err == nil {
+		t.Fatal("non-adjacent duplicate neighbor not caught")
+	}
+}
+
 // findOwner returns some vertex with a non-empty bucket.
 func findOwner(g *Graph) int64 {
 	for x := int64(0); x < g.NumVertices(); x++ {

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"sort"
 	"sync"
 
 	"repro/internal/par"
@@ -118,6 +119,12 @@ func (r *patchRow) reset() {
 // view rebuilds and compactions. The overlay never writes to base; the
 // first Compact builds a replacement and later ones recycle overlay-owned
 // generations.
+//
+// Base lookups and Compact's merge walk need buckets sorted by V, which
+// Build guarantees but contraction does not (it keeps first-seen order).
+// When the CSR pass finds an unsorted bucket, the overlay adopts a private
+// clone with every bucket sorted as its base; the CSR rows are the same
+// either way.
 func NewOverlay(p int, base *Graph) *Overlay {
 	if p <= 0 {
 		p = par.DefaultThreads()
@@ -128,9 +135,33 @@ func NewOverlay(p int, base *Graph) *Overlay {
 		rows:   make(map[int64]*patchRow),
 		selfOv: make(map[int64]int64),
 	}
-	ToCSRInto(p, base, &o.csr)
+	if _, sorted := toCSRInto(p, base, &o.csr); !sorted {
+		o.base = base.Clone()
+		o.base.sortBuckets(p)
+		o.baseOwned = true
+	}
 	o.liveEdges = base.NumEdges()
 	return o
+}
+
+// sortBuckets sorts every bucket of g by V in place.
+func (g *Graph) sortBuckets(p int) {
+	par.ForDynamic(p, int(g.n), 0, func(lo, hi int) {
+		for x := lo; x < hi; x++ {
+			s, e := g.Start[x], g.End[x]
+			sort.Sort(bucketByV{g.V[s:e], g.W[s:e]})
+		}
+	})
+}
+
+// bucketByV sorts one bucket's parallel V and W slices by V.
+type bucketByV struct{ v, w []int64 }
+
+func (b bucketByV) Len() int           { return len(b.v) }
+func (b bucketByV) Less(i, j int) bool { return b.v[i] < b.v[j] }
+func (b bucketByV) Swap(i, j int) {
+	b.v[i], b.v[j] = b.v[j], b.v[i]
+	b.w[i], b.w[j] = b.w[j], b.w[i]
 }
 
 // NumVertices returns |V|. The vertex set is fixed at construction; deltas
@@ -318,10 +349,10 @@ func (o *Overlay) applyLocked(up Update) {
 }
 
 // baseWeight returns the frozen base's weight for edge {u, v}, or 0 if the
-// base does not store it. Buckets are sorted by V with distinct values
-// (builder/contraction invariant), so a binary search in the parity-hash
-// owner's bucket suffices. The unsorted CSR rows cannot answer this without
-// a linear scan.
+// base does not store it. The overlay's base buckets are sorted by V with
+// distinct values (Build output, or the sorted clone NewOverlay makes of a
+// contracted graph), so a binary search in the parity-hash owner's bucket
+// suffices. The unsorted CSR rows cannot answer this without a linear scan.
 func (o *Overlay) baseWeight(u, v int64) int64 {
 	f, s := StoredOrder(u, v)
 	g := o.base

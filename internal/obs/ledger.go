@@ -34,7 +34,7 @@ var epoch = time.Now()
 // timing. Kernel packages (scoring/matching/contract/refine) must not read
 // the clock directly — the vet-obs lint forbids raw time.Now there — so this
 // is the one sanctioned clock for instrumentation that runs only when
-// recording is on (see contract's dedupBucketsTimed).
+// recording is on (see contract's mergeBuckets).
 func NowNS() int64 { return int64(time.Since(epoch)) }
 
 // LevelStats is one contraction level's convergence row. "In" quantities

@@ -65,10 +65,11 @@ const (
 	// CtrContractEdgesOut counts edges in the contracted graph (after
 	// deduplication).
 	CtrContractEdgesOut
-	// CtrContractSortNS and CtrContractAccumNS split the dedup step of the
-	// bucket kernel into its sort and accumulate halves (nanoseconds).
+	// CtrContractSortNS times the dedup step of the bucket kernel
+	// (nanoseconds): the linear merge that folds duplicate neighbors, one
+	// clock pair per dedup range. The name predates the merge, when the step
+	// sorted each bucket; it is kept because consumers read it by name.
 	CtrContractSortNS
-	CtrContractAccumNS
 
 	// NumCounters is the size of a counter block.
 	NumCounters
@@ -85,7 +86,6 @@ var counterNames = [NumCounters]string{
 	"contract_edges_survived",
 	"contract_edges_out",
 	"contract_sort_ns",
-	"contract_accum_ns",
 }
 
 // String returns the counter's stable export name.
