@@ -56,8 +56,10 @@ race:
 	$(GO) test -race -run 'Engine|Ensemble' ./internal/core/...
 	# The dynamic store's shared mutable surface: overlay readers racing a
 	# concurrent mutator (plus the lazy CSR-mirror rebuild they can trigger),
-	# and the incremental serving loop, at elevated count.
-	$(GO) test -race -count=2 -run 'Overlay|Delta|BuildInto' ./internal/graph/...
+	# compaction's parallel count and fill passes writing disjoint vertex
+	# ranges of the recycled graph, the builder's parallel passes, and the
+	# incremental serving loop, at elevated count.
+	$(GO) test -race -count=2 -run 'Overlay|Delta|Build|Compact' ./internal/graph/...
 	$(GO) test -race -run 'Incremental' ./internal/core/...
 	$(GO) test -race $(PKGS)
 

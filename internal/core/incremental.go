@@ -17,6 +17,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/hierarchy"
+	"repro/internal/obs"
 )
 
 // seedPartition is the engine-internal seed of one incremental run: a dense
@@ -92,13 +93,20 @@ func DetectIncrementalWithContext(ctx context.Context, ov *graph.Overlay, prev *
 		return nil, fmt.Errorf("core: dendrogram over %d vertices, overlay has %d",
 			prev.NumVertices(), ov.NumVertices())
 	}
-	if err := ov.ApplyDelta(batch); err != nil {
+	// The overlay spans attribute the fold's time in a traced run; with a
+	// nil recorder they cost nothing.
+	sp := opt.Recorder.Begin(obs.CatKernel, "overlay/apply", -1)
+	err := ov.ApplyDelta(batch)
+	sp.End()
+	if err != nil {
 		return nil, err
 	}
 	// The kernels consume the frozen triple representation, so the overlay
-	// is folded unconditionally: one builder pass here, against many
+	// is folded unconditionally: one merge-and-copy pass here, against many
 	// per-phase passes saved below.
+	sp = opt.Recorder.Begin(obs.CatKernel, "overlay/compact", -1)
 	g, err := ov.Compact()
+	sp.End()
 	if err != nil {
 		return nil, err
 	}

@@ -117,6 +117,31 @@ func TestDetectIncrementalValidatedRun(t *testing.T) {
 	}
 }
 
+// TestDetectIncrementalTracesOverlayFold checks that a traced incremental
+// run attributes the batch's apply and compaction to kernel spans of their
+// own, ahead of the detection's.
+func TestDetectIncrementalTracesOverlayFold(t *testing.T) {
+	g := gen.CliqueChain(16, 6)
+	opt := Options{Threads: 2}
+	ov, dend := bootstrapIncremental(t, g, opt)
+	batch := &graph.Delta{Version: 1}
+	batch.Insert(0, g.NumVertices()-1, 2)
+	batch.Delete(0, 1)
+	opt.Recorder = obs.New()
+	if _, err := DetectIncremental(ov, dend, batch, opt); err != nil {
+		t.Fatal(err)
+	}
+	ks := opt.Recorder.KernelSeconds()
+	if len(ks) < 3 || ks[0].Kernel != "overlay/apply" || ks[1].Kernel != "overlay/compact" {
+		t.Fatalf("kernel rows %+v, want overlay/apply and overlay/compact first", ks)
+	}
+	for _, k := range ks[:2] {
+		if k.Spans != 1 {
+			t.Fatalf("%s: %d spans, want 1", k.Kernel, k.Spans)
+		}
+	}
+}
+
 func TestDetectIncrementalRejectsBadInputs(t *testing.T) {
 	g := gen.CliqueChain(8, 4)
 	opt := Options{Threads: 1}

@@ -3,16 +3,8 @@ package graph
 import (
 	"fmt"
 
-	"repro/internal/buf"
 	"repro/internal/par"
 )
-
-// BuildScratch holds the builder's reusable intermediate arrays so repeated
-// BuildInto calls (the overlay's compaction loop) stay allocation-free in
-// the steady state. The zero value is ready to use.
-type BuildScratch struct {
-	head []int64
-}
 
 // Build assembles a Graph from raw undirected edges using p workers. The
 // input may contain edges in either orientation, repeated edges (their
@@ -24,32 +16,12 @@ type BuildScratch struct {
 // every triple by the parity hash, sort the triple array by (first, second),
 // accumulate duplicates with a segmented scan, then cut contiguous buckets.
 func Build(p int, numVertices int64, edges []Edge) (*Graph, error) {
-	return BuildInto(p, numVertices, edges, nil, nil)
-}
-
-// BuildInto is Build assembling the graph inside dst: every array is reused
-// when its capacity suffices and grown (without copying) otherwise, so a
-// scratch-held graph costs nothing to rebuild in the steady state. A nil dst
-// behaves like Build; a nil scratch allocates the intermediates fresh. On
-// error dst's contents are unspecified.
-func BuildInto(p int, numVertices int64, edges []Edge, dst *Graph, scratch *BuildScratch) (*Graph, error) {
 	if numVertices < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", numVertices)
 	}
-	g := dst
-	if g == nil {
-		g = &Graph{}
-	}
-	if scratch == nil {
-		scratch = &BuildScratch{}
-	}
+	g := &Graph{}
 	g.ResizeVertices(numVertices)
-	par.ZeroInt64(p, g.Self)
-	par.ZeroInt64(p, g.Start)
-	par.ZeroInt64(p, g.End)
 	if len(edges) == 0 {
-		g.ResizeEdges(0)
-		g.setCounts(numVertices, 0)
 		return g, nil
 	}
 
@@ -76,10 +48,8 @@ func BuildInto(p int, numVertices int64, edges []Edge, dst *Graph, scratch *Buil
 
 	// Pass 2: sort by (U, V). Self-loops (U == V) sort adjacent to the
 	// vertex's bucket and are peeled off during accumulation. A linear
-	// presort check skips the O(E log E) pass for callers that feed
-	// already-ordered triples — the overlay's compaction materializes its
-	// merged view in stored order exactly so this branch is taken on every
-	// fold of the serving loop.
+	// presort check skips the O(E log E) pass for callers that feed triples
+	// already in stored order, such as a graph's own Edges().
 	if !sortedByUV(p, edges) {
 		par.Sort(p, edges, func(a, b Edge) bool {
 			if a.U != b.U {
@@ -93,31 +63,21 @@ func BuildInto(p int, numVertices int64, edges []Edge, dst *Graph, scratch *Buil
 	// (U, V) group of non-self edges; self-loops get head 0 and are routed
 	// to g.Self.
 	n := len(edges)
-	scratch.head = buf.Grow(scratch.head, n)
-	head := scratch.head
+	head := make([]int64, n)
 	par.For(p, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e := edges[i]
-			if e.U == e.V {
-				head[i] = 0
-				continue
-			}
-			if i == 0 || edges[i-1].U != e.U || edges[i-1].V != e.V {
+			if e.U != e.V && (i == 0 || edges[i-1].U != e.U || edges[i-1].V != e.V) {
 				head[i] = 1
-			} else {
-				// Explicit zero: the scratch array carries stale contents.
-				head[i] = 0
 			}
 		}
 	})
 	// head becomes the exclusive prefix sum: the output slot of each group.
 	unique := par.ExclusiveSumInt64(p, head)
 
+	// The scatter accumulates weights with fetch-and-add into the fresh
+	// (zeroed) W; exactly one group leader writes each U and V slot.
 	g.ResizeEdges(unique)
-	// The scatter accumulates weights with fetch-and-add, so reused W
-	// entries must start from zero; U and V are fully overwritten (exactly
-	// one group leader writes each slot).
-	par.ZeroInt64(p, g.W)
 	par.For(p, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e := edges[i]

@@ -556,6 +556,41 @@ func naiveBuild(n int64, edges []Edge) (self map[int64]int64, weight map[[2]int6
 	return self, weight
 }
 
+// TestBuildRoundsMatchNaive builds four independent random edge lists in a
+// row and checks each graph edge by edge and self-loop by self-loop against
+// the map-based reference.
+func TestBuildRoundsMatchNaive(t *testing.T) {
+	r := par.NewRNG(5)
+	n := int64(50)
+	for round := 0; round < 4; round++ {
+		var edges []Edge
+		for i := 0; i < 200; i++ {
+			edges = append(edges, Edge{r.Int63n(n), r.Int63n(n), r.Int63n(5) + 1})
+		}
+		wantSelf, wantW := naiveBuild(n, append([]Edge(nil), edges...))
+		g, err := Build(2, n, edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Validate(); err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if int64(len(wantW)) != g.NumEdges() {
+			t.Fatalf("round %d: %d edges, naive %d", round, g.NumEdges(), len(wantW))
+		}
+		g.ForEachEdge(func(_ int64, u, v, w int64) {
+			if wantW[edgeKey(u, v)] != w {
+				t.Fatalf("round %d: edge {%d,%d} weight %d, naive %d", round, u, v, w, wantW[edgeKey(u, v)])
+			}
+		})
+		for x := int64(0); x < n; x++ {
+			if g.Self[x] != wantSelf[x] {
+				t.Fatalf("round %d: Self[%d] = %d, naive %d", round, x, g.Self[x], wantSelf[x])
+			}
+		}
+	}
+}
+
 func TestBuildMatchesNaiveReference(t *testing.T) {
 	r := par.NewRNG(77)
 	for trial := 0; trial < 15; trial++ {

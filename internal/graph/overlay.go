@@ -1,9 +1,12 @@
 package graph
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
+	"repro/internal/buf"
 	"repro/internal/par"
 )
 
@@ -12,8 +15,8 @@ import (
 // per-vertex adjacency patches on top so edge inserts and deletes land in
 // O(log d) without touching the base arrays. Readers see the merged view
 // through the AdjacencyView contract (Degree, ForNeighbors, SelfLoop), and
-// Compact folds the accumulated patches back into a fresh frozen base
-// through the existing builder pipeline.
+// Compact folds the accumulated patches back into a fresh frozen base by a
+// parallel per-row merge that copies untouched buckets wholesale.
 //
 // Patches are symmetric: every non-self update is recorded on both endpoint
 // rows, so a single row lookup answers any adjacency question. A patch entry
@@ -46,13 +49,24 @@ type Overlay struct {
 	liveEdges int64
 	stats     OverlayStats
 
-	// Compaction scratch: the materialized edge list, the builder's
-	// intermediates, and the previous overlay-owned base recycled as the
-	// next build destination. Steady-state compaction allocates nothing.
-	edgeBuf   []Edge
-	build     BuildScratch
+	// Compaction scratch: the patched vertices in ascending order, the
+	// worker range boundaries, and the previous overlay-owned base recycled
+	// as the next destination. Steady-state compaction allocates nothing.
+	touched   []touchedRow
+	bounds    []int
 	spare     *Graph
 	baseOwned bool
+}
+
+// touchedRow is one vertex the pending patches touch: its patch row (nil
+// when only its self-loop changed), its merged self-loop weight, and the
+// exclusive prefix of the merge work of the rows before it, which the count
+// pass is scheduled on.
+type touchedRow struct {
+	x    int64
+	r    *patchRow
+	self int64
+	work int64
 }
 
 // OverlayStats counts the update traffic an overlay has absorbed. All
@@ -198,8 +212,8 @@ func (o *Overlay) Stats() OverlayStats {
 }
 
 // Base returns the current frozen base. It reflects updates only up to the
-// last compaction; treat it as read-only. It is recycled as build scratch
-// two compactions later — Clone it to keep it longer.
+// last compaction; treat it as read-only. It is recycled as the destination
+// of the compaction after next — Clone it to keep it longer.
 func (o *Overlay) Base() *Graph {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
@@ -437,12 +451,20 @@ func (o *Overlay) ShouldCompact() bool {
 		o.pending*compactFractionDen >= o.base.NumEdges()
 }
 
-// Compact folds the accumulated patches into a fresh frozen base through
-// the builder pipeline and resets the patch tier. With no pending updates
-// it returns the current base unchanged (idempotent). The returned graph is
-// overlay-owned: it stays valid for one further compaction and is then
-// recycled as the next build destination, so Clone it for longer keeps. The
-// base passed to NewOverlay is never written.
+// Compact folds the accumulated patches into a fresh frozen base and resets
+// the patch tier. With no pending updates it returns the current base
+// unchanged (idempotent). The returned graph is overlay-owned: it stays
+// valid for one further compaction and is then recycled as the next
+// compaction's destination, so Clone it for longer keeps. The base passed
+// to NewOverlay is never written. The error is always nil.
+//
+// The new base is written straight into the recycled graph in three steps:
+// a count pass sets every bucket's merged length (an untouched bucket keeps
+// its base length; a patched row runs mergeRow without output), one
+// exclusive prefix sum turns the lengths into Start, and a fill pass
+// bulk-copies runs of untouched buckets and merges the patched rows in
+// place. The layout is the one Build gives the same edges: buckets
+// contiguous in vertex order, V ascending, Start = End = 0 when empty.
 func (o *Overlay) Compact() (*Graph, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -450,77 +472,39 @@ func (o *Overlay) Compact() (*Graph, error) {
 		return o.base, nil
 	}
 	g := o.base
-	n := g.NumVertices()
-	edges := o.edgeBuf[:0]
-	// Materialize the merged view one stored row at a time, in (U, V)
-	// order, so BuildInto's presort check skips the O(E log E) sort: for
-	// each bucket-owner vertex x the walk merges the base bucket (V
-	// ascending, shadowed entries taking their patched weight), the
-	// patch-only entries x owns under StoredOrder, and the row's self-loop
-	// at its V == x slot. Every live edge is emitted exactly once from its
-	// owner row, already oriented, so the builder's orientation pass leaves
-	// the order intact.
-	for x := int64(0); x < n; x++ {
-		r := o.rows[x]
-		self := g.Self[x]
-		if ov, ok := o.selfOv[x]; ok {
-			self = ov
-		}
-		emit := func(v, w int64) {
-			if self > 0 && x < v {
-				edges = append(edges, Edge{x, x, self})
-				self = 0
-			}
-			edges = append(edges, Edge{x, v, w})
-		}
-		e, pi := g.Start[x], 0
-		for e < g.End[x] || (r != nil && pi < len(r.nbr)) {
-			if r == nil || pi >= len(r.nbr) {
-				emit(g.V[e], g.W[e])
-				e++
-				continue
-			}
-			pv := r.nbr[pi]
-			switch {
-			case e >= g.End[x] || pv < g.V[e]:
-				// Patch entry with no base edge at this slot: emit it only
-				// if it is live, patch-only, and x is its stored owner (the
-				// symmetric copy on the other row covers the rest).
-				if !r.inBase[pi] && r.w[pi] > 0 {
-					if f, _ := StoredOrder(x, pv); f == x {
-						emit(pv, r.w[pi])
-					}
-				}
-				pi++
-			case pv == g.V[e]:
-				// Shadow entry: the patched weight replaces the base edge
-				// (zero = tombstone, dropped).
-				if r.w[pi] > 0 {
-					emit(pv, r.w[pi])
-				}
-				e++
-				pi++
-			default:
-				emit(g.V[e], g.W[e])
-				e++
-			}
-		}
-		if self > 0 {
-			edges = append(edges, Edge{x, x, self})
-		}
+	n := int(g.n)
+	dst := o.spare
+	if dst == nil {
+		dst = &Graph{}
 	}
-	o.edgeBuf = edges
+	dst.ResizeVertices(g.n)
+	work := o.collectTouched()
 
-	ng, err := BuildInto(o.p, n, edges, o.spare, &o.build)
-	if err != nil {
-		return nil, err
-	}
+	// Count: base lengths everywhere, then the patched rows' merge walks,
+	// scheduled on their walk lengths (hub rows are long).
+	o.splitRanges(n, int64(n), func(x int) int64 { return int64(x) })
+	o.runRanges(dst, (*Overlay).baseLengths)
+	t := o.touched
+	o.splitRanges(len(t), work, func(i int) int64 { return t[i].work })
+	o.runRanges(dst, (*Overlay).countRows)
+
+	m := par.ExclusiveSumInt64(o.p, dst.Start)
+	dst.ResizeEdges(m)
+
+	// Fill, scheduled on output edges plus one unit per vertex: Start[x] + x
+	// is that weight's exclusive prefix until fillRange zeroes the empty
+	// buckets' Start.
+	start := dst.Start
+	o.splitRanges(n, m+int64(n), func(x int) int64 { return start[x] + int64(x) })
+	o.runRanges(dst, (*Overlay).fillRange)
+	dst.setCounts(g.n, m)
+
 	if o.baseOwned {
 		o.spare = o.base
 	} else {
 		o.spare = nil
 	}
-	o.base = ng
+	o.base = dst
 	o.baseOwned = true
 	o.csrStale = true
 
@@ -531,7 +515,178 @@ func (o *Overlay) Compact() (*Graph, error) {
 	}
 	clear(o.selfOv)
 	o.pending = 0
-	o.liveEdges = ng.NumEdges()
+	o.liveEdges = m
 	o.stats.Compactions++
-	return ng, nil
+	return dst, nil
+}
+
+// collectTouched lists every vertex with a patch row or a self-loop
+// override in o.touched, ascending, and returns their total merge work.
+func (o *Overlay) collectTouched() int64 {
+	t := o.touched[:0]
+	for x, r := range o.rows {
+		t = append(t, touchedRow{x: x, r: r})
+	}
+	for x := range o.selfOv {
+		if o.rows[x] == nil {
+			t = append(t, touchedRow{x: x})
+		}
+	}
+	slices.SortFunc(t, func(a, b touchedRow) int { return cmp.Compare(a.x, b.x) })
+	g := o.base
+	var work int64
+	for i := range t {
+		tr := &t[i]
+		tr.self = g.Self[tr.x]
+		if s, ok := o.selfOv[tr.x]; ok {
+			tr.self = s
+		}
+		tr.work = work
+		if tr.r != nil {
+			work += g.End[tr.x] - g.Start[tr.x] + int64(len(tr.r.nbr))
+		}
+		work++
+	}
+	o.touched = t
+	return work
+}
+
+// splitRanges cuts n items into at most o.p ranges of about equal weight
+// and stores their boundaries in o.bounds. prefix(i) is the nondecreasing
+// exclusive weight prefix of item i and total the weight of all n items.
+func (o *Overlay) splitRanges(n int, total int64, prefix func(i int) int64) {
+	w := par.Workers(o.p, n)
+	b := buf.Grow(o.bounds, w+1)
+	b[0], b[w] = 0, n
+	for k := 1; k < w; k++ {
+		target := total * int64(k) / int64(w)
+		b[k] = sort.Search(n, func(i int) bool { return prefix(i) >= target })
+	}
+	o.bounds = b
+}
+
+// runRanges runs pass once per range in o.bounds, each on its own worker.
+// A single range runs on the caller without creating a closure, which keeps
+// serial compaction allocation-free.
+func (o *Overlay) runRanges(dst *Graph, pass func(o *Overlay, dst *Graph, lo, hi int)) {
+	b := o.bounds
+	w := len(b) - 1
+	if w == 1 {
+		pass(o, dst, b[0], b[1])
+		return
+	}
+	par.For(w, w, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			pass(o, dst, b[k], b[k+1])
+		}
+	})
+}
+
+// baseLengths stores the base bucket lengths of vertices [lo, hi) in
+// dst.Start.
+func (o *Overlay) baseLengths(dst *Graph, lo, hi int) {
+	g := o.base
+	for x := lo; x < hi; x++ {
+		dst.Start[x] = g.End[x] - g.Start[x]
+	}
+}
+
+// countRows stores the merged bucket length of touched rows [lo, hi) in
+// dst.Start, replacing the base length. Rows with only a self-loop change
+// keep it.
+func (o *Overlay) countRows(dst *Graph, lo, hi int) {
+	for _, tr := range o.touched[lo:hi] {
+		if tr.r != nil {
+			dst.Start[tr.x] = mergeRow(o.base, tr.x, tr.r, nil, 0)
+		}
+	}
+}
+
+// fillRange writes the merged buckets and self-loops of vertices [lo, hi)
+// into dst, whose Start holds the bucket offsets. Consecutive untouched
+// buckets that sit back to back in the base are copied as one run; patched
+// rows flush the run and merge in place. Empty buckets get Start = End = 0.
+func (o *Overlay) fillRange(dst *Graph, lo, hi int) {
+	g, t := o.base, o.touched
+	copy(dst.Self[lo:hi], g.Self[lo:hi])
+	i, _ := slices.BinarySearchFunc(t, int64(lo), func(tr touchedRow, x int64) int { return cmp.Compare(tr.x, x) })
+	// Base edges [runLo, runHi) are still to be copied to dst from runAt.
+	var runLo, runHi, runAt int64
+	for x := lo; x < hi; x++ {
+		at := dst.Start[x]
+		var r *patchRow
+		if i < len(t) && t[i].x == int64(x) {
+			dst.Self[x] = t[i].self
+			r = t[i].r
+			i++
+		}
+		var l int64
+		if r != nil {
+			copyEdges(dst, runAt, g, runLo, runHi)
+			runLo, runHi = 0, 0
+			l = mergeRow(g, int64(x), r, dst, at)
+		} else if s, e := g.Start[x], g.End[x]; e > s {
+			if s != runHi || at != runAt+runHi-runLo {
+				copyEdges(dst, runAt, g, runLo, runHi)
+				runLo, runHi, runAt = s, s, at
+			}
+			runHi = e
+			l = e - s
+		}
+		if l == 0 {
+			dst.Start[x], dst.End[x] = 0, 0
+		} else {
+			dst.End[x] = at + l
+		}
+	}
+	copyEdges(dst, runAt, g, runLo, runHi)
+}
+
+// copyEdges copies g's edges [lo, hi) to dst's edge arrays from index at.
+func copyEdges(dst *Graph, at int64, g *Graph, lo, hi int64) {
+	to := at + hi - lo
+	copy(dst.U[at:to], g.U[lo:hi])
+	copy(dst.V[at:to], g.V[lo:hi])
+	copy(dst.W[at:to], g.W[lo:hi])
+}
+
+// mergeRow is the merge walk both compaction passes share. It walks x's
+// base bucket (V ascending) against x's patch row r (ascending) and returns
+// the length of x's merged bucket: base edges r does not mention keep their
+// weight, shadowed ones take the patched weight, tombstones drop out, and a
+// live patch-only edge lands only on the row that owns it under
+// StoredOrder (the other endpoint's row holds the symmetric copy). With a
+// non-nil out it also writes the merged bucket to out's edge arrays from
+// index at.
+func mergeRow(g *Graph, x int64, r *patchRow, out *Graph, at int64) int64 {
+	e, end := g.Start[x], g.End[x]
+	k := at
+	for pi, pv := range r.nbr {
+		j := e
+		for j < end && g.V[j] < pv {
+			j++
+		}
+		if out != nil {
+			copyEdges(out, k, g, e, j)
+		}
+		k += j - e
+		e = j
+		if e < end && g.V[e] == pv {
+			e++ // shadowed: the patched weight replaces the base edge
+		} else if f, _ := StoredOrder(x, pv); r.inBase[pi] || f != x {
+			continue // stored in pv's bucket
+		}
+		w := r.w[pi]
+		if w == 0 {
+			continue // tombstone
+		}
+		if out != nil {
+			out.U[k], out.V[k], out.W[k] = x, pv, w
+		}
+		k++
+	}
+	if out != nil {
+		copyEdges(out, k, g, e, end)
+	}
+	return k + end - e - at
 }

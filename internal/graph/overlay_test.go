@@ -431,45 +431,6 @@ func TestOverlayConcurrentReadersAndWriter(t *testing.T) {
 	}
 }
 
-func TestBuildIntoReusesArrays(t *testing.T) {
-	r := par.NewRNG(5)
-	n := int64(50)
-	mkEdges := func() []Edge {
-		var edges []Edge
-		for i := 0; i < 200; i++ {
-			edges = append(edges, Edge{r.Int63n(n), r.Int63n(n), r.Int63n(5) + 1})
-		}
-		return edges
-	}
-	var dst *Graph
-	var scratch BuildScratch
-	for round := 0; round < 4; round++ {
-		edges := mkEdges()
-		wantSelf, wantW := naiveBuild(n, append([]Edge(nil), edges...))
-		g, err := BuildInto(2, n, edges, dst, &scratch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst = g
-		if err := g.Validate(); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		if int64(len(wantW)) != g.NumEdges() {
-			t.Fatalf("round %d: %d edges, naive %d", round, g.NumEdges(), len(wantW))
-		}
-		g.ForEachEdge(func(_ int64, u, v, w int64) {
-			if wantW[edgeKey(u, v)] != w {
-				t.Fatalf("round %d: edge {%d,%d} weight %d, naive %d", round, u, v, w, wantW[edgeKey(u, v)])
-			}
-		})
-		for x := int64(0); x < n; x++ {
-			if g.Self[x] != wantSelf[x] {
-				t.Fatalf("round %d: Self[%d] = %d, naive %d", round, x, g.Self[x], wantSelf[x])
-			}
-		}
-	}
-}
-
 func TestOverlaySteadyStateCompactAllocs(t *testing.T) {
 	r := par.NewRNG(11)
 	n := int64(128)
@@ -493,7 +454,7 @@ func TestOverlaySteadyStateCompactAllocs(t *testing.T) {
 		}
 	}
 	// Warm up past the spare-graph bootstrap (two generations) and let the
-	// patch-row freelist and edge buffer reach capacity.
+	// patch-row freelist and compaction scratch reach capacity.
 	for i := 0; i < 10; i++ {
 		churn()
 	}
