@@ -69,19 +69,15 @@ vet:
 # vet-obs enforces the instrumentation's zero-overhead discipline on top of
 # go vet: the recorder must be threaded as the concrete *obs.Recorder (a nil
 # pointer is a predictable branch; an interface value would add dynamic
-# dispatch to the disabled path), and the per-edge worker loops must flush
-# chunk-local counts through *obs.Hot — never call recorder methods per event.
+# dispatch to the disabled path). The per-edge worker loops must flush
+# chunk-local counts through *obs.Hot — never call recorder methods per event;
+# that check is TestPerEdgeWorkersTakeNoRecorder (vetobs_test.go), a go/parser
+# test `go test ./...` runs.
 vet-obs:
 	$(GO) vet ./internal/obs/... ./internal/core ./internal/matching ./internal/contract ./internal/scoring
 	@bad=$$(grep -nE 'obs\.Recorder' $(HOT_SRC) | grep -vE '\*obs\.Recorder'); \
 	if [ -n "$$bad" ]; then \
 		echo "vet-obs: recorder passed by value or interface (want *obs.Recorder):"; \
-		echo "$$bad"; exit 1; \
-	fi
-	@bad=$$(grep -nE '^func (worklistPropose|worklistClaim|rowCountRange|rowScatterRange|edgeSweepBest|edgeSweepClaim|countSweepRange|scatterSweepRange|mergeBuckets)\(' \
-		internal/matching/matching.go internal/contract/contract.go | grep 'obs\.Recorder'); \
-	if [ -n "$$bad" ]; then \
-		echo "vet-obs: per-edge worker takes the recorder (count locally, flush via *obs.Hot):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -nE '^func (\([^)]*\) )?[A-Za-z0-9_]+\(p int' $(CTX_SRC)); \

@@ -301,6 +301,18 @@ func (c *Ctx) ForWorkerTimes(n int, times []int64, body func(worker, lo, hi int)
 // ZeroInt64 clears xs on the team.
 func (c *Ctx) ZeroInt64(xs []int64) { c.pool.ZeroInt64(c.threads, xs) }
 
+// CopyInt64 copies src into dst (at least as long) on the team; a serial
+// copy creates no closure, so it allocates nothing.
+func (c *Ctx) CopyInt64(dst, src []int64) {
+	if c.Serial(len(src)) {
+		copy(dst, src)
+		return
+	}
+	c.For(len(src), func(lo, hi int) {
+		copy(dst[lo:hi], src[lo:hi])
+	})
+}
+
 // MergeStripes column-sums the workers×k stripe matrix into dst on the team.
 func (c *Ctx) MergeStripes(stripes []int64, workers, k int, dst []int64) {
 	c.pool.MergeStripes(c.threads, stripes, workers, k, dst)

@@ -2,6 +2,10 @@ package graphio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -99,6 +103,83 @@ func FuzzReadBinary(f *testing.F) {
 		}
 		if err := g.Validate(); err != nil {
 			t.Fatalf("accepted input produced invalid graph: %v", err)
+		}
+	})
+}
+
+// FuzzOpenMappedReaderAt feeds hostile mmapcsr images to the pure-Go open
+// path. Any input must either fail with an error or open into a view whose
+// sections agree with the header; no input may panic, and the bytes
+// allocated stay within a constant plus a small multiple of the input size,
+// so no header field can size an allocation the file does not back. The
+// seeds are a valid StreamMapped file, truncations of it, single bit flips
+// at low, middle and high bits of every header field, an offsets section
+// that decreases behind a consistent header, and a consistent header for a
+// graph far larger than the file.
+func FuzzOpenMappedReaderAt(f *testing.F) {
+	limitVertices(f)
+	path := filepath.Join(f.TempDir(), "g.mmapcsr")
+	triples := [][3]int64{{0, 1, 2}, {1, 2, 1}, {2, 2, 4}, {3, 0, 5}, {4, 1, 3}}
+	if _, err := StreamMapped(path, 5, sliceSource(triples), StreamOptions{}); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(valid[:mappedPage])
+	f.Add(valid[:8*mappedHeaderFields])
+	for field := 0; field < mappedHeaderFields; field++ {
+		for _, bit := range []int{0, 20, 62} {
+			in := bytes.Clone(valid)
+			in[8*field+bit/8] ^= 1 << (bit % 8)
+			f.Add(in)
+		}
+	}
+	in := bytes.Clone(valid)
+	binary.LittleEndian.PutUint64(in[mappedPage+8:], 1<<40) // offsets[1]
+	f.Add(in)
+	// Self-consistent headers for graphs far larger than the file: only the
+	// size checks stand between them and section-sized allocations.
+	for _, big := range []mappedLayout{layoutFor(1<<19, 4, 1), layoutFor(5, 1<<30, 1)} {
+		in := bytes.Clone(valid)
+		for i, v := range []int64{int64(mappedMagic), big.n, big.m, big.totW,
+			big.offOffsets, big.offSelf, big.offAdj, big.offWgt, big.fileSize} {
+			binary.LittleEndian.PutUint64(in[8*i:], uint64(v))
+		}
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		mp, err := OpenMappedReaderAt(bytes.NewReader(in), int64(len(in)))
+		runtime.ReadMemStats(&after)
+		// The chunked section reader keeps one 512 KiB buffer per section
+		// and grows each section to at most its file extent.
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(in)+8<<20); grew > limit {
+			t.Fatalf("open of a %d-byte image allocated %d bytes (limit %d)", len(in), grew, limit)
+		}
+		if err != nil {
+			return
+		}
+		defer mp.Close()
+		c := mp.CSR()
+		n := mp.NumVertices()
+		if c.NumVertices() != n || int64(len(c.Self)) != n {
+			t.Fatalf("header |V|=%d, view serves %d vertices and %d self entries", n, c.NumVertices(), len(c.Self))
+		}
+		start, end := c.RowBounds()
+		var prev int64
+		for x := int64(0); x < n; x++ {
+			if start[x] != prev || end[x] < start[x] {
+				t.Fatalf("row %d spans [%d,%d) after a row ending at %d", x, start[x], end[x], prev)
+			}
+			prev = end[x]
+		}
+		if prev != 2*mp.NumEdges() || int64(len(c.Adj)) != prev || int64(len(c.Wgt)) != prev {
+			t.Fatalf("rows cover %d entries, adj %d, wgt %d; header |E|=%d", prev, len(c.Adj), len(c.Wgt), mp.NumEdges())
 		}
 	})
 }
