@@ -37,7 +37,10 @@ type IncrementalResult struct {
 	// Dendrogram is the merge hierarchy of this run, ready to seed the next
 	// DetectIncremental call. When the engine ran with DiscardLevels (or
 	// RefineEveryPhase moved vertices across the recorded levels) it is a
-	// one-level bootstrap carrying only the final partition.
+	// one-level bootstrap carrying only the final partition. It takes the
+	// Result's Levels over (the first level is its level-1 partition, and
+	// Final() when only the seed level ran), so a caller that edits Levels
+	// must copy them first.
 	Dendrogram *hierarchy.Dendrogram
 	// Graph is the compacted frozen base the detection ran on. It is
 	// overlay-owned: valid until the second following Compact (Clone to
