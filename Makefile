@@ -72,7 +72,8 @@ vet:
 # dispatch to the disabled path). The per-edge worker loops must flush
 # chunk-local counts through *obs.Hot — never call recorder methods per event;
 # that check is TestPerEdgeWorkersTakeNoRecorder (vetobs_test.go), a go/parser
-# test `go test ./...` runs.
+# test `go test ./...` runs. The same file's TestNoCSRFieldAccessOutsideGraph
+# keeps raw CSR field access (.Offsets/.Adj/.Wgt) inside internal/graph.
 vet-obs:
 	$(GO) vet ./internal/obs/... ./internal/core ./internal/matching ./internal/contract ./internal/scoring
 	@bad=$$(grep -nE 'obs\.Recorder' $(HOT_SRC) | grep -vE '\*obs\.Recorder'); \
@@ -93,11 +94,6 @@ vet-obs:
 	@bad=$$(grep -nE 'fmt\.Fprint[a-z]*\(os\.Stderr' $(LOG_SRC) /dev/null | grep -v '_test.go'); \
 	if [ -n "$$bad" ]; then \
 		echo "vet-obs: raw stderr diagnostic (route through log/slog via obs.NewLogger):"; \
-		echo "$$bad"; exit 1; \
-	fi
-	@bad=$$(grep -rnE '\.(Offsets|Adj|Wgt)\[' --include='*.go' cmd internal | grep -v '^internal/graph/' | grep -v '_test.go'); \
-	if [ -n "$$bad" ]; then \
-		echo "vet-obs: direct CSR field access outside internal/graph (use Degree/Neighbors/RowBounds or the AdjacencyView contract):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -rnE 'syscall\.Mmap|syscall\.Madvise|syscall\.Munmap|unsafe\.Slice' --include='*.go' cmd internal *.go | grep -v '^internal/graphio/'); \
@@ -147,7 +143,7 @@ doctor-smoke:
 		echo "doctor-smoke: clean run passed, injected regression gated — ok"; \
 	fi
 
-# Runs the arena-vs-fresh detection benchmarks (and anything else matching
+# Runs the scratch-arena detection benchmarks (and anything else matching
 # $(BENCH)) with allocation stats, archiving the raw `go test -json` event
 # stream under results/ for later comparison. The first line of the archive
 # is the host and build metadata from cmd/bench -meta, so old streams stay

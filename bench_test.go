@@ -82,10 +82,18 @@ func paperOptions(threads int) core.Options {
 	return core.Options{Threads: threads, MinCoverage: 0.5}
 }
 
+// detectExec runs core.DetectExec on a pooled execution context sized by
+// opt.Threads, so a benchmark can hand one arena s to every iteration.
+func detectExec(ctx context.Context, g *graph.Graph, opt core.Options, s *core.Scratch) (*core.Result, error) {
+	ec := exec.Acquire(ctx, opt.Threads, opt.Recorder)
+	defer ec.Release()
+	return core.DetectExec(ec, g, opt, s)
+}
+
 // detectOnce runs one timed detection and reports edges/s.
 func detectOnce(b *testing.B, g *graph.Graph, opt core.Options) *core.Result {
 	b.Helper()
-	res, err := core.Detect(g, opt)
+	res, err := core.DetectContext(context.Background(), g, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -107,7 +115,7 @@ func benchEngineDetect(b *testing.B, e core.Engine) {
 	s := core.NewScratch()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		res, err := core.DetectWith(rmat, core.Options{Threads: 4, Engine: e}, s)
+		res, err := detectExec(context.Background(), rmat, core.Options{Threads: 4, Engine: e}, s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,22 +144,27 @@ func BenchmarkEngineDetect(b *testing.B) {
 	benchEngineDetect(b, e)
 }
 
-// --- scratch-arena allocation benchmarks ---------------------------------
+// --- scratch-arena allocation benchmark ----------------------------------
 // BenchmarkDetect_Arena reuses one core.Scratch across iterations, the
-// steady-state regime a sweep or repeated detection reaches; _Fresh opts out
-// and allocates every buffer per run. Run with
+// steady-state regime a sweep or repeated detection reaches. Run with
 //
 //	go test -run=NONE -bench=Detect -benchmem
 //
-// to compare allocs/op and edges/s between the two regimes.
-
-func benchDetectAllocs(b *testing.B, scratch *core.Scratch, opt core.Options) {
+// for its allocs/op and edges/s.
+func BenchmarkDetect_Arena(b *testing.B) {
+	opt := paperOptions(0)
+	opt.DiscardLevels = true
+	scratch := core.NewScratch()
 	_, lj, _ := loadBenchGraphs(b)
+	// Warm the arena once so every iteration measures steady state.
+	if _, err := detectExec(context.Background(), lj, opt, scratch); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DetectWith(lj, opt, scratch); err != nil {
+		if _, err := detectExec(context.Background(), lj, opt, scratch); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -159,25 +172,6 @@ func benchDetectAllocs(b *testing.B, scratch *core.Scratch, opt core.Options) {
 	if elapsed > 0 {
 		b.ReportMetric(float64(lj.NumEdges())*float64(b.N)/elapsed, "edges/s")
 	}
-}
-
-func BenchmarkDetect_Arena(b *testing.B) {
-	opt := paperOptions(0)
-	opt.DiscardLevels = true
-	scratch := core.NewScratch()
-	// Warm the arena once so every iteration measures steady state.
-	_, lj, _ := loadBenchGraphs(b)
-	if _, err := core.DetectWith(lj, opt, scratch); err != nil {
-		b.Fatal(err)
-	}
-	benchDetectAllocs(b, scratch, opt)
-}
-
-func BenchmarkDetect_Fresh(b *testing.B) {
-	opt := paperOptions(0)
-	opt.DiscardLevels = true
-	opt.NoScratch = true
-	benchDetectAllocs(b, nil, opt)
 }
 
 // --- dynamic-graph store: delta application and incremental re-detection --
@@ -238,7 +232,7 @@ func BenchmarkApplyDelta(b *testing.B) {
 func benchIncrementalState(b *testing.B, opt core.Options) (*graph.Overlay, *hierarchy.Dendrogram) {
 	b.Helper()
 	rmat, _, _ := loadBenchGraphs(b)
-	res, err := core.Detect(rmat, opt)
+	res, err := core.DetectContext(context.Background(), rmat, opt)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -262,7 +256,7 @@ func BenchmarkDetectIncremental(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		start := time.Now()
-		ir, err := core.DetectIncrementalWith(ov, dend, batches[i%len(batches)], opt, s)
+		ir, err := core.DetectIncrementalWithContext(context.Background(), ov, dend, batches[i%len(batches)], opt, s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -274,7 +268,7 @@ func BenchmarkDetectIncremental(b *testing.B) {
 
 // BenchmarkDeltaDetect is the incremental speed gate's probe: the same 1%
 // churn stream per iteration, with BENCH_DELTA_MODE selecting how the
-// partition is recomputed — "incremental" chains DetectIncrementalWith,
+// partition is recomputed — "incremental" chains DetectIncrementalWithContext,
 // "scratch" (the default baseline) folds the batch and re-runs the full
 // Detect on the compacted graph.
 func BenchmarkDeltaDetect(b *testing.B) {
@@ -291,7 +285,7 @@ func BenchmarkDeltaDetect(b *testing.B) {
 		batch := batches[i%len(batches)]
 		switch mode {
 		case "incremental":
-			ir, err := core.DetectIncrementalWith(ov, dend, batch, opt, s)
+			ir, err := core.DetectIncrementalWithContext(context.Background(), ov, dend, batch, opt, s)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -305,7 +299,7 @@ func BenchmarkDeltaDetect(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := core.DetectWith(g, opt, s)
+			res, err := detectExec(context.Background(), g, opt, s)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -386,7 +380,7 @@ func benchShardDetect(b *testing.B, shards int) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := core.Detect(g, opt)
+			res, err := core.DetectContext(context.Background(), g, opt)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -941,8 +935,7 @@ func BenchmarkParFor_PoolVsSpawn(b *testing.B) {
 // BenchmarkDetect_PooledTeam is the end-to-end view of the same contrast:
 // a caller-owned exec.Ctx keeps one worker team parked across detections
 // (the harness sweep pattern), against BenchmarkDetect_Arena's
-// acquire-per-call path and BenchmarkDetect_Fresh's allocate-everything
-// baseline.
+// acquire-per-call path.
 func BenchmarkDetect_PooledTeam(b *testing.B) {
 	opt := paperOptions(0)
 	opt.DiscardLevels = true

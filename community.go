@@ -8,7 +8,7 @@
 // packages so that a typical user needs a single import:
 //
 //	g, truth, _ := community.LJSim(0, community.DefaultLJSim(100_000, 42))
-//	res, _ := community.Detect(g, community.Options{MinCoverage: 0.5})
+//	res, _ := community.Detect(ctx, g, community.Options{MinCoverage: 0.5})
 //	fmt.Println(community.Evaluate(0, g, res.CommunityOf, res.NumCommunities))
 //
 // Throughout the API, a worker-count parameter p of 0 (or an
@@ -101,19 +101,13 @@ type ModularityScorer = scoring.Modularity
 // ConductanceScorer scores merges by negated conductance change.
 type ConductanceScorer = scoring.Conductance
 
-// Detect runs the parallel agglomerative community detection algorithm.
-// Unless Options.NoScratch is set it constructs a reusable scratch arena
-// internally, so only the first phase of a run allocates; long-lived
-// callers hand DetectWith an explicit Scratch to amortize even that across
-// runs.
-func Detect(g *Graph, opt Options) (*Result, error) { return core.Detect(g, opt) }
-
-// DetectContext is Detect with cancellation: the run checks ctx at phase and
-// kernel boundaries and, once ctx is done, stops at the next boundary and
-// returns the levels completed so far alongside an error wrapping ctx.Err().
-// A cancelled run therefore yields a non-nil partial Result whose Termination
-// is TermCanceled.
-func DetectContext(ctx context.Context, g *Graph, opt Options) (*Result, error) {
+// Detect runs the parallel agglomerative community detection algorithm on
+// a scratch arena of its own, so only the first phase of the run allocates.
+// The run checks ctx at phase and kernel boundaries and, once ctx is done,
+// stops at the next boundary and returns the levels completed so far
+// alongside an error wrapping ctx.Err(). A cancelled run therefore yields a
+// non-nil partial Result whose Termination is TermCanceled.
+func Detect(ctx context.Context, g *Graph, opt Options) (*Result, error) {
 	return core.DetectContext(ctx, g, opt)
 }
 
@@ -123,21 +117,8 @@ func DetectContext(ctx context.Context, g *Graph, opt Options) (*Result, error) 
 // to use; it must not be shared by concurrent runs.
 type Scratch = core.Scratch
 
-// NewScratch returns an empty arena for DetectWith.
+// NewScratch returns an empty arena for DetectIncremental.
 func NewScratch() *Scratch { return core.NewScratch() }
-
-// DetectWith is Detect reusing s's buffers across calls. Results never
-// alias arena memory.
-func DetectWith(g *Graph, opt Options, s *Scratch) (*Result, error) {
-	return core.DetectWith(g, opt, s)
-}
-
-// DetectWithContext combines DetectWith's arena reuse with DetectContext's
-// cancellation. The arena remains valid for further runs after a cancelled
-// one.
-func DetectWithContext(ctx context.Context, g *Graph, opt Options, s *Scratch) (*Result, error) {
-	return core.DetectWithContext(ctx, g, opt, s)
-}
 
 // Build assembles a Graph from raw edges with p workers, accumulating
 // duplicates and folding self-loops.
@@ -316,20 +297,10 @@ func NewOverlay(p int, base *Graph) *Overlay { return graph.NewOverlay(p, base) 
 
 // DetectIncremental applies batch to the overlay, compacts it, and
 // re-detects from prev's final partition with only the batch-incident
-// communities dissolved. Requires EngineMatching. DetectIncrementalWith
-// reuses a Scratch arena across batches (steady state allocates nothing);
-// DetectIncrementalWithContext adds cancellation.
-func DetectIncremental(ov *Overlay, prev *Dendrogram, batch *Delta, opt Options) (*IncrementalResult, error) {
-	return core.DetectIncremental(ov, prev, batch, opt)
-}
-
-// DetectIncrementalWith is DetectIncremental reusing s's buffers.
-func DetectIncrementalWith(ov *Overlay, prev *Dendrogram, batch *Delta, opt Options, s *Scratch) (*IncrementalResult, error) {
-	return core.DetectIncrementalWith(ov, prev, batch, opt, s)
-}
-
-// DetectIncrementalWithContext combines arena reuse with cancellation.
-func DetectIncrementalWithContext(ctx context.Context, ov *Overlay, prev *Dendrogram, batch *Delta, opt Options, s *Scratch) (*IncrementalResult, error) {
+// communities dissolved. Requires EngineMatching. Passing one Scratch for
+// every batch keeps the steady state allocation-free; a nil s runs on a new
+// arena. Invalid options are rejected before the batch is applied.
+func DetectIncremental(ctx context.Context, ov *Overlay, prev *Dendrogram, batch *Delta, opt Options, s *Scratch) (*IncrementalResult, error) {
 	return core.DetectIncrementalWithContext(ctx, ov, prev, batch, opt, s)
 }
 

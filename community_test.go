@@ -2,6 +2,7 @@ package community
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 )
@@ -17,7 +18,7 @@ func TestEndToEndSocialNetwork(t *testing.T) {
 		t.Fatalf("truth has %d labels for %d vertices", len(truth), g.NumVertices())
 	}
 
-	res, err := Detect(g, Options{MinCoverage: 0.5})
+	res, err := Detect(context.Background(), g, Options{MinCoverage: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestEndToEndRMATPipeline(t *testing.T) {
 	if _, k := Components(0, g); k != 1 {
 		t.Fatalf("largest component is disconnected: %d components", k)
 	}
-	res, err := Detect(g, Options{MinCoverage: 0.5})
+	res, err := Detect(context.Background(), g, Options{MinCoverage: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestKernelAblationEquivalence(t *testing.T) {
 		{Matching: MatchEdgeSweep, Contraction: ContractBucket},
 	}
 	for _, opt := range opts {
-		res, err := Detect(g, opt)
+		res, err := Detect(context.Background(), g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +117,7 @@ func TestKernelAblationEquivalence(t *testing.T) {
 // tiny benchmark: everything lands in the known modularity band.
 func TestBaselinesAgreeOnKarate(t *testing.T) {
 	g := Karate()
-	eng, err := Detect(g, Options{})
+	eng, err := Detect(context.Background(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestConductanceObjective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Detect(g, Options{
+	res, err := Detect(context.Background(), g, Options{
 		Scorer:         ConductanceScorer{},
 		MinCommunities: 10,
 	})

@@ -1,6 +1,7 @@
 package community_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,7 +19,7 @@ func ExampleDetect() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := community.Detect(g, community.Options{})
+	res, err := community.Detect(context.Background(), g, community.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,7 +21,7 @@ func main() {
 	fmt.Printf("Zachary's karate club: %d members, %d friendships\n\n",
 		g.NumVertices(), g.NumEdges())
 
-	res, err := community.Detect(g, community.Options{})
+	res, err := community.Detect(context.Background(), g, community.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func main() {
 	// and re-run detection inside it.
 	fmt.Println("\nzooming into community 0:")
 	sub, subIDs := induce(g, res.CommunityOf, 0)
-	subRes, err := community.Detect(sub, community.Options{})
+	subRes, err := community.Detect(context.Background(), sub, community.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -37,7 +38,7 @@ func main() {
 
 	// 1. The paper's engine.
 	start := time.Now()
-	res, err := community.Detect(g, community.Options{MinCoverage: 0.5})
+	res, err := community.Detect(context.Background(), g, community.Options{MinCoverage: 0.5})
 	if err != nil {
 		log.Fatal(err)
 	}

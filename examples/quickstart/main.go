@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -24,7 +25,7 @@ func main() {
 	// Detect communities. The zero Options maximize modularity with the
 	// paper's improved kernels on all cores; MinCoverage: 0.5 reproduces
 	// the paper's DIMACS-style early stop.
-	res, err := community.Detect(g, community.Options{})
+	res, err := community.Detect(context.Background(), g, community.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

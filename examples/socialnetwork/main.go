@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -33,7 +34,7 @@ func main() {
 
 	// Parallel agglomerative detection with the paper's termination rule.
 	start := time.Now()
-	res, err := community.Detect(g, community.Options{MinCoverage: 0.5})
+	res, err := community.Detect(context.Background(), g, community.Options{MinCoverage: 0.5})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func main() {
 
 	// Per-phase refinement integration: best quality the library offers.
 	start = time.Now()
-	multi, err := community.Detect(g, community.Options{RefineEveryPhase: true})
+	multi, err := community.Detect(context.Background(), g, community.Options{RefineEveryPhase: true})
 	if err != nil {
 		log.Fatal(err)
 	}

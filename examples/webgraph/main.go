@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -30,7 +31,7 @@ func main() {
 		g.NumVertices(), g.NumEdges(), 1+max64(hosts))
 
 	start := time.Now()
-	res, err := community.Detect(g, community.Options{MinCoverage: 0.5})
+	res, err := community.Detect(context.Background(), g, community.Options{MinCoverage: 0.5})
 	if err != nil {
 		log.Fatal(err)
 	}

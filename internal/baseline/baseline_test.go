@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -178,7 +179,7 @@ func TestBaselinesBeatOrMatchEngineOnCommunityGraphs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.Detect(g, core.Options{Threads: 2})
+	eng, err := core.DetectContext(context.Background(), g, core.Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func TestDetectContextCancelMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Detect(g, Options{Threads: 2})
+	full, err := DetectContext(context.Background(), g, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestDetectContextCancelMidRun(t *testing.T) {
 	sawMidRun := false
 	for budget := 0; budget <= 40; budget++ {
 		ctx := &countdownCtx{Context: context.Background(), budget: budget}
-		res, err := DetectWithContext(ctx, g, Options{Threads: 2}, s)
+		res, err := detectExec(ctx, g, Options{Threads: 2}, s)
 		if err == nil {
 			if res.Termination == TermCanceled {
 				t.Fatalf("budget %d: TermCanceled with nil error", budget)
@@ -119,7 +119,7 @@ func TestDetectContextCancelMidRun(t *testing.T) {
 	}
 
 	// The arena that served the cancelled runs still supports a clean run.
-	res, err := DetectWithContext(context.Background(), g, Options{Threads: 2}, s)
+	res, err := detectExec(context.Background(), g, Options{Threads: 2}, s)
 	if err != nil {
 		t.Fatalf("post-cancellation run on reused arena: %v", err)
 	}

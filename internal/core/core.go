@@ -18,7 +18,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/buf"
@@ -218,15 +217,10 @@ type Options struct {
 	// "incorporating refinement into our parallel algorithm" (§II). Slower
 	// per phase, substantially better modularity.
 	RefineEveryPhase bool
-	// NoScratch opts out of the reusable scratch arena: every phase then
-	// allocates its working arrays from scratch, the seed behavior. The
-	// default (arena on) reuses one set of buffers across phases — and, via
-	// DetectWith, across runs — so steady-state phases stay off the heap.
-	NoScratch bool
 	// DiscardLevels leaves Result.Levels empty. The per-phase old→new maps
 	// are the one per-phase output that must otherwise be freshly
 	// allocated; callers that only want the final partition set this to
-	// keep the arena's steady state allocation-free.
+	// keep the scratch arena's steady state allocation-free.
 	DiscardLevels bool
 	// Validate runs full graph and matching invariant checks every phase.
 	// Expensive; for tests and debugging.
@@ -320,65 +314,39 @@ type Result struct {
 	Total       time.Duration
 }
 
-// Detect runs the agglomerative algorithm on g. The input graph is treated
-// as read-only. Unless Options.NoScratch is set, Detect constructs a
-// Scratch arena internally so that after the first phase the loop reuses
-// every working buffer; DetectWith extends the reuse across runs.
-func Detect(g *graph.Graph, opt Options) (*Result, error) {
-	return DetectContext(context.Background(), g, opt)
-}
-
-// DetectContext is Detect under a cancellation context: the engine checks
-// ctx at every phase and kernel boundary, and a cancelled run stops at the
-// next check with Termination TermCanceled, a Result holding the partial
-// hierarchy built so far, and a non-nil error wrapping ctx.Err(). The arena
-// (and, via DetectWithContext, the worker team) is left in a reusable state.
+// DetectContext runs the agglomerative algorithm on g under a cancellation
+// context, out of a temporary scratch arena: after the first phase the loop
+// reuses every working buffer. The input graph is treated as read-only. The
+// engine checks ctx at every phase and kernel boundary, and a cancelled run
+// stops at the next check with Termination TermCanceled, a Result holding the
+// partial hierarchy built so far, and a non-nil error wrapping ctx.Err(). It
+// acquires a pooled execution context (worker team included) for the run and
+// releases it on return, so repeated detections park and reuse one team
+// instead of spawning goroutines per loop.
 func DetectContext(ctx context.Context, g *graph.Graph, opt Options) (*Result, error) {
-	var s *Scratch
-	if !opt.NoScratch {
-		s = NewScratch()
-	}
-	return DetectWithContext(ctx, g, opt, s)
-}
-
-// DetectWith is Detect running out of the reusable arena s: repeated calls
-// (the harness's thread sweeps, service-style repeated queries) skip even
-// the first-phase allocations once the arena has grown to the workload. A
-// nil s (or Options.NoScratch) selects fresh per-phase allocations, the
-// seed behavior. The returned Result never aliases arena memory. s must not
-// be shared by concurrent runs.
-func DetectWith(g *graph.Graph, opt Options, s *Scratch) (*Result, error) {
-	return DetectWithContext(context.Background(), g, opt, s)
-}
-
-// DetectWithContext is DetectWith under a cancellation context. It acquires
-// a pooled execution context (worker team included) for the run and releases
-// it on return, so repeated detections park and reuse one team instead of
-// spawning goroutines per loop.
-func DetectWithContext(ctx context.Context, g *graph.Graph, opt Options, s *Scratch) (*Result, error) {
-	if err := validateOptions(g, opt); err != nil {
-		return nil, err
-	}
 	ec := exec.Acquire(ctx, opt.Threads, opt.Recorder)
 	defer ec.Release()
-	return detect(ec, g, opt, s, nil)
+	return DetectExec(ec, g, opt, nil)
 }
 
-// DetectExec is the lowest-level entry point: the caller owns ec (its
-// context, recorder, and worker team), which overrides Options.Threads and
-// Options.Recorder entirely. The harness uses this to run a whole thread
-// sweep on one long-lived team.
+// DetectExec is DetectContext on a caller-owned execution context and arena:
+// ec (its context, recorder, and worker team) overrides Options.Threads and
+// Options.Recorder entirely, and repeated calls through one s (the harness's
+// thread sweeps, service-style repeated queries) skip even the first-phase
+// allocations once the arena has grown to the workload. A nil s runs on a new
+// arena. The returned Result never aliases arena memory, and a cancelled run
+// leaves the arena reusable. s must not be shared by concurrent runs.
 func DetectExec(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch) (*Result, error) {
-	if err := validateOptions(g, opt); err != nil {
+	if g == nil {
+		return nil, fmt.Errorf("core: nil graph")
+	}
+	if err := validateOptions(opt); err != nil {
 		return nil, err
 	}
-	return detect(ec, g, opt, s, nil)
+	return detect(ec, g, opt, s.orNew(), nil)
 }
 
-func validateOptions(g *graph.Graph, opt Options) error {
-	if g == nil {
-		return fmt.Errorf("core: nil graph")
-	}
+func validateOptions(opt Options) error {
 	if opt.MinCoverage < 0 || opt.MinCoverage > 1 {
 		return fmt.Errorf("core: MinCoverage %v outside [0,1]", opt.MinCoverage)
 	}
@@ -413,11 +381,8 @@ func validateOptions(g *graph.Graph, opt Options) error {
 // re-detection) replaces the identity starting partition: the run opens on
 // the seed partition of g and the matching loop continues from its
 // community graph. Seeded runs use the matching engine only (enforced by
-// DetectIncremental).
+// DetectIncrementalWithContext). Every working buffer comes from the arena s.
 func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPartition) (*Result, error) {
-	if opt.NoScratch {
-		s = nil
-	}
 	scorer := opt.Scorer
 	if scorer == nil {
 		scorer = scoring.Modularity{}
@@ -432,14 +397,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		defer ec.SetDynamicOnly(false)
 	}
 	defer ec.SetPartition(nil)
-	// The arena carries the partition workspace; only the no-scratch path
-	// allocates one (conditionally, so the arena path stays off the heap).
-	var levelPart *par.Partition
-	if s != nil {
-		levelPart = &s.part
-	} else {
-		levelPart = &par.Partition{}
-	}
+	levelPart := &s.part
 	// p is the worker count for the helpers outside the exec-threaded layers
 	// (graph degree/weight sweeps); single-assignment so closures below don't
 	// heap-box it. rec likewise: a nil rec makes every instrumentation call a
@@ -477,30 +435,19 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 	if seed == nil {
 		totW = g.TotalWeight(p)
 	}
-	// sizes is the working per-community vertex count; with an arena it
-	// lives in the double-buffer (the roll-up below ping-pongs between the
-	// halves) and is copied out at the end, without one it is fresh and
-	// handed to the Result directly.
+	// sizes is the working per-community vertex count. It lives in the
+	// arena's double-buffer (the roll-up below ping-pongs between the halves)
+	// and is copied out at the end. The weighted degrees roll through every
+	// contraction the same way, as d_c = Σ d_member instead of being
+	// recomputed from the edges.
 	sizesIdx := 0
-	var sizes []int64
-	// The roll-up ping-pong pairs (nil without an arena): per-community
-	// sizes, and the weighted degrees, which roll through every contraction
-	// as d_c = Σ d_member instead of being recomputed from the edges.
-	var sizePair, degPair *[2][]int64
-	if s != nil {
-		sizePair, degPair = &s.sizes, &s.degs
-	}
+	s.sizes[0] = buf.Grow(s.sizes[0], int(n))
+	sizes := s.sizes[0]
 	// deg of the current community graph when a roll-up (or a stage) has
 	// already produced it, nil when the next phase must compute it; degIdx
 	// is the degree ping-pong half it lives in.
 	var nextDeg []int64
 	degIdx := 0
-	if s != nil {
-		s.sizes[0] = buf.Grow(s.sizes[0], int(n))
-		sizes = s.sizes[0]
-	} else {
-		sizes = make([]int64, n)
-	}
 	// initSizes aliases sizes for the closure below: sizes is reassigned
 	// every phase, and a closure capturing a reassigned variable heap-boxes
 	// it (same reason finish takes cg and sizes as parameters).
@@ -529,18 +476,12 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 	// final community graph cg (deg, when non-nil, being cg's degrees).
 	done := func(term Termination, k int64, cov, mod float64, sizes []int64) (*Result, error) {
 		rec.ClearLabels()
-		if s != nil {
-			// The matching row store is edge-sized; an arena kept between
-			// runs (incremental serving, harness sweeps) should not pin it.
-			s.match.ReleaseRows()
-		}
+		// The matching row store is edge-sized; an arena kept between runs
+		// (incremental serving, harness sweeps) should not pin it.
+		s.match.ReleaseRows()
 		res.Termination = term
 		res.NumCommunities = k
-		if s != nil {
-			res.Sizes = append([]int64(nil), sizes...)
-		} else {
-			res.Sizes = sizes
-		}
+		res.Sizes = append([]int64(nil), sizes...)
 		res.FinalCoverage = cov
 		res.FinalModularity = mod
 		res.Total = time.Since(start)
@@ -574,15 +515,11 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		rec.SetKernel("plp")
 		pSpan := rec.Begin(obs.CatKernel, "plp", -1)
 		t0 := time.Now()
-		var ps *plp.Scratch
-		if s != nil {
-			ps = &s.plp
-		}
 		sweeps := opt.PLPMaxSweeps
 		if sweeps == 0 && opt.Engine == EngineEnsemble {
 			sweeps = DefaultEnsembleSweeps
 		}
-		pres := plp.PropagateWith(ec, g, plp.Options{MaxSweeps: sweeps, Threshold: opt.PLPThreshold}, ps)
+		pres := plp.PropagateWith(ec, g, plp.Options{MaxSweeps: sweeps, Threshold: opt.PLPThreshold}, &s.plp)
 		plpTime := time.Since(t0)
 		pSpan.EndArgs("sweeps", int64(pres.Sweeps), "vertices", n)
 		// The entry partition (identity) for the stats row: its coverage is
@@ -617,21 +554,15 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		if opt.Contraction == ContractBucketNonContiguous {
 			layout = contract.NonContiguous
 		}
-		var cs *contract.Scratch
-		var dst *graph.Graph
 		var mapBuf []int64
-		if s != nil {
-			cs = &s.contract
-			// Buffer 0: the matching loop ping-pongs on phase&1 and starts
-			// at phase 1 for the ensemble, so its first contraction reads
-			// this graph out of buffer 0 while writing buffer 1.
-			dst = s.graphBuf(0)
-			if opt.DiscardLevels {
-				mapBuf = s.mapping
-			}
+		if opt.DiscardLevels {
+			mapBuf = s.mapping
 		}
-		ng, mapping, k := contract.ByLabelsWith(ec, g, pres.Labels, layout, cs, dst, mapBuf)
-		if s != nil && opt.DiscardLevels {
+		// Buffer 0: the matching loop ping-pongs on phase&1 and starts at
+		// phase 1 for the ensemble, so its first contraction reads this
+		// graph out of buffer 0 while writing buffer 1.
+		ng, mapping, k := contract.ByLabelsWith(ec, g, pres.Labels, layout, &s.contract, s.graphBuf(0), mapBuf)
+		if opt.DiscardLevels {
 			s.mapping = mapping
 		}
 		contractTime := time.Since(t1)
@@ -659,8 +590,8 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 				}
 			})
 		}
-		sizes, sizesIdx = rollup(ec, s, sizePair, sizes, sizesIdx, mapping, int(k))
-		nextDeg, degIdx = rollup(ec, s, degPair, deg0, degIdx, mapping, int(k))
+		sizes, sizesIdx = rollup(ec, s, &s.sizes, sizes, sizesIdx, mapping, int(k))
+		nextDeg, degIdx = rollup(ec, s, &s.degs, deg0, degIdx, mapping, int(k))
 		res.Stats = append(res.Stats, PhaseStats{
 			Phase:        0,
 			Vertices:     n,
@@ -760,7 +691,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 			}
 		}
 		seedK = seed.k
-		sizes, sizesIdx = rollup(ec, s, sizePair, sizes, sizesIdx, seed.comm, int(seed.k))
+		sizes, sizesIdx = rollup(ec, s, &s.sizes, sizes, sizesIdx, seed.comm, int(seed.k))
 		contractTime := time.Since(t0)
 		var outEdges int64
 		if ng != nil {
@@ -876,13 +807,8 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 				return nil, fmt.Errorf("core: phase %d: %w", phase, err)
 			}
 		}
-		var scores []float64
-		if s != nil {
-			s.scores = buf.Grow(s.scores, len(cg.U))
-			scores = s.scores[:len(cg.U)]
-		} else {
-			scores = make([]float64, len(cg.U))
-		}
+		s.scores = buf.Grow(s.scores, len(cg.U))
+		scores := s.scores[:len(cg.U)]
 		var positive bool
 		if fused, ok := scorer.(scoring.Fused); ok {
 			positive = fused.ScoreFused(ec, cg, deg, totW, scores, sizes, opt.MaxCommunitySize,
@@ -932,11 +858,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		rec.SetKernel("match")
 		mSpan := rec.Begin(obs.CatKernel, "match", -1)
 		t1 := time.Now()
-		var ms *matching.Scratch
-		if s != nil {
-			ms = &s.match
-		}
-		mres := matchFn(ec, cg, scores, ms)
+		mres := matchFn(ec, cg, scores, &s.match)
 		matchTime := time.Since(t1)
 		rec.ObserveLatency(obs.LatMatch, matchTime.Nanoseconds())
 		mSpan.EndArgs("pairs", mres.Pairs, "passes", int64(mres.Passes))
@@ -966,18 +888,12 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		rec.SetKernel("contract")
 		cSpan := rec.Begin(obs.CatKernel, "contract", -1)
 		t2 := time.Now()
-		var cs *contract.Scratch
-		var dst *graph.Graph
 		var mapBuf []int64
-		if s != nil {
-			cs = &s.contract
-			dst = s.graphBuf(phase)
-			if opt.DiscardLevels {
-				mapBuf = s.mapping
-			}
+		if opt.DiscardLevels {
+			mapBuf = s.mapping
 		}
-		ng, mapping := contractFn(ec, cg, mres.Match, cs, dst, mapBuf)
-		if s != nil && opt.DiscardLevels {
+		ng, mapping := contractFn(ec, cg, mres.Match, &s.contract, s.graphBuf(phase), mapBuf)
+		if opt.DiscardLevels {
 			s.mapping = mapping
 		}
 		contractTime := time.Since(t2)
@@ -1006,10 +922,10 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		// Track community sizes through the contraction (§III's
 		// "straight-forward" extension).
 		kNew := int(ng.NumVertices())
-		sizes, sizesIdx = rollup(ec, s, sizePair, sizes, sizesIdx, mapping, kNew)
+		sizes, sizesIdx = rollup(ec, s, &s.sizes, sizes, sizesIdx, mapping, kNew)
 		// The roll-up writes the other half, so deg (cg's degrees) stays
 		// valid for this level's modularity below.
-		nextDeg, degIdx = rollup(ec, s, degPair, deg, degIdx, mapping, kNew)
+		nextDeg, degIdx = rollup(ec, s, &s.degs, deg, degIdx, mapping, kNew)
 
 		mod := modularity(ec, cov, deg, totW)
 		maxBucket := cg.MaxBucketLen()
@@ -1104,19 +1020,18 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 // through a contraction mapping into kNew sums: new[mapping[c]] += old[c].
 // Both are exact under contraction (an edge inside a merged community
 // contributes its weight to both member degrees and twice to the merged
-// self-loop term of the new degree). With an arena the roll-up ping-pongs
-// between pair's halves (idx names the half holding vals; the result goes
-// to the other) and uses the same per-worker-stripe pattern as the
-// contraction kernel — each worker accumulates into its own kNew-wide
-// partial, merged by a parallel reduction — instead of one atomic add per
-// old community, which serialized on heavily merged regions. It returns the
-// new values and their half's index. Without an arena (s nil) the result is
-// freshly allocated and idx is returned unchanged.
+// self-loop term of the new degree). The roll-up ping-pongs between pair's
+// halves (idx names the half holding vals; the result goes to the other)
+// and uses the same per-worker-stripe pattern as the contraction kernel —
+// each worker accumulates into its own kNew-wide partial of s.rollStripes,
+// merged by a parallel reduction — instead of one atomic add per old
+// community, which serialized on heavily merged regions. It returns the new
+// values and their half's index.
 func rollup(ec *exec.Ctx, s *Scratch, pair *[2][]int64, vals []int64, idx int, mapping []int64, kNew int) ([]int64, int) {
-	if s != nil && ec.Serial(len(vals)) {
-		other := idx ^ 1
-		pair[other] = buf.Grow(pair[other], kNew)
-		out := pair[other][:kNew]
+	other := idx ^ 1
+	pair[other] = buf.Grow(pair[other], kNew)
+	out := pair[other][:kNew]
+	if ec.Serial(len(vals)) {
 		clear(out)
 		for c := range vals {
 			if vals[c] != 0 {
@@ -1125,46 +1040,29 @@ func rollup(ec *exec.Ctx, s *Scratch, pair *[2][]int64, vals []int64, idx int, m
 		}
 		return out, other
 	}
-	if s != nil {
-		workers := ec.Workers(len(vals))
-		s.rollStripes = buf.Grow(s.rollStripes, workers*kNew)
-		stripes := s.rollStripes
-		ec.ZeroInt64(stripes[:workers*kNew])
-		ec.ForWorker(len(vals), func(w, lo, hi int) {
-			base := w * kNew
-			for c := lo; c < hi; c++ {
-				if vals[c] != 0 {
-					stripes[base+int(mapping[c])] += vals[c]
-				}
-			}
-		})
-		other := idx ^ 1
-		pair[other] = buf.Grow(pair[other], kNew)
-		out := pair[other][:kNew]
-		ec.MergeStripes(stripes, workers, kNew, out)
-		return out, other
-	}
-	out := make([]int64, kNew)
-	ec.For(len(vals), func(lo, hi int) {
+	workers := ec.Workers(len(vals))
+	s.rollStripes = buf.Grow(s.rollStripes, workers*kNew)
+	stripes := s.rollStripes
+	ec.ZeroInt64(stripes[:workers*kNew])
+	ec.ForWorker(len(vals), func(w, lo, hi int) {
+		base := w * kNew
 		for c := lo; c < hi; c++ {
 			if vals[c] != 0 {
-				atomic.AddInt64(&out[mapping[c]], vals[c])
+				stripes[base+int(mapping[c])] += vals[c]
 			}
 		}
 	})
-	return out, idx
+	ec.MergeStripes(stripes, workers, kNew, out)
+	return out, other
 }
 
 // degreesOf computes g's weighted degrees from its edges, into the arena's
-// degree half idx when s is non-nil. The arena path runs on the team with
-// rollup's discipline: each worker adds both endpoints of its vertex range's
-// edges into its own n-wide stripe of s.rollStripes, and one MergeStripes
-// sums the stripes, so no edge takes an atomic add.
-// graph.WeightedDegrees stays the reference Options.Validate checks against.
+// degree half idx. It runs on the team with rollup's discipline: each worker
+// adds both endpoints of its vertex range's edges into its own n-wide stripe
+// of s.rollStripes, and one MergeStripes sums the stripes, so no edge takes
+// an atomic add. graph.WeightedDegrees stays the reference Options.Validate
+// checks against.
 func degreesOf(ec *exec.Ctx, g *graph.Graph, s *Scratch, idx int) []int64 {
-	if s == nil {
-		return g.WeightedDegrees(ec.Threads())
-	}
 	n := int(g.NumVertices())
 	s.degs[idx] = buf.Grow(s.degs[idx], n)
 	d := s.degs[idx]
@@ -1212,18 +1110,12 @@ type seedStats struct {
 // every edge-exact span accumulates into its own (k+2)-wide stripe of the
 // arena's roll-up stripes — k community degrees, then the total and the
 // intra-community weight — and one MergeStripes sums them into degree half
-// 0, so no edge takes an atomic add and the arena path allocates nothing.
-// Without an arena the stripes and the result are fresh.
+// 0, so no edge takes an atomic add and the sweep allocates nothing.
 func seedSweep(ec *exec.Ctx, g *graph.Graph, comm []int64, k int, s *Scratch, pt *par.Partition) seedStats {
 	n := int(g.NumVertices())
 	width := k + 2
-	var out []int64
-	if s != nil {
-		s.degs[0] = buf.Grow(s.degs[0], width)
-		out = s.degs[0]
-	} else {
-		out = make([]int64, width)
-	}
+	s.degs[0] = buf.Grow(s.degs[0], width)
+	out := s.degs[0]
 	switch {
 	case n == 0:
 		clear(out)
@@ -1232,13 +1124,8 @@ func seedSweep(ec *exec.Ctx, g *graph.Graph, comm []int64, k int, s *Scratch, pt
 		seedSweepRange(g, comm, out, 0, n, g.Start[0], g.End[n-1])
 	default:
 		spans := pt.Workers()
-		var stripes []int64
-		if s != nil {
-			s.rollStripes = buf.Grow(s.rollStripes, spans*width)
-			stripes = s.rollStripes[:spans*width]
-		} else {
-			stripes = make([]int64, spans*width)
-		}
+		s.rollStripes = buf.Grow(s.rollStripes, spans*width)
+		stripes := s.rollStripes[:spans*width]
 		ec.ZeroInt64(stripes)
 		ec.ForSpans("seed/sweep", pt, func(j int, sp par.Span) {
 			seedSweepRange(g, comm, stripes[j*width:(j+1)*width], sp.LoV, sp.HiV, sp.LoE, sp.HiE)
@@ -1297,13 +1184,7 @@ func seedGraph(ec *exec.Ctx, g *graph.Graph, seed *seedPartition, opt Options, s
 	if opt.Contraction == ContractBucketNonContiguous {
 		layout = contract.NonContiguous
 	}
-	var cs *contract.Scratch
-	var dst *graph.Graph
-	if s != nil {
-		cs = &s.contract
-		dst = s.graphBuf(0)
-	}
-	return contract.ByMappingWith(ec, g, seed.comm, seed.k, layout, cs, dst)
+	return contract.ByMappingWith(ec, g, seed.comm, seed.k, layout, &s.contract, s.graphBuf(0))
 }
 
 // validateSeed is Options.Validate's cross-check of the seed sweep against

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -62,7 +63,7 @@ func TestDetectDisjointCliques(t *testing.T) {
 		}
 	}
 	g := graph.MustBuild(1, 24, edges)
-	res, err := Detect(g, Options{Threads: 4, Validate: true})
+	res, err := DetectContext(context.Background(), g, Options{Threads: 4, Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestDetectCliqueChainQuality(t *testing.T) {
 	// under the scoring total order, so the greedy result need not be the
 	// exact clique partition — but it must stay close to it.
 	g := gen.CliqueChain(8, 6)
-	res, err := Detect(g, Options{Threads: 4, Validate: true})
+	res, err := DetectContext(context.Background(), g, Options{Threads: 4, Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestDetectCliqueChainQuality(t *testing.T) {
 
 func TestDetectReportedModularityMatchesBruteForce(t *testing.T) {
 	g := gen.Karate()
-	res, err := Detect(g, Options{Threads: 2, Validate: true})
+	res, err := DetectContext(context.Background(), g, Options{Threads: 2, Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestDetectCoverageTermination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Detect(g, Options{Threads: 4, MinCoverage: 0.5, Validate: true})
+	res, err := DetectContext(context.Background(), g, Options{Threads: 4, MinCoverage: 0.5, Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestDetectCoverageTermination(t *testing.T) {
 
 func TestDetectMaxPhases(t *testing.T) {
 	g := gen.Ring(64)
-	res, err := Detect(g, Options{Threads: 2, MaxPhases: 2, Validate: true})
+	res, err := DetectContext(context.Background(), g, Options{Threads: 2, MaxPhases: 2, Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +153,7 @@ func TestDetectMaxPhases(t *testing.T) {
 
 func TestDetectMinCommunities(t *testing.T) {
 	g := gen.Clique(32)
-	res, err := Detect(g, Options{Threads: 2, MinCommunities: 8, Validate: true})
+	res, err := DetectContext(context.Background(), g, Options{Threads: 2, MinCommunities: 8, Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestDetectStarStopsQuickly(t *testing.T) {
 	// The star is the paper's slow case: one pair merges per phase. With
 	// modularity scoring the process still terminates at a local maximum.
 	g := gen.Star(32)
-	res, err := Detect(g, Options{Threads: 2, MaxPhases: 100, Validate: true})
+	res, err := DetectContext(context.Background(), g, Options{Threads: 2, MaxPhases: 100, Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestDetectLevelsComposeToCommunityOf(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Detect(g, Options{Threads: 2, Validate: true})
+	res, err := DetectContext(context.Background(), g, Options{Threads: 2, Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func TestDetectModularityMonotoneUntilLocalMax(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Detect(g, Options{Threads: 4, Validate: true})
+	res, err := DetectContext(context.Background(), g, Options{Threads: 4, Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestDetectAllKernelCombinations(t *testing.T) {
 	}
 	for _, mk := range []MatchKernel{MatchWorklist, MatchEdgeSweep} {
 		for _, ck := range []ContractKernel{ContractBucket, ContractBucketNonContiguous, ContractListChase} {
-			res, err := Detect(g, Options{Threads: 3, Matching: mk, Contraction: ck, Validate: true})
+			res, err := DetectContext(context.Background(), g, Options{Threads: 3, Matching: mk, Contraction: ck, Validate: true})
 			if err != nil {
 				t.Fatalf("%v/%v: %v", mk, ck, err)
 			}
@@ -241,7 +242,7 @@ func TestDetectAllKernelCombinations(t *testing.T) {
 
 func TestDetectConductanceScorer(t *testing.T) {
 	g := gen.CliqueChain(4, 5)
-	res, err := Detect(g, Options{
+	res, err := DetectContext(context.Background(), g, Options{
 		Threads: 2, Scorer: scoring.Conductance{}, MinCommunities: 2, Validate: true})
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +259,7 @@ func TestDetectEmptyAndTinyGraphs(t *testing.T) {
 		graph.NewEmpty(1),
 		graph.NewEmpty(5), // isolated vertices
 	} {
-		res, err := Detect(g, Options{Threads: 2})
+		res, err := DetectContext(context.Background(), g, Options{Threads: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,7 +275,7 @@ func TestDetectEmptyAndTinyGraphs(t *testing.T) {
 func TestDetectSelfLoopOnlyGraph(t *testing.T) {
 	g := graph.NewEmpty(3)
 	g.Self[0], g.Self[1], g.Self[2] = 5, 2, 1
-	res, err := Detect(g, Options{Threads: 1})
+	res, err := DetectContext(context.Background(), g, Options{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,11 +297,11 @@ func TestDetectRejectsBadOptions(t *testing.T) {
 		{Matching: MatchKernel(99)},
 		{Contraction: ContractKernel(99)},
 	} {
-		if _, err := Detect(g, opt); err == nil {
+		if _, err := DetectContext(context.Background(), g, opt); err == nil {
 			t.Errorf("options %+v accepted", opt)
 		}
 	}
-	if _, err := Detect(nil, Options{}); err == nil {
+	if _, err := DetectContext(context.Background(), nil, Options{}); err == nil {
 		t.Error("nil graph accepted")
 	}
 }
@@ -310,7 +311,7 @@ func TestDetectPhaseStatsPlausible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Detect(g, Options{Threads: 2})
+	res, err := DetectContext(context.Background(), g, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +364,7 @@ func TestDetectPropertyRandomGraphs(t *testing.T) {
 			edges = append(edges, graph.Edge{U: r.Int63n(n), V: r.Int63n(n), W: r.Int63n(9) + 1})
 		}
 		g := graph.MustBuild(2, n, edges)
-		res, err := Detect(g, Options{Threads: 1 + r.Intn(4), Validate: true})
+		res, err := DetectContext(context.Background(), g, Options{Threads: 1 + r.Intn(4), Validate: true})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"hash/fnv"
 	"testing"
 
@@ -35,7 +37,7 @@ var allEngines = []Engine{EngineMatching, EnginePLP, EngineEnsemble}
 
 func detectEngine(t *testing.T, g *graph.Graph, e Engine, threads int) *Result {
 	t.Helper()
-	res, err := Detect(g, Options{Threads: threads, Engine: e, Validate: true})
+	res, err := DetectContext(context.Background(), g, Options{Threads: threads, Engine: e, Validate: true})
 	if err != nil {
 		t.Fatalf("engine %s: %v", e, err)
 	}
@@ -165,7 +167,7 @@ func TestEngineDeterminismGate(t *testing.T) {
 			var first *Result
 			s := NewScratch()
 			for run := 0; run < 2; run++ {
-				res, err := DetectWith(g, Options{Threads: threads, Engine: e, Validate: true}, s)
+				res, err := detectExec(context.Background(), g, Options{Threads: threads, Engine: e, Validate: true}, s)
 				if err != nil {
 					t.Fatalf("%s threads=%d run %d: %v", e, threads, run, err)
 				}
@@ -190,22 +192,25 @@ func TestEngineDeterminismGate(t *testing.T) {
 }
 
 func TestEngineArenaMatchesFresh(t *testing.T) {
-	// The arena-vs-fresh equivalence gate per engine: a shared Scratch cycled
-	// across engines and graph sizes must reproduce fresh-allocation runs.
+	// The dirty-vs-new arena equivalence gate per engine: a shared Scratch
+	// cycled across engines and graph sizes must reproduce runs on a new
+	// arena. The matching engine's default run must also reproduce the
+	// sequential oracle exactly.
 	graphs := []*graph.Graph{gen.CliqueChain(24, 6), gen.Karate(), gen.CliqueChain(40, 5)}
 	s := NewScratch()
 	for _, e := range allEngines {
 		for i, g := range graphs {
 			opt := Options{Threads: 1, Engine: e, Validate: true}
-			fresh := opt
-			fresh.NoScratch = true
-			want, err := Detect(g, fresh)
+			want, err := DetectContext(context.Background(), g, opt)
 			if err != nil {
-				t.Fatalf("%s/graph %d fresh: %v", e, i, err)
+				t.Fatalf("%s/graph %d new arena: %v", e, i, err)
 			}
-			got, err := DetectWith(g, opt, s)
+			got, err := detectExec(context.Background(), g, opt, s)
 			if err != nil {
-				t.Fatalf("%s/graph %d arena: %v", e, i, err)
+				t.Fatalf("%s/graph %d reused arena: %v", e, i, err)
+			}
+			if e == EngineMatching {
+				sameAsOracle(t, fmt.Sprintf("%s/graph %d", e, i), g, got, seq.Options{})
 			}
 			sameResult(t, e.String(), want, got)
 		}
@@ -218,7 +223,7 @@ func TestEnsemblePipelineShape(t *testing.T) {
 	// are matching levels, and the per-level mappings compose back to the
 	// final assignment.
 	g := gen.CliqueChain(16, 6)
-	res, err := Detect(g, Options{Threads: 4, Engine: EngineEnsemble, Validate: true})
+	res, err := DetectContext(context.Background(), g, Options{Threads: 4, Engine: EngineEnsemble, Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +267,7 @@ func TestEngineOptionsValidation(t *testing.T) {
 		{Engine: EngineEnsemble, PLPThreshold: -0.1},
 	}
 	for i, opt := range bad {
-		if _, err := Detect(g, opt); err == nil {
+		if _, err := DetectContext(context.Background(), g, opt); err == nil {
 			t.Errorf("options %d accepted: %+v", i, opt)
 		}
 	}
@@ -297,7 +302,7 @@ func TestEngineLedgerStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	led := obs.NewLedger()
-	if _, err := Detect(g, Options{Threads: 4, Engine: EngineEnsemble, Ledger: led}); err != nil {
+	if _, err := DetectContext(context.Background(), g, Options{Threads: 4, Engine: EngineEnsemble, Ledger: led}); err != nil {
 		t.Fatal(err)
 	}
 	rows := led.Levels()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -12,7 +13,7 @@ func TestDetectSizesTracked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Detect(g, Options{Threads: 2, Validate: true})
+	res, err := DetectContext(context.Background(), g, Options{Threads: 2, Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestDetectMaxCommunitySizeRespected(t *testing.T) {
 		t.Fatal(err)
 	}
 	const cap = 16
-	res, err := Detect(g, Options{Threads: 2, MaxCommunitySize: cap, Validate: true})
+	res, err := DetectContext(context.Background(), g, Options{Threads: 2, MaxCommunitySize: cap, Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestDetectMaxCommunitySizeRespected(t *testing.T) {
 		}
 	}
 	// The constraint binds: without it this graph contracts much further.
-	free, err := Detect(g, Options{Threads: 2})
+	free, err := DetectContext(context.Background(), g, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestDetectMaxCommunitySizeRespected(t *testing.T) {
 
 func TestDetectMaxCommunitySizeOneForbidsAllMerges(t *testing.T) {
 	g := gen.Clique(10)
-	res, err := Detect(g, Options{Threads: 1, MaxCommunitySize: 1})
+	res, err := DetectContext(context.Background(), g, Options{Threads: 1, MaxCommunitySize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestDetectMaxCommunitySizeOneForbidsAllMerges(t *testing.T) {
 }
 
 func TestDetectRejectsNegativeMaxCommunitySize(t *testing.T) {
-	if _, err := Detect(gen.Ring(4), Options{MaxCommunitySize: -1}); err == nil {
+	if _, err := DetectContext(context.Background(), gen.Ring(4), Options{MaxCommunitySize: -1}); err == nil {
 		t.Fatal("accepted negative cap")
 	}
 }
@@ -83,11 +84,11 @@ func TestDetectRefineEveryPhaseImprovesQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Detect(g, Options{Threads: 2})
+	plain, err := DetectContext(context.Background(), g, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	refined, err := Detect(g, Options{Threads: 2, RefineEveryPhase: true, Validate: true})
+	refined, err := DetectContext(context.Background(), g, Options{Threads: 2, RefineEveryPhase: true, Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +120,7 @@ func TestDetectRefineEveryPhaseWithCoverageStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Detect(g, Options{Threads: 2, RefineEveryPhase: true, MinCoverage: 0.5, Validate: true})
+	res, err := DetectContext(context.Background(), g, Options{Threads: 2, RefineEveryPhase: true, MinCoverage: 0.5, Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestDetectMaxSizeWithRefinePhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Detect(g, Options{
+	res, err := DetectContext(context.Background(), g, Options{
 		Threads: 2, MaxCommunitySize: 64, RefineEveryPhase: true, Validate: true})
 	if err != nil {
 		t.Fatal(err)
@@ -161,13 +162,13 @@ func TestDetectDeterministicAcrossThreadCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Detect(g, Options{Threads: 1})
+	want, err := DetectContext(context.Background(), g, Options{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 3, 8} {
 		for rep := 0; rep < 2; rep++ {
-			got, err := Detect(g, Options{Threads: p})
+			got, err := DetectContext(context.Background(), g, Options{Threads: p})
 			if err != nil {
 				t.Fatal(err)
 			}

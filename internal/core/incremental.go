@@ -35,12 +35,12 @@ type seedPartition struct {
 type IncrementalResult struct {
 	*Result
 	// Dendrogram is the merge hierarchy of this run, ready to seed the next
-	// DetectIncremental call. When the engine ran with DiscardLevels (or
-	// RefineEveryPhase moved vertices across the recorded levels) it is a
-	// one-level bootstrap carrying only the final partition. It takes the
-	// Result's Levels over (the first level is its level-1 partition, and
-	// Final() when only the seed level ran), so a caller that edits Levels
-	// must copy them first.
+	// DetectIncrementalWithContext call. When the engine ran with
+	// DiscardLevels (or RefineEveryPhase moved vertices across the recorded
+	// levels) it is a one-level bootstrap carrying only the final partition.
+	// It takes the Result's Levels over (the first level is its level-1
+	// partition, and Final() when only the seed level ran), so a caller that
+	// edits Levels must copy them first.
 	Dendrogram *hierarchy.Dendrogram
 	// Graph is the compacted frozen base the detection ran on. It is
 	// overlay-owned: valid until the second following Compact (Clone to
@@ -54,31 +54,18 @@ type IncrementalResult struct {
 	PrevCommunities   int64
 }
 
-// DetectIncremental applies batch to the overlay, compacts it, and
-// re-detects communities starting from prev's final partition with the
-// batch-incident communities dissolved. The options follow Detect; the
-// incremental path requires EngineMatching (the PLP engines re-label
-// globally, which defeats the frozen remainder).
-func DetectIncremental(ov *graph.Overlay, prev *hierarchy.Dendrogram, batch *graph.Delta, opt Options) (*IncrementalResult, error) {
-	var s *Scratch
-	if !opt.NoScratch {
-		s = NewScratch()
-	}
-	return DetectIncrementalWithContext(context.Background(), ov, prev, batch, opt, s)
-}
-
-// DetectIncrementalWith is DetectIncremental running out of the reusable
-// arena s: a serving loop feeding batch after batch through one Scratch
-// keeps the steady state off the heap (the arena carries the dirty flags,
-// the seed partition, and every engine buffer across runs).
-func DetectIncrementalWith(ov *graph.Overlay, prev *hierarchy.Dendrogram, batch *graph.Delta, opt Options, s *Scratch) (*IncrementalResult, error) {
-	return DetectIncrementalWithContext(context.Background(), ov, prev, batch, opt, s)
-}
-
-// DetectIncrementalWithContext is DetectIncrementalWith under a
-// cancellation context. The batch is applied and compacted before the first
-// cancellation check, so a cancelled run leaves the overlay consistent
-// (batch absorbed) and returns the engine's partial result.
+// DetectIncrementalWithContext applies batch to the overlay, compacts it,
+// and re-detects communities starting from prev's final partition with the
+// batch-incident communities dissolved. The options follow DetectContext;
+// the incremental path requires EngineMatching (the PLP engines re-label
+// globally, which defeats the frozen remainder). The run uses the arena s (a
+// nil s runs on a new one): a serving loop feeding batch after batch through
+// one Scratch keeps the steady state off the heap, since the arena carries
+// the dirty flags, the seed partition, and every engine buffer across runs.
+// Invalid options are rejected before the batch touches the overlay. The
+// batch is applied and compacted before the first cancellation check, so a
+// cancelled run leaves the overlay consistent (batch absorbed) and returns
+// the engine's partial result.
 func DetectIncrementalWithContext(ctx context.Context, ov *graph.Overlay, prev *hierarchy.Dendrogram, batch *graph.Delta, opt Options, s *Scratch) (*IncrementalResult, error) {
 	if ov == nil {
 		return nil, fmt.Errorf("core: nil overlay")
@@ -91,6 +78,9 @@ func DetectIncrementalWithContext(ctx context.Context, ov *graph.Overlay, prev *
 	}
 	if opt.Engine != EngineMatching {
 		return nil, fmt.Errorf("core: incremental re-detection requires the matching engine, got %s", opt.Engine)
+	}
+	if err := validateOptions(opt); err != nil {
+		return nil, err
 	}
 	if prev.NumVertices() != ov.NumVertices() {
 		return nil, fmt.Errorf("core: dendrogram over %d vertices, overlay has %d",
@@ -113,28 +103,15 @@ func DetectIncrementalWithContext(ctx context.Context, ov *graph.Overlay, prev *
 	if err != nil {
 		return nil, err
 	}
-	if err := validateOptions(g, opt); err != nil {
-		return nil, err
-	}
-	if opt.NoScratch {
-		s = nil
-	}
 
 	n := g.NumVertices()
 	prevComm, prevK := prev.Final()
 
-	var dirty []bool
-	var remap, seedComm []int64
-	if s != nil {
-		s.dirty = buf.Grow(s.dirty, int(prevK))
-		s.remap = buf.Grow(s.remap, int(prevK))
-		s.seedComm = buf.Grow(s.seedComm, int(n))
-		dirty, remap, seedComm = s.dirty, s.remap, s.seedComm
-	} else {
-		dirty = make([]bool, prevK)
-		remap = make([]int64, prevK)
-		seedComm = make([]int64, n)
-	}
+	s = s.orNew()
+	s.dirty = buf.Grow(s.dirty, int(prevK))
+	s.remap = buf.Grow(s.remap, int(prevK))
+	s.seedComm = buf.Grow(s.seedComm, int(n))
+	dirty, remap, seedComm := s.dirty, s.remap, s.seedComm
 	clear(dirty)
 
 	// Mark the communities incident to the batch dirty. Endpoints were

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"maps"
 	"math"
 	"testing"
 
@@ -19,7 +21,7 @@ import (
 // state (overlay + dendrogram) an incremental chain starts from.
 func bootstrapIncremental(t *testing.T, g *graph.Graph, opt Options) (*graph.Overlay, *hierarchy.Dendrogram) {
 	t.Helper()
-	res, err := Detect(g, opt)
+	res, err := DetectContext(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestDetectIncrementalMatchesScratchDetection(t *testing.T) {
 	r := par.NewRNG(42)
 	for round := 0; round < 8; round++ {
 		batch := randomBatch(r, ov.Base(), 12, uint64(round+1))
-		ir, err := DetectIncremental(ov, dend, batch, opt)
+		ir, err := DetectIncrementalWithContext(context.Background(), ov, dend, batch, opt, nil)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -63,7 +65,7 @@ func TestDetectIncrementalMatchesScratchDetection(t *testing.T) {
 		// From-scratch on the same compacted graph must agree within the
 		// engine tolerance. The incremental run may be on either side of the
 		// scratch run (both are greedy heuristics), so compare magnitudes.
-		scratch, err := Detect(ir.Graph, opt)
+		scratch, err := DetectContext(context.Background(), ir.Graph, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +96,7 @@ func TestDetectIncrementalAgainstSeqOracle(t *testing.T) {
 	r := par.NewRNG(7)
 	for round := 0; round < 5; round++ {
 		batch := randomBatch(r, ov.Base(), 10, uint64(round+1))
-		ir, err := DetectIncremental(ov, dend, batch, opt)
+		ir, err := DetectIncrementalWithContext(context.Background(), ov, dend, batch, opt, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +118,7 @@ func TestDetectIncrementalValidatedRun(t *testing.T) {
 	batch.Insert(0, g.NumVertices()-1, 2)
 	batch.Delete(0, 1)
 	batch.Insert(3, 3, 1)
-	if _, err := DetectIncremental(ov, dend, batch, opt); err != nil {
+	if _, err := DetectIncrementalWithContext(context.Background(), ov, dend, batch, opt, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -132,7 +134,7 @@ func TestDetectIncrementalTracesOverlayFold(t *testing.T) {
 	batch.Insert(0, g.NumVertices()-1, 2)
 	batch.Delete(0, 1)
 	opt.Recorder = obs.New()
-	if _, err := DetectIncremental(ov, dend, batch, opt); err != nil {
+	if _, err := DetectIncrementalWithContext(context.Background(), ov, dend, batch, opt, nil); err != nil {
 		t.Fatal(err)
 	}
 	ks := opt.Recorder.KernelSeconds()
@@ -146,25 +148,48 @@ func TestDetectIncrementalTracesOverlayFold(t *testing.T) {
 	}
 }
 
+// TestDetectIncrementalRejectsBadInputs checks every rejected call fails
+// before its batch reaches the overlay: the edge count, the version and the
+// merged view all stay as they were.
 func TestDetectIncrementalRejectsBadInputs(t *testing.T) {
 	g := gen.CliqueChain(8, 4)
 	opt := Options{Threads: 1}
 	ov, dend := bootstrapIncremental(t, g, opt)
+	view := func() map[[2]int64]int64 {
+		m := map[[2]int64]int64{}
+		for x := int64(0); x < ov.NumVertices(); x++ {
+			m[[2]int64{x, x}] = ov.SelfLoop(x)
+			ov.ForNeighbors(x, func(v, w int64) { m[[2]int64{x, v}] = w })
+		}
+		return m
+	}
+	edges, version, before := ov.NumEdges(), ov.Version(), view()
 	batch := &graph.Delta{Version: 1}
-	batch.Insert(0, 1, 1)
-	if _, err := DetectIncremental(nil, dend, batch, opt); err == nil {
-		t.Fatal("nil overlay accepted")
-	}
-	if _, err := DetectIncremental(ov, nil, batch, opt); err == nil {
-		t.Fatal("nil dendrogram accepted")
-	}
-	if _, err := DetectIncremental(ov, dend, nil, opt); err == nil {
-		t.Fatal("nil batch accepted")
-	}
+	batch.Insert(0, g.NumVertices()-1, 1)
 	plpOpt := opt
 	plpOpt.Engine = EnginePLP
-	if _, err := DetectIncremental(ov, dend, batch, plpOpt); err == nil {
-		t.Fatal("PLP engine accepted for incremental re-detection")
+	badCoverage := opt
+	badCoverage.MinCoverage = 2
+	for _, c := range []struct {
+		name  string
+		ov    *graph.Overlay
+		prev  *hierarchy.Dendrogram
+		batch *graph.Delta
+		opt   Options
+	}{
+		{"nil overlay", nil, dend, batch, opt},
+		{"nil dendrogram", ov, nil, batch, opt},
+		{"nil batch", ov, dend, nil, opt},
+		{"PLP engine", ov, dend, batch, plpOpt},
+		{"MinCoverage 2", ov, dend, batch, badCoverage},
+	} {
+		if _, err := DetectIncrementalWithContext(context.Background(), c.ov, c.prev, c.batch, c.opt, nil); err == nil {
+			t.Fatalf("%s accepted", c.name)
+		}
+		if ov.NumEdges() != edges || ov.Version() != version || !maps.Equal(view(), before) {
+			t.Fatalf("%s: rejected call changed the overlay (%d edges at version %d, was %d at %d)",
+				c.name, ov.NumEdges(), ov.Version(), edges, version)
+		}
 	}
 }
 
@@ -176,7 +201,7 @@ func TestDetectIncrementalLedgerStageAndStorm(t *testing.T) {
 	// A one-edge batch dirties at most two communities — no storm.
 	small := &graph.Delta{Version: 1}
 	small.Insert(0, g.NumVertices()-1, 1)
-	ir, err := DetectIncremental(ov, dend, small, opt)
+	ir, err := DetectIncrementalWithContext(context.Background(), ov, dend, small, opt, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +225,7 @@ func TestDetectIncrementalLedgerStageAndStorm(t *testing.T) {
 	for v := int64(0); v+1 < n; v += 2 {
 		storm.Insert(v, v+1, 1)
 	}
-	if _, err := DetectIncremental(ov, dend, storm, opt); err != nil {
+	if _, err := DetectIncrementalWithContext(context.Background(), ov, dend, storm, opt, nil); err != nil {
 		t.Fatal(err)
 	}
 	found := false
@@ -234,7 +259,7 @@ func TestIncrementalSoak(t *testing.T) {
 	oracleG := g
 	s := NewScratch()
 	for i, batch := range batches {
-		ir, err := DetectIncrementalWith(ov, dend, batch, opt, s)
+		ir, err := DetectIncrementalWithContext(context.Background(), ov, dend, batch, opt, s)
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}
@@ -308,7 +333,7 @@ func TestIncrementalSteadyStateAllocs(t *testing.T) {
 					batch.Insert(r.Int63n(n), r.Int63n(n), 1)
 					batch.Delete(r.Int63n(n), r.Int63n(n))
 				}
-				ir, err := DetectIncrementalWith(ov, dend, batch, opt, s)
+				ir, err := DetectIncrementalWithContext(context.Background(), ov, dend, batch, opt, s)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -385,11 +410,11 @@ func referenceSeeded(t *testing.T, g *graph.Graph, prev []int64, prevK int64, ba
 		// The seed stage is phase 0, so the contracted graph's own run
 		// gets one phase less.
 		ropt := opt
-		ropt.Threads, ropt.NoScratch, ropt.Validate = 1, false, false
+		ropt.Threads, ropt.Validate = 1, false
 		if opt.MaxPhases > 1 {
 			ropt.MaxPhases = opt.MaxPhases - 1
 		}
-		inner, err := Detect(ng, ropt)
+		inner, err := DetectContext(context.Background(), ng, ropt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -408,8 +433,9 @@ func referenceSeeded(t *testing.T, g *graph.Graph, prev []int64, prevK int64, ba
 }
 
 // TestIncrementalSeedStageMatchesReference drives R-MAT and LJSim churn
-// chains through the seeded engine at 1, 2 and 4 threads, with an arena and
-// without, in every branch of the seed stage: a stop rule the seed already
+// chains through the seeded engine at 1, 2 and 4 threads, on one arena
+// reused across the chain and with no arena passed (noscratch=true: a nil
+// Scratch, so every batch runs on a new arena), in every branch of the seed stage: a stop rule the seed already
 // meets (MinCoverage below its coverage, or MaxPhases 1: no contraction
 // runs), a MinCoverage above it (the sweep measures the seed, then the first
 // level contracts it and matching runs), and no stop rule that could fire
@@ -463,7 +489,7 @@ func TestIncrementalSeedStageMatchesReference(t *testing.T) {
 }
 
 func checkSeedChain(t *testing.T, g *graph.Graph, batches []*graph.Delta, threads int, noScratch bool, pick func(float64) Options, stops bool) {
-	boot, err := Detect(g, Options{Threads: 1, MinCoverage: 0.5})
+	boot, err := DetectContext(context.Background(), g, Options{Threads: 1, MinCoverage: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -491,12 +517,12 @@ func checkSeedChain(t *testing.T, g *graph.Graph, batches []*graph.Delta, thread
 		}
 		probe := referenceSeeded(t, next, refComm, refK, batch, Options{MaxPhases: 1})
 		opt := pick(probe.seedCov)
-		opt.Threads, opt.NoScratch = threads, noScratch
-		opt.Validate = threads == 2 && !noScratch
+		opt.Threads = threads
+		opt.Validate = threads == 2
 		ref := referenceSeeded(t, next, refComm, refK, batch, opt)
 		opt.Ledger = obs.NewLedger()
 
-		ir, err := DetectIncrementalWith(ov, dend, batch, opt, s)
+		ir, err := DetectIncrementalWithContext(context.Background(), ov, dend, batch, opt, s)
 		if err != nil {
 			t.Fatalf("batch %d: %v", i, err)
 		}

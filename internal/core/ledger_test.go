@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -18,7 +19,7 @@ func TestDetectLedgerCrossChecksHierarchy(t *testing.T) {
 		t.Fatal(err)
 	}
 	led := obs.NewLedger()
-	res, err := Detect(g, Options{Threads: 4, Validate: true, Ledger: led})
+	res, err := DetectContext(context.Background(), g, Options{Threads: 4, Validate: true, Ledger: led})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestDetectLedgerResetBetweenRuns(t *testing.T) {
 	led := obs.NewLedger()
 	var prev int
 	for run := 0; run < 3; run++ {
-		if _, err := Detect(g, Options{Threads: 2, Ledger: led}); err != nil {
+		if _, err := DetectContext(context.Background(), g, Options{Threads: 2, Ledger: led}); err != nil {
 			t.Fatal(err)
 		}
 		n := led.NumLevels()
@@ -121,11 +122,11 @@ func TestDetectLedgerResetBetweenRuns(t *testing.T) {
 // change the result.
 func TestDetectNilLedgerIsNoop(t *testing.T) {
 	g := gen.Karate()
-	with, err := Detect(g, Options{Threads: 2, Ledger: obs.NewLedger()})
+	with, err := DetectContext(context.Background(), g, Options{Threads: 2, Ledger: obs.NewLedger()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := Detect(g, Options{Threads: 2})
+	without, err := DetectContext(context.Background(), g, Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/gen"
@@ -14,7 +15,7 @@ func detectWithStats(t *testing.T, opt Options) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Detect(g, opt)
+	res, err := DetectContext(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

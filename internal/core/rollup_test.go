@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -30,35 +31,30 @@ func rollupGraphs(t *testing.T) map[string]*graph.Graph {
 // TestRolledDegreesEqualRecomputedPerLevel drives the score/match/contract
 // loop by hand and checks at every level that the degrees rolled through
 // the contraction mapping equal WeightedDegrees of the contracted graph,
-// with and without an arena, serial and parallel.
+// serial and parallel, starting from degreesOf's degrees of the input.
 func TestRolledDegreesEqualRecomputedPerLevel(t *testing.T) {
 	for name, g0 := range rollupGraphs(t) {
 		for _, p := range []int{1, 2, 4} {
-			for _, arena := range []bool{false, true} {
-				ec := exec.Background(p)
-				var s *Scratch
-				var pair *[2][]int64
-				if arena {
-					s = NewScratch()
-					pair = &s.degs
+			ec := exec.Background(p)
+			s := NewScratch()
+			g := g0
+			deg, idx := degreesOf(ec, g, s, 0), 0
+			if err := sameDegrees(deg, g.WeightedDegrees(p)); err != nil {
+				t.Fatalf("%s p=%d input: %v", name, p, err)
+			}
+			for level := 0; ; level++ {
+				scores := make([]float64, len(g.U))
+				scoring.Modularity{}.Score(ec, g, deg, g.TotalWeight(p), scores)
+				mres := matching.Worklist(ec, g, scores)
+				if mres.Pairs == 0 {
+					break
 				}
-				g := g0
-				deg, idx := degreesOf(ec, g, s, 0), 0
-				for level := 0; ; level++ {
-					scores := make([]float64, len(g.U))
-					scoring.Modularity{}.Score(ec, g, deg, g.TotalWeight(p), scores)
-					mres := matching.Worklist(ec, g, scores)
-					if mres.Pairs == 0 {
-						break
-					}
-					ng, mapping := contract.Bucket(ec, g, mres.Match, contract.Contiguous)
-					deg, idx = rollup(ec, s, pair, deg, idx, mapping, int(ng.NumVertices()))
-					want := ng.WeightedDegrees(p)
-					if err := sameDegrees(deg, want); err != nil {
-						t.Fatalf("%s p=%d arena=%v level %d: %v", name, p, arena, level, err)
-					}
-					g = ng
+				ng, mapping := contract.Bucket(ec, g, mres.Match, contract.Contiguous)
+				deg, idx = rollup(ec, s, &s.degs, deg, idx, mapping, int(ng.NumVertices()))
+				if err := sameDegrees(deg, ng.WeightedDegrees(p)); err != nil {
+					t.Fatalf("%s p=%d level %d: %v", name, p, level, err)
 				}
+				g = ng
 			}
 		}
 	}
@@ -74,7 +70,7 @@ func TestRolledDegreesThroughEngine(t *testing.T) {
 			for _, p := range []int{1, 2, 4} {
 				for _, sched := range []Scheduler{SchedAuto, SchedDynamic} {
 					opt := Options{Threads: p, Engine: engine, Scheduler: sched, Validate: true}
-					res, err := DetectWith(g, opt, NewScratch())
+					res, err := detectExec(context.Background(), g, opt, NewScratch())
 					if err != nil {
 						t.Fatalf("%s engine %d p=%d sched %d: %v", name, engine, p, sched, err)
 					}
@@ -99,7 +95,7 @@ func TestRolledDegreesThroughIncremental(t *testing.T) {
 	s := NewScratch()
 	ref := g
 	for v := uint64(1); v <= 3; v++ {
-		ir, err := DetectIncrementalWith(ov, dend, randomBatch(r, ref, 200, v), opt, s)
+		ir, err := DetectIncrementalWithContext(context.Background(), ov, dend, randomBatch(r, ref, 200, v), opt, s)
 		if err != nil {
 			t.Fatalf("batch %d: %v", v, err)
 		}

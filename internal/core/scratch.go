@@ -36,9 +36,10 @@ import (
 //   - a mapping buffer reused across phases when Options.DiscardLevels is
 //     set.
 //
-// A Scratch must not be used by concurrent Detect runs. Results returned by
-// DetectWith never alias scratch memory, so they stay valid after the
-// arena is reused.
+// Every detection runs on an arena: DetectContext makes a temporary one,
+// DetectExec and DetectIncrementalWithContext take the caller's. A Scratch
+// must not be used by concurrent runs. Results never alias scratch memory,
+// so they stay valid after the arena is reused.
 type Scratch struct {
 	degs        [2][]int64
 	scores      []float64
@@ -54,7 +55,7 @@ type Scratch struct {
 	// worklist arrays, histogram stripes), used by EnginePLP/EngineEnsemble.
 	plp plp.Scratch
 	cg  [2]*graph.Graph
-	// Incremental re-detection working set (DetectIncrementalWith): the
+	// Incremental re-detection working set (DetectIncrementalWithContext): the
 	// per-previous-community dirty flags and id remap, and the dense seed
 	// partition handed to the engine's seed stage.
 	dirty    []bool
@@ -64,6 +65,15 @@ type Scratch struct {
 
 // NewScratch returns an empty arena; buffers are allocated on first use.
 func NewScratch() *Scratch { return &Scratch{} }
+
+// orNew returns s, or a new arena when the caller passed none: the one place
+// an entry point decides which arena a run uses.
+func (s *Scratch) orNew() *Scratch {
+	if s == nil {
+		return NewScratch()
+	}
+	return s
+}
 
 // graphBuf returns the i-th (mod 2) ping-pong community-graph buffer,
 // creating it on first use.

@@ -1,15 +1,27 @@
 package core
 
 import (
+	"context"
+	"math"
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/seq"
 )
 
+// detectExec runs DetectExec on a pooled execution context sized by
+// opt.Threads, so a test can hand one arena s to many runs.
+func detectExec(ctx context.Context, g *graph.Graph, opt Options, s *Scratch) (*Result, error) {
+	ec := exec.Acquire(ctx, opt.Threads, opt.Recorder)
+	defer ec.Release()
+	return DetectExec(ec, g, opt, s)
+}
+
 // sameResult fails unless a and b describe the same partition and quality.
-// Runs at Threads=1 are deterministic, so arena and fresh modes must agree
-// exactly.
+// Runs at Threads=1 are deterministic, so a reused arena and a new one must
+// agree exactly.
 func sameResult(t *testing.T, label string, a, b *Result) {
 	t.Helper()
 	if a.NumCommunities != b.NumCommunities {
@@ -42,10 +54,31 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 	}
 }
 
+// sameAsOracle fails unless res reproduces the sequential oracle's run of
+// the same stop rule exactly: every vertex's community, and the coverage and
+// modularity to rounding.
+func sameAsOracle(t *testing.T, label string, g *graph.Graph, res *Result, sopt seq.Options) {
+	t.Helper()
+	want := seq.Detect(g, sopt)
+	if res.NumCommunities != want.NumCommunities {
+		t.Fatalf("%s: %d communities, oracle %d", label, res.NumCommunities, want.NumCommunities)
+	}
+	for v := range want.CommunityOf {
+		if res.CommunityOf[v] != want.CommunityOf[v] {
+			t.Fatalf("%s: vertex %d in community %d, oracle %d", label, v, res.CommunityOf[v], want.CommunityOf[v])
+		}
+	}
+	if math.Abs(res.FinalModularity-want.Modularity) > 1e-9 || math.Abs(res.FinalCoverage-want.FinalCoverage) > 1e-9 {
+		t.Fatalf("%s: modularity %v coverage %v, oracle %v %v", label,
+			res.FinalModularity, res.FinalCoverage, want.Modularity, want.FinalCoverage)
+	}
+}
+
 // TestArenaMatchesFresh runs a shared arena through a shrink-then-grow
 // sequence of graphs and kernel combinations and checks every result against
-// a fresh-allocation (NoScratch) run of the same options. Dirty reused
-// buffers must never leak into results.
+// a run of the same options on a new arena (DetectContext). Dirty reused
+// buffers must never leak into results. The rows the sequential oracle
+// supports (default options and MinCoverage) must also reproduce it exactly.
 func TestArenaMatchesFresh(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -57,14 +90,15 @@ func TestArenaMatchesFresh(t *testing.T) {
 		{"cliquechain-big", gen.CliqueChain(40, 5)},
 	}
 	optVariants := []struct {
-		name string
-		opt  Options
+		name   string
+		opt    Options
+		oracle *seq.Options // the oracle's run of the same stop rule, if it has one
 	}{
-		{"default", Options{}},
-		{"edgesweep-noncontig", Options{Matching: MatchEdgeSweep, Contraction: ContractBucketNonContiguous}},
-		{"sizecap", Options{MaxCommunitySize: 8}},
-		{"coverage", Options{MinCoverage: 0.5}},
-		{"discardlevels", Options{DiscardLevels: true}},
+		{"default", Options{}, &seq.Options{}},
+		{"edgesweep-noncontig", Options{Matching: MatchEdgeSweep, Contraction: ContractBucketNonContiguous}, nil},
+		{"sizecap", Options{MaxCommunitySize: 8}, nil},
+		{"coverage", Options{MinCoverage: 0.5}, &seq.Options{MinCoverage: 0.5}},
+		{"discardlevels", Options{DiscardLevels: true}, nil},
 	}
 	s := NewScratch()
 	for _, ov := range optVariants {
@@ -72,18 +106,20 @@ func TestArenaMatchesFresh(t *testing.T) {
 			opt := ov.opt
 			opt.Threads = 1
 			opt.Validate = true
+			label := ov.name + "/" + tg.name
 
-			fresh := opt
-			fresh.NoScratch = true
-			want, err := Detect(tg.g, fresh)
+			want, err := DetectContext(context.Background(), tg.g, opt)
 			if err != nil {
-				t.Fatalf("%s/%s fresh: %v", ov.name, tg.name, err)
+				t.Fatalf("%s new arena: %v", label, err)
 			}
-			got, err := DetectWith(tg.g, opt, s)
+			got, err := detectExec(context.Background(), tg.g, opt, s)
 			if err != nil {
-				t.Fatalf("%s/%s arena: %v", ov.name, tg.name, err)
+				t.Fatalf("%s reused arena: %v", label, err)
 			}
-			sameResult(t, ov.name+"/"+tg.name, want, got)
+			sameResult(t, label, want, got)
+			if ov.oracle != nil {
+				sameAsOracle(t, label, tg.g, got, *ov.oracle)
+			}
 		}
 	}
 }
@@ -97,7 +133,7 @@ func TestArenaParallelRace(t *testing.T) {
 	g := gen.CliqueChain(32, 6)
 	s := NewScratch()
 	for trial := 0; trial < 3; trial++ {
-		res, err := DetectWith(g, Options{Threads: 4, Validate: true}, s)
+		res, err := detectExec(context.Background(), g, Options{Threads: 4, Validate: true}, s)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -119,7 +155,7 @@ func TestResultDoesNotAliasArena(t *testing.T) {
 	g := gen.CliqueChain(24, 6)
 	s := NewScratch()
 	opt := Options{Threads: 1}
-	res, err := DetectWith(g, opt, s)
+	res, err := detectExec(context.Background(), g, opt, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +167,7 @@ func TestResultDoesNotAliasArena(t *testing.T) {
 	}
 
 	// Reuse the arena on a different graph, then poison what's left.
-	if _, err := DetectWith(gen.Star(80), opt, s); err != nil {
+	if _, err := detectExec(context.Background(), gen.Star(80), opt, s); err != nil {
 		t.Fatal(err)
 	}
 	for i := range s.mapping {
@@ -172,7 +208,7 @@ func TestSteadyStatePhasesAllocateNothing(t *testing.T) {
 	s := NewScratch()
 	run := func(phases int) {
 		opt := Options{Threads: 1, MaxPhases: phases, DiscardLevels: true}
-		if _, err := DetectWith(g, opt, s); err != nil {
+		if _, err := detectExec(context.Background(), g, opt, s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,33 +225,5 @@ func TestSteadyStatePhasesAllocateNothing(t *testing.T) {
 	// boxing — a handful, not O(phases) or O(n).
 	if short > 12 {
 		t.Fatalf("warm 1-phase run allocates %.1f times, want a small constant", short)
-	}
-}
-
-// TestArenaAllocsShrinkVsFresh quantifies the point of the arena: a warm
-// arena run must allocate far fewer times than the fresh-allocation mode on
-// a multi-phase graph.
-func TestArenaAllocsShrinkVsFresh(t *testing.T) {
-	g := gen.CliqueChain(64, 8)
-	opt := Options{Threads: 1, DiscardLevels: true}
-	s := NewScratch()
-	if _, err := DetectWith(g, opt, s); err != nil {
-		t.Fatal(err)
-	}
-	warm := testing.AllocsPerRun(5, func() {
-		if _, err := DetectWith(g, opt, s); err != nil {
-			t.Fatal(err)
-		}
-	})
-	freshOpt := opt
-	freshOpt.NoScratch = true
-	fresh := testing.AllocsPerRun(5, func() {
-		if _, err := Detect(g, freshOpt); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if fresh < 10*warm {
-		t.Fatalf("arena run allocates %.1f times vs %.1f fresh — want at least 10x reduction",
-			warm, fresh)
 	}
 }

@@ -246,7 +246,7 @@ func DetectSharded(ctx context.Context, c *graph.CSR, opt ShardOptions) (*ShardR
 	sopt.Ledger = nil
 	sopt.DiscardLevels = false
 	sopt.RefineEveryPhase = false
-	stitch, err := DetectWithContext(ctx, qg, sopt, nil)
+	stitch, err := DetectContext(ctx, qg, sopt)
 	tSpan.EndArgs("quotient_vertices", q, "cut_edges", totalCut)
 	if err != nil {
 		return nil, fmt.Errorf("core: stitch: %w", err)
@@ -378,17 +378,9 @@ func detectShard(ctx context.Context, c *graph.CSR, lo, hi int64, k, threads int
 	dopt.Recorder = nil
 	dopt.Ledger = nil
 	dopt.DiscardLevels = true
-	if err := validateOptions(sg, dopt); err != nil {
-		out.err = err
-		return out
-	}
 	ec := exec.Acquire(ctx, threads, nil)
 	defer ec.Release()
-	var scratch *Scratch
-	if !dopt.NoScratch {
-		scratch = NewScratch()
-	}
-	res, err := detect(ec, sg, dopt, scratch, nil)
+	res, err := DetectExec(ec, sg, dopt, nil)
 	if err != nil {
 		out.err = err
 		return out

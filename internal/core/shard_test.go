@@ -116,7 +116,7 @@ func TestShardSingleShardMatchesQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Detect(g, Options{Threads: 2, Engine: EngineMatching, Validate: true})
+	plain, err := DetectContext(context.Background(), g, Options{Threads: 2, Engine: EngineMatching, Validate: true})
 	if err != nil {
 		t.Fatal(err)
 	}

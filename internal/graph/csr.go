@@ -38,17 +38,6 @@ func (c *CSR) Neighbors(x int64) (adj, wgt []int64) {
 	return c.Adj[lo:hi], c.Wgt[lo:hi]
 }
 
-// ForNeighbors calls fn once per neighbor of x with the neighbor id and the
-// edge weight. Together with Degree and SelfLoop this is the unified
-// adjacency contract (AdjacencyView) shared with the mutable Overlay, so
-// kernels and serving paths can run against either tier.
-func (c *CSR) ForNeighbors(x int64, fn func(v, w int64)) {
-	lo, hi := c.Offsets[x], c.Offsets[x+1]
-	for i := lo; i < hi; i++ {
-		fn(c.Adj[i], c.Wgt[i])
-	}
-}
-
 // SelfLoop returns the self-loop weight of vertex x.
 func (c *CSR) SelfLoop(x int64) int64 { return c.Self[x] }
 
@@ -60,19 +49,6 @@ func (c *CSR) RowBounds() (start, end []int64) {
 	n := len(c.Offsets) - 1
 	return c.Offsets[:n], c.Offsets[1 : n+1]
 }
-
-// AdjacencyView is the unified symmetric-adjacency iteration contract served
-// by both tiers of the dynamic store: the frozen CSR base and the mutable
-// Overlay. Callers that only read neighborhoods program against this
-// interface and work unchanged on either.
-type AdjacencyView interface {
-	NumVertices() int64
-	Degree(x int64) int64
-	ForNeighbors(x int64, fn func(v, w int64))
-	SelfLoop(x int64) int64
-}
-
-var _ AdjacencyView = (*CSR)(nil)
 
 // ToCSR symmetrizes g into a CSR view using p workers: a counting pass with
 // fetch-and-add, a prefix sum for row offsets, and a scatter pass.

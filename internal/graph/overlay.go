@@ -14,9 +14,9 @@ import (
 // frozen tier is an immutable Graph plus its CSR view; the overlay layers
 // per-vertex adjacency patches on top so edge inserts and deletes land in
 // O(log d) without touching the base arrays. Readers see the merged view
-// through the AdjacencyView contract (Degree, ForNeighbors, SelfLoop), and
-// Compact folds the accumulated patches back into a fresh frozen base by a
-// parallel per-row merge that copies untouched buckets wholesale.
+// through Degree, ForNeighbors and SelfLoop, and Compact folds the
+// accumulated patches back into a fresh frozen base by a parallel per-row
+// merge that copies untouched buckets wholesale.
 //
 // Patches are symmetric: every non-self update is recorded on both endpoint
 // rows, so a single row lookup answers any adjacency question. A patch entry
@@ -289,8 +289,6 @@ func (o *Overlay) ForNeighbors(x int64, fn func(v, w int64)) {
 		}
 	}
 }
-
-var _ AdjacencyView = (*Overlay)(nil)
 
 // ApplyDelta applies one update batch atomically. Inserting an existing
 // edge accumulates its weight (matching the builder's duplicate handling);

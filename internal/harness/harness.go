@@ -81,11 +81,10 @@ func ThreadSeries(max int) []int {
 }
 
 // Sweep runs the configured trials of community detection on g and returns
-// one Record per (threads, trial). All trials share one scratch arena
-// (unless Options.NoScratch asks for fresh allocations), so every run after
-// the first starts with warm buffers — the steady state a long-lived
-// service would see, and the regime the paper's repeated-trial methodology
-// actually times.
+// one Record per (threads, trial). All trials share one scratch arena, so
+// every run after the first starts with warm buffers — the steady state a
+// long-lived service would see, and the regime the paper's repeated-trial
+// methodology actually times.
 func Sweep(g *graph.Graph, name string, cfg Config) ([]Record, error) {
 	return SweepContext(context.Background(), g, name, cfg)
 }
@@ -103,10 +102,7 @@ func SweepContext(ctx context.Context, g *graph.Graph, name string, cfg Config) 
 	if len(cfg.Threads) == 0 {
 		cfg.Threads = ThreadSeries(runtime.GOMAXPROCS(0))
 	}
-	var scratch *core.Scratch
-	if !cfg.Options.NoScratch {
-		scratch = core.NewScratch()
-	}
+	scratch := core.NewScratch()
 	maxTh := 1
 	for _, th := range cfg.Threads {
 		if th > maxTh {

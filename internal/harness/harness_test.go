@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -187,7 +188,7 @@ func TestRenderPhaseTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Detect(g, core.Options{MinCoverage: 0.5})
+	res, err := core.DetectContext(context.Background(), g, core.Options{MinCoverage: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}

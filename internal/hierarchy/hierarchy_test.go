@@ -143,7 +143,7 @@ func TestFromEngineRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Detect(g, core.Options{Threads: 2})
+	res, err := core.DetectContext(context.Background(), g, core.Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package metrics_test
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -93,7 +94,7 @@ func TestModularityAgreesWithEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Detect(g, core.Options{Threads: 2})
+	res, err := core.DetectContext(context.Background(), g, core.Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ package obs_test
 // them, real engine counters and latency classes show up).
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -32,7 +33,7 @@ func TestLivePrometheusScrape(t *testing.T) {
 	defer obs.SetLiveLedger(nil)
 
 	g := gen.CliqueChain(16, 8)
-	if _, err := core.Detect(g, core.Options{Threads: 2, Recorder: rec, Ledger: led}); err != nil {
+	if _, err := core.DetectContext(context.Background(), g, core.Options{Threads: 2, Recorder: rec, Ledger: led}); err != nil {
 		t.Fatal(err)
 	}
 

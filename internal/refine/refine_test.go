@@ -1,6 +1,7 @@
 package refine_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
@@ -42,7 +43,7 @@ func TestRefineNeverDegrades(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := core.Detect(g, core.Options{Threads: 4})
+		eng, err := core.DetectContext(context.Background(), g, core.Options{Threads: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +67,7 @@ func TestRefineImprovesEngineOutputSubstantially(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.Detect(g, core.Options{Threads: 2})
+	eng, err := core.DetectContext(context.Background(), g, core.Options{Threads: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestRefineMaxSweeps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.Detect(g, core.Options{Threads: 1})
+	eng, err := core.DetectContext(context.Background(), g, core.Options{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

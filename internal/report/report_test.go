@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"os"
@@ -22,7 +23,7 @@ func TestFromResultAndRoundTrip(t *testing.T) {
 	}
 	rec := obs.New()
 	opt := core.Options{Threads: 2, MinCoverage: 0.5, Recorder: rec}
-	res, err := core.Detect(g, opt)
+	res, err := core.DetectContext(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 func TestFromResultCustomScorerName(t *testing.T) {
 	g := gen.CliqueChain(3, 4)
 	opt := core.Options{Threads: 1, Scorer: namedScorer{}}
-	res, err := core.Detect(g, opt)
+	res, err := core.DetectContext(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestManifestAppendAndRead(t *testing.T) {
 	rec := obs.New()
 	led := obs.NewLedger()
 	opt := core.Options{Threads: 2, Recorder: rec, Ledger: led}
-	res, err := core.Detect(g, opt)
+	res, err := core.DetectContext(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

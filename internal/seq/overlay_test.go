@@ -82,7 +82,10 @@ func sameView(t *testing.T, round int, ov *graph.Overlay, want *graph.Graph) {
 	c := graph.ToCSR(1, want)
 	for x := int64(0); x < want.NumVertices(); x++ {
 		wantN := map[int64]int64{}
-		c.ForNeighbors(x, func(v, w int64) { wantN[v] = w })
+		adj, wgt := c.Neighbors(x)
+		for i, v := range adj {
+			wantN[v] = wgt[i]
+		}
 		gotN := map[int64]int64{}
 		ov.ForNeighbors(x, func(v, w int64) {
 			if _, dup := gotN[v]; dup {

@@ -5,7 +5,7 @@
 // directives produces correct, sequential C code" (§IV) — and because the
 // parallel engine's matching discipline (mutually-best edges under a strict
 // total order) is a deterministic function of the scored graph, seq.Detect
-// must produce *identical* communities to core.Detect. The cross-check
+// must produce *identical* communities to core.DetectContext. The cross-check
 // tests turn that into the library's strongest correctness oracle.
 package seq
 

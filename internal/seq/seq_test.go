@@ -1,6 +1,7 @@
 package seq_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 func assertIdentical(t *testing.T, g *graph.Graph, opt core.Options, sopt seq.Options) {
 	t.Helper()
 	want := seq.Detect(g, sopt)
-	got, err := core.Detect(g, opt)
+	got, err := core.DetectContext(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

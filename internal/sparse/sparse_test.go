@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -312,7 +313,7 @@ func TestAlgebraicContractionInsideEngineStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Detect(g, core.Options{Threads: 2, MaxPhases: 1})
+	res, err := core.DetectContext(context.Background(), g, core.Options{Threads: 2, MaxPhases: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

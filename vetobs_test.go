@@ -5,6 +5,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
+	"path/filepath"
 	"slices"
 	"strings"
 	"testing"
@@ -92,6 +94,85 @@ func recorderParams(file string, src any, names []string) ([]string, error) {
 			return nil, fmt.Errorf("%s: no function %s", file, n)
 		}
 	}
+	return bad, nil
+}
+
+// csrFields are the raw CSR arrays. Outside internal/graph, code reads a CSR
+// through Degree, Neighbors, SelfLoop and RowBounds, so the layout can change
+// behind them.
+var csrFields = []string{"Offsets", "Adj", "Wgt"}
+
+// TestNoCSRFieldAccessOutsideGraph parses every non-test Go file under cmd
+// and internal except internal/graph and fails on any index or slice
+// expression over a raw CSR field.
+func TestNoCSRFieldAccessOutsideGraph(t *testing.T) {
+	for _, root := range []string{"cmd", "internal"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && path == filepath.Join("internal", "graph") {
+				return filepath.SkipDir
+			}
+			if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			bad, err := csrFieldAccess(path, nil)
+			for _, b := range bad {
+				t.Errorf("%s: direct CSR field access outside internal/graph (use Degree/Neighbors/SelfLoop/RowBounds)", b)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestCSRFieldAccessFlagsViolations proves the check can fail: indexing or
+// slicing a raw CSR field is reported, the accessor call and a mention in a
+// comment are not.
+func TestCSRFieldAccessFlagsViolations(t *testing.T) {
+	src := `package k
+func f(c *graph.CSR, i, x int64) {
+	_ = c.Adj[i]
+	_, _ = c.Neighbors(x)
+	_ = c.Offsets[1:]
+	// c.Wgt[i] in a comment
+}
+`
+	bad, err := csrFieldAccess("k.go", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(bad, " "); got != "k.go:3 Adj k.go:5 Offsets" {
+		t.Fatalf("flagged %q, want the Adj index and the Offsets slice", got)
+	}
+}
+
+// csrFieldAccess parses file (from src when non-nil) and returns
+// "file:line field" for every index or slice expression whose operand is a
+// selector naming a raw CSR field.
+func csrFieldAccess(file string, src any) ([]string, error) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, file, src, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	var bad []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		var x ast.Expr
+		switch e := n.(type) {
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.SliceExpr:
+			x = e.X
+		}
+		if sel, ok := x.(*ast.SelectorExpr); ok && slices.Contains(csrFields, sel.Sel.Name) {
+			bad = append(bad, fmt.Sprintf("%s:%d %s", file, fset.Position(sel.Pos()).Line, sel.Sel.Name))
+		}
+		return true
+	})
 	return bad, nil
 }
 
