@@ -388,7 +388,11 @@ func streamUpdates(ctx context.Context, path string, g *graph.Graph, res *core.R
 		ir, err := core.DetectIncrementalWithContext(ctx, ov, dend, d, opt, scratch)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
-				slog.Warn("interrupted mid-stream; reporting last completed batch", "batches", batches)
+				// The overlay absorbed and folded the interrupted batch before
+				// the detection stopped, and that fold may have patched cur in
+				// place: report the folded base, which includes the batch.
+				slog.Warn("interrupted mid-stream; reporting last completed batch's partition", "batches", batches)
+				cur = ov.Base()
 				break
 			}
 			return nil, nil, err
@@ -405,8 +409,8 @@ func streamUpdates(ctx context.Context, path string, g *graph.Graph, res *core.R
 	}
 	fmt.Printf("stream: %d batches in %v, base now |V|=%d |E|=%d\n",
 		batches, time.Since(start).Round(time.Millisecond), cur.NumVertices(), cur.NumEdges())
-	// The final base is overlay-owned (recycled two compactions out); clone it
-	// so the caller's reporting outlives the overlay.
+	// The final base is overlay-owned (valid until the overlay's next
+	// compaction); clone it so the caller's reporting outlives the overlay.
 	return cur.Clone(), curRes, nil
 }
 

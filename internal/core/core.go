@@ -18,6 +18,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/buf"
@@ -489,13 +490,23 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		rec.EndAllocs()
 		return res, nil
 	}
+	// A seeded run that completes keeps its final partition's community
+	// degrees and intra weights in the arena's carry for the next batch.
 	finish := func(term Termination, deg []int64, cg *graph.Graph, sizes []int64) (*Result, error) {
 		if cg == nil {
+			// Only a seeded run ends before it has a graph, with the seed
+			// stage's measure in deg and seed.intra.
+			if term != TermCanceled {
+				s.carry.keep(ec, deg, seed.intra)
+			}
 			return done(term, seedK, seedCov, seedMod, sizes)
 		}
 		if deg == nil {
 			// Half 0: nothing else reads the degree buffers once the run ends.
 			deg = degreesOf(ec, cg, s, 0)
+		}
+		if seed != nil && term != TermCanceled {
+			s.carry.keep(ec, deg, cg.Self)
 		}
 		cov := coverage(ec, cg, totW)
 		return done(term, cg.NumVertices(), cov, modularity(ec, cov, deg, totW), sizes)
@@ -639,35 +650,41 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 	// communities with the batch-dirty ones dissolved to singletons — is
 	// phase 0; the loop continues from phase 1 so the ping-pong buffer parity
 	// works out. When the loop's stop rule can fire on the seed (MaxPhases 1,
-	// or a MinCoverage the seed may already meet), one sweep over the input
-	// measures the seed partition (its communities' degrees, the total and
-	// the intra-community weight) and the stage hands the loop no graph: the
-	// loop's stop checks read the sweep's figures, and only a level that
-	// goes on to run contracts the input by the seed mapping. Otherwise the
-	// stage contracts at once and measures the seed on its community graph,
-	// which is cheaper than the sweep. nextCov carries the seed's coverage
-	// into the first level (negative: the level measures its own).
+	// or a MinCoverage the seed may already meet), the stage measures the
+	// seed partition (its communities' degrees and intra weights, and the
+	// total weight) and hands the loop no graph: the loop's stop checks read
+	// those figures, and only a level that goes on to run contracts the input
+	// by the seed mapping. The measure comes from the previous run's carried
+	// figures when the driver found them valid (O(batch + communities)), and
+	// from one sweep over the input otherwise. When no stop rule can fire on
+	// the seed, the stage contracts at once and measures the seed on its
+	// community graph, which is cheaper than the sweep. nextCov carries the
+	// seed's coverage into the first level (negative: the level measures its
+	// own).
 	nextCov := -1.0
 	if seed != nil {
 		rec.SetKernel("contract")
 		cSpan := rec.Begin(obs.CatKernel, "contract", -1)
 		t0 := time.Now()
-		// The edge-balanced schedule over the input serves the sweep and the
-		// seed contraction (the loop rebuilds its own per level).
-		var pt *par.Partition
-		if !ec.Serial(int(n)) {
-			ec.BuildBuckets(levelPart, int(n), g.Start, g.End)
-			pt = levelPart
-			if !ec.DynamicOnly() {
-				ec.SetPartition(levelPart)
-			}
-		}
 		var ng *graph.Graph
 		if opt.MaxPhases == 1 || opt.MinCoverage > 0 {
-			st := seedSweep(ec, g, seed.comm, int(seed.k), s, pt)
+			var st seedStats
+			if seed.carry != nil {
+				st = carriedStats(g, seed, s)
+				if opt.Validate {
+					warm := seedStats{deg: slices.Clone(st.deg), intra: slices.Clone(st.intra), total: st.total}
+					st = seedSweep(ec, g, seed.comm, int(seed.k), s, seed.schedule(ec, g, levelPart))
+					if err := sameSeedStats(warm, st); err != nil {
+						return nil, fmt.Errorf("core: carried seed measure: %w", err)
+					}
+				}
+			} else {
+				st = seedSweep(ec, g, seed.comm, int(seed.k), s, seed.schedule(ec, g, levelPart))
+			}
 			totW = st.total
 			nextDeg = st.deg // degree half 0, which degIdx names
-			seedCov = fraction(st.intra, totW)
+			seed.intra = st.intra
+			seedCov = fraction(ec.SumInt64(st.intra), totW)
 			seedMod = modularity(ec, seedCov, st.deg, totW)
 			if opt.Validate {
 				ng = seedGraph(ec, g, seed, opt, s)
@@ -1098,22 +1115,23 @@ func degreeRange(g *graph.Graph, st []int64, lo, hi int) {
 }
 
 // seedStats is the seed partition's measure, read off the input graph by
-// seedSweep without building the seed community graph.
+// seedSweep (or off the previous run's carry by carriedStats) without
+// building the seed community graph.
 type seedStats struct {
 	deg   []int64 // weighted degree of each seed community
+	intra []int64 // each seed community's Self plus the W of edges inside it
 	total int64   // Σ W + Σ Self over the input: the run's totW
-	intra int64   // Σ Self plus Σ W over edges inside one seed community
 }
 
 // seedSweep measures the seed partition comm (k communities) of g in one
 // pass over its edges. With a schedule pt (nil runs serially on the caller)
-// every edge-exact span accumulates into its own (k+2)-wide stripe of the
-// arena's roll-up stripes — k community degrees, then the total and the
-// intra-community weight — and one MergeStripes sums them into degree half
+// every edge-exact span accumulates into its own (2k+1)-wide stripe of the
+// arena's roll-up stripes — k community degrees, k community intra
+// weights, then the total — and one MergeStripes sums them into degree half
 // 0, so no edge takes an atomic add and the sweep allocates nothing.
 func seedSweep(ec *exec.Ctx, g *graph.Graph, comm []int64, k int, s *Scratch, pt *par.Partition) seedStats {
 	n := int(g.NumVertices())
-	width := k + 2
+	width := 2*k + 1
 	s.degs[0] = buf.Grow(s.degs[0], width)
 	out := s.degs[0]
 	switch {
@@ -1132,18 +1150,18 @@ func seedSweep(ec *exec.Ctx, g *graph.Graph, comm []int64, k int, s *Scratch, pt
 		})
 		ec.MergeStripes(stripes, spans, width, out)
 	}
-	return seedStats{deg: out[:k], total: out[k], intra: out[k+1]}
+	return seedStats{deg: out[:k], intra: out[k : 2*k], total: out[2*k]}
 }
 
 // seedSweepRange adds the span [lo, hi) of g (clamped to eloFirst/ehiLast
 // in its first and last bucket, the Span discipline of contraction's count
-// sweep) into the (k+2)-wide stripe st: community degrees in st[:k], total
-// weight in st[k], intra-community weight in st[k+1]. A vertex's self-loop
-// belongs to the span piece that owns its bucket's first edge, so a hub
-// bucket split across spans folds it exactly once.
+// sweep) into the (2k+1)-wide stripe st: community degrees in st[:k],
+// community intra weights in st[k:2k], total weight in st[2k]. A vertex's
+// self-loop belongs to the span piece that owns its bucket's first edge, so
+// a hub bucket split across spans folds it exactly once.
 func seedSweepRange(g *graph.Graph, comm []int64, st []int64, lo, hi int, eloFirst, ehiLast int64) {
-	k := len(st) - 2
-	var total, intra int64
+	k := int64(len(st) / 2)
+	var total int64
 	for x := lo; x < hi; x++ {
 		elo, ehi := g.Start[x], g.End[x]
 		if x == lo {
@@ -1153,12 +1171,12 @@ func seedSweepRange(g *graph.Graph, comm []int64, st []int64, lo, hi int, eloFir
 			ehi = ehiLast
 		}
 		cx := comm[x]
-		var sum int64 // x's degree share: twice its self-loop plus its edges
+		var sum, in int64 // x's degree share (twice its self-loop plus its edges) and intra share
 		if elo == g.Start[x] {
 			sw := g.Self[x]
 			sum = 2 * sw
 			total += sw
-			intra += sw
+			in = sw
 		}
 		for e := elo; e < ehi; e++ {
 			w := g.W[e]
@@ -1167,19 +1185,62 @@ func seedSweepRange(g *graph.Graph, comm []int64, st []int64, lo, hi int, eloFir
 			total += w
 			st[cv] += w
 			if cv == cx {
-				intra += w
+				in += w
 			}
 		}
 		st[cx] += sum
+		st[k+cx] += in
 	}
-	st[k] += total
-	st[k+1] += intra
+	st[2*k] += total
+}
+
+// carriedStats measures the seed partition from the previous run's carried
+// figures instead of the edges: a clean community brings its carried
+// degree and intra weight under its new id, a dissolved vertex its merged
+// weighted degree and self-loop, and the total is the overlay's. That is
+// O(previous communities + dissolved vertices), and the figures are
+// seedSweep's exactly (Options.Validate checks them against it).
+func carriedStats(g *graph.Graph, seed *seedPartition, s *Scratch) seedStats {
+	k := int(seed.k)
+	s.degs[0] = buf.Grow(s.degs[0], k)
+	s.seedIntra = buf.Grow(s.seedIntra, k)
+	deg, intra := s.degs[0][:k], s.seedIntra[:k]
+	c := seed.carry
+	for pc, r := range seed.remap {
+		if r >= 0 {
+			deg[r], intra[r] = c.deg[pc], c.intra[pc]
+		}
+	}
+	at := seed.clean
+	for _, v := range seed.singles {
+		deg[at], intra[at] = seed.vdeg[v], g.Self[v]
+		at++
+	}
+	return seedStats{deg: deg, intra: intra, total: seed.total}
+}
+
+// sameSeedStats is Options.Validate's check of the carried seed measure
+// against the sweep's.
+func sameSeedStats(carried, swept seedStats) error {
+	if carried.total != swept.total {
+		return fmt.Errorf("total weight %d, the sweep gives %d", carried.total, swept.total)
+	}
+	if err := sameDegrees(carried.deg, swept.deg); err != nil {
+		return err
+	}
+	for c := range swept.intra {
+		if carried.intra[c] != swept.intra[c] {
+			return fmt.Errorf("community %d intra weight %d, the sweep gives %d", c, carried.intra[c], swept.intra[c])
+		}
+	}
+	return nil
 }
 
 // seedGraph contracts g by the seed partition, into the arena's graph
 // buffer 0: the loop starts at phase 1 and its first contraction writes
 // s.graphBuf(1), so reading buffer 0 is safe.
 func seedGraph(ec *exec.Ctx, g *graph.Graph, seed *seedPartition, opt Options, s *Scratch) *graph.Graph {
+	seed.schedule(ec, g, &s.part)
 	layout := contract.Contiguous
 	if opt.Contraction == ContractBucketNonContiguous {
 		layout = contract.NonContiguous
@@ -1189,8 +1250,8 @@ func seedGraph(ec *exec.Ctx, g *graph.Graph, seed *seedPartition, opt Options, s
 
 // validateSeed is Options.Validate's cross-check of the seed sweep against
 // the seed community graph ng contracted from g: ng's invariants, the total
-// weight on both graphs, the community degrees, and the intra-community
-// weight (ng's self-loop sum).
+// weight on both graphs, the community degrees, and the community intra
+// weights (ng's self-loops).
 func validateSeed(ng, g *graph.Graph, st seedStats, p int) error {
 	if err := ng.Validate(); err != nil {
 		return err
@@ -1204,8 +1265,10 @@ func validateSeed(ng, g *graph.Graph, st seedStats, p int) error {
 	if err := sameDegrees(st.deg, ng.WeightedDegrees(p)); err != nil {
 		return err
 	}
-	if w := par.SumInt64(p, ng.Self); w != st.intra {
-		return fmt.Errorf("sweep intra-community weight %d, seed graph self-loops sum to %d", st.intra, w)
+	for c, w := range ng.Self {
+		if w != st.intra[c] {
+			return fmt.Errorf("sweep intra weight %d for community %d, seed graph self-loop is %d", st.intra[c], c, w)
+		}
 	}
 	return nil
 }

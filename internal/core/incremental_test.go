@@ -12,6 +12,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/hierarchy"
+	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/seq"
@@ -340,7 +341,7 @@ func TestIncrementalSteadyStateAllocs(t *testing.T) {
 				dend = ir.Dendrogram
 			}
 			for i := 0; i < 10; i++ {
-				run() // warm the arena, the overlay freelists, and the spare graphs
+				run() // warm the arena, the overlay free lists, and the packed base
 			}
 			allocs := testing.AllocsPerRun(10, run)
 			t.Logf("%.1f allocs per batch", allocs)
@@ -585,4 +586,257 @@ func equalInt64s(got, want []int64) error {
 		}
 	}
 	return nil
+}
+
+// carryChain is one arm of a warm-versus-cold comparison: an overlay over
+// its own copy of the input, the dendrogram chain through it, and the
+// arena the arm passes (nil for the cold arm, so every batch sweeps).
+type carryChain struct {
+	ov   *graph.Overlay
+	dend *hierarchy.Dendrogram
+	s    *Scratch
+}
+
+func newCarryChain(t *testing.T, g *graph.Graph, boot *Result, threads int, warm bool) *carryChain {
+	t.Helper()
+	dend, err := hierarchy.FromFinal(g.NumVertices(), boot.CommunityOf, boot.NumCommunities)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &carryChain{ov: graph.NewOverlay(threads, g), dend: dend}
+	if warm {
+		c.s = NewScratch()
+	}
+	return c
+}
+
+func (c *carryChain) step(t *testing.T, ctx context.Context, batch *graph.Delta, opt Options) *IncrementalResult {
+	t.Helper()
+	ir, err := DetectIncrementalWithContext(ctx, c.ov, c.dend, batch, opt, c.s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.dend = ir.Dendrogram
+	return ir
+}
+
+// sameRun fails unless two incremental results agree exactly: partition,
+// community count, termination, the seed row's figures and the final ones.
+func sameRun(t *testing.T, what string, got, want *IncrementalResult) {
+	t.Helper()
+	if got.NumCommunities != want.NumCommunities || got.Termination != want.Termination {
+		t.Fatalf("%s: %d communities (%s), cold %d (%s)", what, got.NumCommunities, got.Termination, want.NumCommunities, want.Termination)
+	}
+	if err := equalInt64s(got.CommunityOf, want.CommunityOf); err != nil {
+		t.Fatalf("%s: CommunityOf: %v", what, err)
+	}
+	if g, w := got.Stats[0], want.Stats[0]; g.Coverage != w.Coverage || g.Modularity != w.Modularity {
+		t.Fatalf("%s: seed coverage %v modularity %v, cold %v %v", what, g.Coverage, g.Modularity, w.Coverage, w.Modularity)
+	}
+	if got.FinalCoverage != want.FinalCoverage || got.FinalModularity != want.FinalModularity {
+		t.Fatalf("%s: final coverage %v modularity %v, cold %v %v", what,
+			got.FinalCoverage, got.FinalModularity, want.FinalCoverage, want.FinalModularity)
+	}
+}
+
+// TestIncrementalCarriedMatchesSweep runs a 40-batch LJSim churn chain
+// twice at 1, 2 and 4 threads with Validate on: once on one warm arena,
+// whose seed stage reads the previous run's carried figures (and, under
+// Validate, checks them against the sweep on every batch), and once with
+// no arena, so every batch sweeps. The batches alternate a coverage rule
+// the seed meets with one it does not, so the carry is taken both from a
+// seed that ended the run and from a final community graph. The two arms
+// must agree exactly on every batch, and the warm arm must have used its
+// carry from the second batch on.
+func TestIncrementalCarriedMatchesSweep(t *testing.T) {
+	g, _, err := gen.LJSim(2, gen.DefaultLJSim(2000, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches, err := gen.Deltas(g, gen.DeltaConfig{
+		Batches: 40, BatchSize: int(g.NumEdges() / 100), DeleteFrac: 0.5, MaxWeight: 3, Hubs: 32, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot, err := DetectContext(context.Background(), g, Options{Threads: 1, MinCoverage: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, threads := range []int{1, 2, 4} {
+		warm := newCarryChain(t, g, boot, threads, true)
+		cold := newCarryChain(t, g, boot, threads, false)
+		carried := 0
+		for i, batch := range batches {
+			opt := Options{Threads: threads, Validate: true, MinCoverage: 0.5}
+			if i%4 == 3 {
+				opt.MinCoverage = 0.99
+			}
+			c := &warm.s.carry
+			if c.ok && c.ov == warm.ov && c.dend == warm.dend {
+				carried++
+			}
+			what := fmt.Sprintf("p=%d batch %d", threads, i)
+			sameRun(t, what, warm.step(t, context.Background(), batch, opt), cold.step(t, context.Background(), batch, opt))
+		}
+		if carried != len(batches)-1 {
+			t.Fatalf("p=%d: %d of %d batches had a carry to use, want all but the first", threads, carried, len(batches))
+		}
+	}
+}
+
+// TestIncrementalStaleCarryFallsBack checks that a carry is used only for
+// the overlay state and dendrogram it measured. After a warm run, each case
+// makes the carry stale in a way that changes some clean community's
+// figures, then runs the next batch on the warm arena and requires exactly
+// the result of a cold run in the same state: the carry's dendrogram,
+// batch count and overlay tags, and the spent flag of a cancelled run, must
+// each send the seed stage back to the sweep.
+func TestIncrementalStaleCarryFallsBack(t *testing.T) {
+	g, _, err := gen.LJSim(1, gen.DefaultLJSim(600, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	boot, err := DetectContext(context.Background(), g, Options{Threads: 1, MinCoverage: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Threads: 2, MinCoverage: 0.5}
+	// The batches touch vertices 0, 1, 2 and 5 only.
+	batch := func(version uint64) *graph.Delta {
+		d := &graph.Delta{Version: version}
+		d.Insert(0, 5, 1)
+		d.Delete(1, 2)
+		return d
+	}
+	touched := func(comm []int64, c int64) bool {
+		return c == comm[0] || c == comm[1] || c == comm[2] || c == comm[5]
+	}
+	// intraEdges adds weight to one edge inside each of up to eight
+	// communities the batches leave clean.
+	intraEdges := func(comm []int64, version uint64) *graph.Delta {
+		d := &graph.Delta{Version: version}
+		seen := map[int64]bool{}
+		for _, e := range g.Edges() {
+			if c := comm[e.U]; c == comm[e.V] && !touched(comm, c) && !seen[c] && len(seen) < 8 {
+				seen[c] = true
+				d.Insert(e.U, e.V, 5)
+			}
+		}
+		return d
+	}
+	for _, tc := range []string{"dendrogram", "out-of-band apply", "overlay", "cancelled run"} {
+		t.Run(tc, func(t *testing.T) {
+			warm := newCarryChain(t, g, boot, 2, true)
+			cold := newCarryChain(t, g, boot, 2, false)
+			sameRun(t, "first batch", warm.step(t, context.Background(), batch(1), opt), cold.step(t, context.Background(), batch(1), opt))
+			fc, k := warm.dend.Final()
+			switch tc {
+			case "dendrogram":
+				// Two clean communities of different sizes swap ids: the
+				// count stays, so only the dendrogram tag tells the carry
+				// no longer lines up.
+				sizes := make([]int64, k)
+				for _, c := range fc {
+					sizes[c]++
+				}
+				a, b := int64(-1), int64(-1)
+				for c := int64(0); c < k && b < 0; c++ {
+					switch {
+					case touched(fc, c):
+					case a < 0:
+						a = c
+					case sizes[c] != sizes[a]:
+						b = c
+					}
+				}
+				swapped := make([]int64, len(fc))
+				for v, c := range fc {
+					switch c {
+					case a:
+						c = b
+					case b:
+						c = a
+					}
+					swapped[v] = c
+				}
+				for _, c := range []*carryChain{warm, cold} {
+					var err error
+					if c.dend, err = hierarchy.FromFinal(g.NumVertices(), swapped, k); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case "out-of-band apply":
+				for _, c := range []*carryChain{warm, cold} {
+					if err := c.ov.ApplyDelta(intraEdges(fc, 2)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case "overlay":
+				// A fresh overlay over a graph with heavier intra-community
+				// edges, at the warm overlay's batch count.
+				h, err := seq.ApplyDelta(warm.ov.Base(), intraEdges(fc, 0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, c := range []*carryChain{warm, cold} {
+					c.ov = graph.NewOverlay(2, h)
+					if err := c.ov.ApplyDelta(&graph.Delta{}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case "cancelled run":
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				for _, c := range []*carryChain{warm, cold} {
+					if _, err := DetectIncrementalWithContext(ctx, c.ov, c.dend, intraEdges(fc, 2), opt, c.s); err == nil {
+						t.Fatal("cancelled run returned no error")
+					}
+				}
+			}
+			// A coverage rule the seed misses, so a matching level scores on
+			// the seed's per-community degrees, and Validate, which checks a
+			// carried measure against the sweep.
+			last := Options{Threads: 2, MinCoverage: 0.95, Validate: true}
+			sameRun(t, tc, warm.step(t, context.Background(), batch(3), last), cold.step(t, context.Background(), batch(3), last))
+		})
+	}
+}
+
+// TestIncrementalThousandBatchSoak replays 1000 churn batches through the
+// overlay and the warm seeded engine on a small graph and checks every
+// batch against independent references: the compacted graph against
+// seq.ApplyDelta folding the same batch, and the reported modularity
+// against metrics recomputed on that graph. Validate cross-checks the
+// carried seed figures against the sweep throughout, and the folds run
+// through the overlay's in-place compactions and repacks alike.
+func TestIncrementalThousandBatchSoak(t *testing.T) {
+	g := gen.CliqueChain(16, 6)
+	batches, err := gen.Deltas(g, gen.DeltaConfig{
+		Batches: 1000, BatchSize: 6, DeleteFrac: 0.45, MaxWeight: 3, Hubs: 12, Seed: 77,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Threads: 2, MinCoverage: 0.5, Validate: true, DiscardLevels: true}
+	ov, dend := bootstrapIncremental(t, g, opt)
+	oracle := g
+	s := NewScratch()
+	for i, batch := range batches {
+		ir, err := DetectIncrementalWithContext(context.Background(), ov, dend, batch, opt, s)
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		dend = ir.Dendrogram
+		if oracle, err = seq.ApplyDelta(oracle, batch); err != nil {
+			t.Fatalf("batch %d oracle: %v", i, err)
+		}
+		assertSameGraph(t, i, ir.Graph, oracle)
+		if q := metrics.Modularity(1, oracle, ir.CommunityOf, ir.NumCommunities); math.Abs(q-ir.FinalModularity) > 1e-9 {
+			t.Fatalf("batch %d: reported modularity %v, recomputed %v", i, ir.FinalModularity, q)
+		}
+	}
+	if st := ov.Stats(); st.Repacks < 2 || st.Compactions-st.Repacks < 100 {
+		t.Fatalf("soak folded %d times with %d repacks, want both in-place folds and repacks", st.Compactions, st.Repacks)
+	}
 }

@@ -56,11 +56,18 @@ type Scratch struct {
 	plp plp.Scratch
 	cg  [2]*graph.Graph
 	// Incremental re-detection working set (DetectIncrementalWithContext): the
-	// per-previous-community dirty flags and id remap, and the dense seed
-	// partition handed to the engine's seed stage.
-	dirty    []bool
-	remap    []int64
-	seedComm []int64
+	// per-previous-community dirty flags, the sorted dirty list and the id
+	// remap, the dense seed partition handed to the engine's seed stage, the
+	// dissolved vertices (per worker, then in seed id order), the seed
+	// communities' intra weights, and the previous run's carried measure.
+	dirty       []bool
+	dirtyList   []int64
+	remap       []int64
+	seedComm    []int64
+	singleLists [][]int64
+	singles     []int64
+	seedIntra   []int64
+	carry       seedCarry
 }
 
 // NewScratch returns an empty arena; buffers are allocated on first use.

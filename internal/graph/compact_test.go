@@ -21,10 +21,10 @@ func referenceCompact(t *testing.T, o *Overlay) *Graph {
 	n := g.NumVertices()
 	var edges []Edge
 	for x := int64(0); x < n; x++ {
-		r := o.rows[x]
+		r := o.rowOf[x]
 		self := g.Self[x]
-		if ov, ok := o.selfOv[x]; ok {
-			self = ov
+		if r != nil && r.selfSet {
+			self = r.self
 		}
 		emit := func(v, w int64) {
 			if self > 0 && x < v {
@@ -180,11 +180,53 @@ func randomCompactBatch(r *par.RNG, o *Overlay, version uint64) *Delta {
 	return d
 }
 
-// TestCompactMatchesBuilderReference checks Compact slot for slot against
-// the builder-fed reference across random delta chains, at several worker
-// counts, over both a Build base and a contracted (unsorted, gapped) one.
-// Patches accumulate over one to three batches between folds, so
-// tombstones get resurrected and rows emptied across batches too.
+// requireSameEdges fails unless got holds want's vertices, self-loops and
+// edge triples. got's buckets are sorted by V, so walking them in vertex
+// order yields want's Build order whatever slots they sit in.
+func requireSameEdges(t *testing.T, what string, got, want *Graph) {
+	t.Helper()
+	if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() {
+		t.Fatalf("%s: |V|=%d |E|=%d, reference |V|=%d |E|=%d", what,
+			got.NumVertices(), got.NumEdges(), want.NumVertices(), want.NumEdges())
+	}
+	if !slices.Equal(got.Self, want.Self) {
+		t.Fatalf("%s: Self = %v, reference %v", what, got.Self, want.Self)
+	}
+	if ge, we := got.Edges(), want.Edges(); !slices.Equal(ge, we) {
+		t.Fatalf("%s: edges %v, reference %v", what, ge, we)
+	}
+}
+
+// checkCompact compacts o and holds the result to the builder-fed
+// reference: the same edges and self-loops and a valid graph after every
+// compaction, and the reference slot for slot after a repack. It reports
+// whether the compaction repacked.
+func checkCompact(t *testing.T, what string, o *Overlay) (got *Graph, repacked bool) {
+	t.Helper()
+	want := referenceCompact(t, o)
+	repacks := o.Stats().Repacks
+	got, err := o.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	requireSameEdges(t, what, got, want)
+	repacked = o.Stats().Repacks > repacks
+	if repacked {
+		requireSameArrays(t, what+" (repack)", got, want)
+	}
+	return got, repacked
+}
+
+// TestCompactMatchesBuilderReference checks Compact against the
+// builder-fed reference across random delta chains, at several worker
+// counts, over both a Build base and a contracted (unsorted, gapped) one:
+// edge for edge after every fold, slot for slot after every repack (the
+// first fold always repacks). Patches accumulate over one to three batches
+// between folds, so tombstones get resurrected and rows emptied across
+// batches too.
 func TestCompactMatchesBuilderReference(t *testing.T) {
 	for _, contracted := range []bool{false, true} {
 		for _, p := range []int{1, 2, 4} {
@@ -192,6 +234,7 @@ func TestCompactMatchesBuilderReference(t *testing.T) {
 			base := compactTestBase(r, 240, contracted)
 			keep := base.Clone()
 			o := NewOverlay(p, base)
+			folds := 0
 			for batch := 1; batch <= 40; batch++ {
 				if err := o.ApplyDelta(randomCompactBatch(r, o, uint64(batch))); err != nil {
 					t.Fatal(err)
@@ -199,18 +242,140 @@ func TestCompactMatchesBuilderReference(t *testing.T) {
 				if r.Intn(3) == 0 && batch < 40 {
 					continue
 				}
-				want := referenceCompact(t, o)
-				got, err := o.Compact()
-				if err != nil {
-					t.Fatal(err)
-				}
 				what := fmt.Sprintf("p=%d contracted=%v batch %d", p, contracted, batch)
-				requireSameArrays(t, what, got, want)
-				if err := got.Validate(); err != nil {
-					t.Fatalf("%s: %v", what, err)
+				if _, repacked := checkCompact(t, what, o); folds == 0 && !repacked {
+					t.Fatalf("%s: the first fold patched the caller's base in place", what)
 				}
+				folds++
 			}
 			requireSameArrays(t, "caller's base after the chain", base, keep)
+		}
+	}
+}
+
+// TestCompactInPlaceSoak drives a long seeded chain through in-place
+// compaction and requires it to reach every placement case while matching
+// the reference after each fold: a patched bucket that shrank in its slot,
+// one that outgrew its slot and moved, a repack after the first fold, a
+// vertex whose self-loop changed with its bucket untouched, and a bucket
+// emptied in place. Every few folds one batch grows hub buckets in bulk so
+// the tail runs out.
+func TestCompactInPlaceSoak(t *testing.T) {
+	for _, p := range []int{1, 3} {
+		r := par.NewRNG(uint64(90 + p))
+		o := NewOverlay(p, compactTestBase(r, 240, false))
+		var shrunk, moved, repacks, selfOnly, emptied int
+		for batch := 1; batch <= 150; batch++ {
+			d := randomCompactBatch(r, o, uint64(batch))
+			if batch%25 == 0 {
+				n := o.NumVertices()
+				for k := 0; k < 60; k++ {
+					d.Insert(r.Int63n(4), r.Int63n(n), 1)
+				}
+			}
+			if err := o.ApplyDelta(d); err != nil {
+				t.Fatal(err)
+			}
+			before := o.Base().Clone()
+			touched := map[int64]bool{}
+			for _, up := range d.Updates {
+				touched[up.U], touched[up.V] = true, true
+			}
+			got, repacked := checkCompact(t, fmt.Sprintf("p=%d batch %d", p, batch), o)
+			if repacked {
+				if batch > 1 {
+					repacks++
+				}
+				continue
+			}
+			for x := range touched {
+				ol, nl := before.End[x]-before.Start[x], got.End[x]-got.Start[x]
+				switch {
+				case got.Start[x] != before.Start[x] && nl > ol:
+					moved++
+				case nl == 0 && ol > 0:
+					emptied++
+				case nl < ol:
+					shrunk++
+				}
+				sameBucket := nl == ol && slices.Equal(got.V[got.Start[x]:got.End[x]], before.V[before.Start[x]:before.End[x]]) &&
+					slices.Equal(got.W[got.Start[x]:got.End[x]], before.W[before.Start[x]:before.End[x]])
+				if sameBucket && got.Self[x] != before.Self[x] {
+					selfOnly++
+				}
+			}
+		}
+		t.Logf("p=%d: %d shrunk in place, %d moved, %d repacks, %d self-loop-only, %d emptied",
+			p, shrunk, moved, repacks, selfOnly, emptied)
+		if shrunk == 0 || moved == 0 || repacks == 0 || selfOnly == 0 || emptied == 0 {
+			t.Fatalf("p=%d: the soak missed a placement case", p)
+		}
+	}
+}
+
+// TestCompactLeavesUntouchedBucketsInPlace patches a large packed base
+// twice, once with weight accumulating on a stored edge (its bucket keeps
+// its slot) and once with a new edge (the owner's bucket outgrows its slot
+// and moves), and requires every bucket the batch does not touch to keep
+// its Start, End and edge range byte for byte.
+func TestCompactLeavesUntouchedBucketsInPlace(t *testing.T) {
+	r := par.NewRNG(5)
+	n := int64(20000)
+	var edges []Edge
+	for i := 0; i < 100000; i++ {
+		edges = append(edges, Edge{r.Int63n(n), r.Int63n(n), r.Int63n(5) + 1})
+	}
+	g := MustBuild(2, n, edges)
+	o := NewOverlay(2, g)
+	d := &Delta{Version: 1}
+	d.Insert(0, 0, 1)
+	if err := o.ApplyDelta(d); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := o.Compact(); err != nil { // the first fold repacks
+		t.Fatal(err)
+	}
+	b := o.Base()
+	x := int64(0)
+	for b.Start[x] == b.End[x] {
+		x++
+	}
+	y := x + 2 // same parity: the smaller endpoint owns the edge
+	for o.baseWeight(x, y) > 0 {
+		y += 2
+	}
+	for step, up := range []Update{
+		{Op: OpInsert, U: x, V: b.V[b.Start[x]], W: 3},
+		{Op: OpInsert, U: x, V: y, W: 1},
+	} {
+		d := &Delta{Version: uint64(step + 2), Updates: []Update{up}}
+		if err := o.ApplyDelta(d); err != nil {
+			t.Fatal(err)
+		}
+		before := o.Base().Clone()
+		got, err := o.Compact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o.Stats().Repacks != 1 {
+			t.Fatalf("step %d: compaction repacked (%d repacks)", step, o.Stats().Repacks)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for v := int64(0); v < n; v++ {
+			if v == up.U || v == up.V {
+				continue
+			}
+			s, e := before.Start[v], before.End[v]
+			if got.Start[v] != s || got.End[v] != e ||
+				!slices.Equal(got.U[s:e], before.U[s:e]) || !slices.Equal(got.V[s:e], before.V[s:e]) ||
+				!slices.Equal(got.W[s:e], before.W[s:e]) {
+				t.Fatalf("step %d: untouched bucket %d moved or changed", step, v)
+			}
+		}
+		if moved := got.Start[x] != before.Start[x]; moved != (step == 1) {
+			t.Fatalf("step %d: bucket %d moved = %v", step, x, moved)
 		}
 	}
 }
@@ -237,11 +402,12 @@ func TestCompactPatchedRowAheadOfFirstBucket(t *testing.T) {
 }
 
 // TestOverlayCompactAloneAllocatesNothing pins the steady state of Compact
-// by itself: once the recycled graph and the compaction scratch have grown,
-// a serial fold allocates nothing. The batches keep the live edge count
-// fixed (weight accumulates on stored edges, a stored edge is deleted and
-// resurrected, self-loops come and go) and touch the same vertices each
-// round, so every array already fits.
+// by itself: once the first fold has repacked and the compaction scratch
+// has grown, a serial in-place fold allocates nothing. The batches keep
+// every bucket's length fixed (weight accumulates on stored edges, a stored
+// edge is deleted and resurrected, self-loops come and go) and touch the
+// same vertices each round, so every bucket fits its slot and no fold
+// repacks.
 func TestOverlayCompactAloneAllocatesNothing(t *testing.T) {
 	r := par.NewRNG(17)
 	n := int64(128)
@@ -279,6 +445,7 @@ func TestOverlayCompactAloneAllocatesNothing(t *testing.T) {
 		}
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	repacks := o.Stats().Repacks
 	var before, after runtime.MemStats
 	var mallocs uint64
 	for i := 0; i < 20; i++ {
@@ -292,5 +459,8 @@ func TestOverlayCompactAloneAllocatesNothing(t *testing.T) {
 	}
 	if mallocs != 0 {
 		t.Fatalf("steady-state Compact allocated %d times over 20 folds", mallocs)
+	}
+	if got := o.Stats().Repacks; got != repacks {
+		t.Fatalf("%d of the 20 folds repacked, want all in place", got-repacks)
 	}
 }

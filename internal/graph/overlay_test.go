@@ -1,6 +1,9 @@
 package graph
 
 import (
+	"maps"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -54,6 +57,18 @@ func (r *overlayRef) apply(up Update) {
 	}
 }
 
+// weighted returns x's weighted degree: twice its self-loop plus its edge
+// weights.
+func (r *overlayRef) weighted(x int64) int64 {
+	d := 2 * r.self[x]
+	for k, w := range r.w {
+		if k[0] == x || k[1] == x {
+			d += w
+		}
+	}
+	return d
+}
+
 func (r *overlayRef) degree(x int64) int64 {
 	var d int64
 	for k := range r.w {
@@ -71,9 +86,23 @@ func checkView(t *testing.T, o *Overlay, ref *overlayRef) {
 	if o.NumEdges() != int64(len(ref.w)) {
 		t.Fatalf("NumEdges = %d, reference %d", o.NumEdges(), len(ref.w))
 	}
+	var total int64
+	for _, w := range ref.w {
+		total += w
+	}
+	for _, w := range ref.self {
+		total += w
+	}
+	if got := o.TotalWeight(); got != total {
+		t.Fatalf("TotalWeight = %d, reference %d", got, total)
+	}
+	wdeg := o.WeightedDegrees()
 	for x := int64(0); x < ref.n; x++ {
 		if got, want := o.Degree(x), ref.degree(x); got != want {
 			t.Fatalf("Degree(%d) = %d, reference %d", x, got, want)
+		}
+		if got, want := wdeg[x], ref.weighted(x); got != want {
+			t.Fatalf("WeightedDegrees[%d] = %d, reference %d", x, got, want)
 		}
 		if got, want := o.SelfLoop(x), ref.self[x]; got != want {
 			t.Fatalf("SelfLoop(%d) = %d, reference %d", x, got, want)
@@ -453,8 +482,8 @@ func TestOverlaySteadyStateCompactAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Warm up past the spare-graph bootstrap (two generations) and let the
-	// patch-row freelist and compaction scratch reach capacity.
+	// Warm up past the first fold's repack and let the patch-row free lists
+	// and the compaction scratch reach capacity.
 	for i := 0; i < 10; i++ {
 		churn()
 	}
@@ -464,5 +493,149 @@ func TestOverlaySteadyStateCompactAllocs(t *testing.T) {
 	// regressing into O(E) rebuild allocations.
 	if allocs > 24 {
 		t.Fatalf("steady-state apply+compact allocated %.1f times per run", allocs)
+	}
+}
+
+// mergedView snapshots o's merged view: every live edge weight by
+// (vertex, neighbor) and every self-loop under (x, x).
+func mergedView(o *Overlay) map[[2]int64]int64 {
+	m := map[[2]int64]int64{}
+	for x := int64(0); x < o.NumVertices(); x++ {
+		m[[2]int64{x, x}] = o.SelfLoop(x)
+		o.ForNeighbors(x, func(v, w int64) { m[[2]int64{x, v}] = w })
+	}
+	return m
+}
+
+// TestOverlayRejectsWeightOverflow checks that a batch whose insert weights
+// would overflow the merged total weight is rejected whole: two inserts of
+// MaxInt64 on one edge used to be accepted and fold into a negative edge
+// weight. The rejected batch must leave the edge count, the version, the
+// merged view and the weight figures as they were, and a batch that stays
+// within the bound must still apply.
+func TestOverlayRejectsWeightOverflow(t *testing.T) {
+	g := testBase(t)
+	o := NewOverlay(1, g)
+	edges, version, view := o.NumEdges(), o.Version(), mergedView(o)
+	total, deg := o.TotalWeight(), slices.Clone(o.WeightedDegrees())
+	for _, d := range []*Delta{
+		{Version: 1, Updates: []Update{{Op: OpInsert, U: 0, V: 7, W: math.MaxInt64}, {Op: OpInsert, U: 0, V: 7, W: math.MaxInt64}}},
+		{Version: 1, Updates: []Update{{Op: OpInsert, U: 0, V: 1, W: 1}, {Op: OpInsert, U: 6, V: 6, W: math.MaxInt64 / 2}}},
+	} {
+		if err := o.ApplyDelta(d); err == nil {
+			t.Fatalf("ApplyDelta accepted %v", d.Updates)
+		}
+		if o.NumEdges() != edges || o.Version() != version || !maps.Equal(mergedView(o), view) ||
+			o.TotalWeight() != total || !slices.Equal(o.WeightedDegrees(), deg) {
+			t.Fatalf("rejected batch %v changed the overlay", d.Updates)
+		}
+	}
+	cg, err := o.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ok := &Delta{Version: 2}
+	ok.Insert(0, 7, math.MaxInt64/2-total)
+	if err := o.ApplyDelta(ok); err != nil {
+		t.Fatalf("insert up to the bound rejected: %v", err)
+	}
+	if cg, err = o.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := cg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// parallelApplyBatches is a churn stream large enough for four apply
+// workers: random inserts and deletes on a small vertex set, each batch
+// also inserting, deleting and re-inserting one edge and churning
+// self-loops (accumulate, delete, delete again, re-insert).
+func parallelApplyBatches(r *par.RNG, n int64) []*Delta {
+	var out []*Delta
+	for b := 0; b < 6; b++ {
+		d := &Delta{Version: uint64(b + 1)}
+		u, v := r.Int63n(n), r.Int63n(n)
+		for len(d.Updates) < 4*applyGrain+100 {
+			switch r.Intn(8) {
+			case 0:
+				d.Insert(u, v, 2)
+				d.Delete(v, u)
+				d.Insert(u, v, 1)
+			case 1:
+				x := r.Int63n(n)
+				d.Insert(x, x, 1)
+				d.Delete(x, x)
+				d.Delete(x, x)
+				d.Insert(x, x, 3)
+			case 2, 3:
+				d.Delete(r.Int63n(n), r.Int63n(n))
+			default:
+				d.Insert(r.Int63n(n), r.Int63n(n), r.Int63n(3)+1)
+			}
+		}
+		out = append(out, d)
+	}
+	return out
+}
+
+// TestOverlayParallelApplyDeterministic applies the same batches at 1, 2
+// and 4 workers and requires identical counters, edge counts, merged views,
+// weighted degrees and total weights after every batch, and identical
+// compacted graphs after every second batch.
+func TestOverlayParallelApplyDeterministic(t *testing.T) {
+	r := par.NewRNG(23)
+	n := int64(300)
+	var edges []Edge
+	for i := 0; i < 1200; i++ {
+		edges = append(edges, Edge{r.Int63n(n), r.Int63n(n), r.Int63n(5) + 1})
+	}
+	g := MustBuild(1, n, edges)
+	batches := parallelApplyBatches(r, n)
+	type state struct {
+		stats OverlayStats
+		edges int64
+		view  map[[2]int64]int64
+		deg   []int64
+		total int64
+		graph *Graph
+	}
+	var ref []state
+	for _, p := range []int{1, 2, 4} {
+		o := NewOverlay(p, g)
+		for i, d := range batches {
+			if err := o.ApplyDelta(d); err != nil {
+				t.Fatal(err)
+			}
+			st := state{o.Stats(), o.NumEdges(), mergedView(o), slices.Clone(o.WeightedDegrees()), o.TotalWeight(), nil}
+			if i%2 == 1 {
+				cg, err := o.Compact()
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.graph = cg.Clone()
+				if !slices.Equal(cg.WeightedDegrees(1), st.deg) || cg.TotalWeight(1) != st.total {
+					t.Fatalf("p=%d batch %d: tracked weighted degrees or total weight differ from the compacted graph's", p, i)
+				}
+			}
+			if p == 1 {
+				ref = append(ref, st)
+				continue
+			}
+			want := ref[i]
+			if st.stats != want.stats || st.edges != want.edges || st.total != want.total {
+				t.Fatalf("p=%d batch %d: stats %+v, %d edges, total %d; serial %+v, %d, %d",
+					p, i, st.stats, st.edges, st.total, want.stats, want.edges, want.total)
+			}
+			if !maps.Equal(st.view, want.view) || !slices.Equal(st.deg, want.deg) {
+				t.Fatalf("p=%d batch %d: merged view or weighted degrees differ from the serial apply", p, i)
+			}
+			if st.graph != nil {
+				requireSameArrays(t, "compacted graph", st.graph, want.graph)
+			}
+		}
 	}
 }

@@ -176,6 +176,82 @@ func csrFieldAccess(file string, src any) ([]string, error) {
 	return bad, nil
 }
 
+// kernelDirs are the kernel packages whose wall-clock reads go through
+// obs.NowNS: a raw time.Now there dodges the recording gate and drifts from
+// the trace timeline's epoch.
+var kernelDirs = []string{"internal/scoring", "internal/matching", "internal/contract", "internal/refine", "internal/plp"}
+
+// TestKernelsReadNoWallClock parses every non-test Go file of the kernel
+// packages and fails on any call of time.Now.
+func TestKernelsReadNoWallClock(t *testing.T) {
+	for _, dir := range kernelDirs {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(files) == 0 {
+			t.Fatalf("%s: no Go files", dir)
+		}
+		for _, file := range files {
+			if strings.HasSuffix(file, "_test.go") {
+				continue
+			}
+			bad, err := wallClockCalls(file, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range bad {
+				t.Errorf("%s: kernel package reads the wall clock directly (use obs.NowNS)", b)
+			}
+		}
+	}
+}
+
+// TestWallClockCallsFlagsViolations proves the check can fail: a planted
+// time.Now() call is reported, obs.NowNS() and a mention in a comment are
+// not.
+func TestWallClockCallsFlagsViolations(t *testing.T) {
+	src := `package k
+func f() int64 {
+	t0 := time.Now()
+	// time.Now() in a comment
+	_ = t0
+	return obs.NowNS()
+}
+`
+	bad, err := wallClockCalls("k.go", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(bad, " "); got != "k.go:3" {
+		t.Fatalf("flagged %q, want the time.Now call alone", got)
+	}
+}
+
+// wallClockCalls parses file (from src when non-nil) and returns
+// "file:line" for every call of time.Now.
+func wallClockCalls(file string, src any) ([]string, error) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, file, src, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	var bad []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Now" {
+			if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "time" {
+				bad = append(bad, fmt.Sprintf("%s:%d", file, fset.Position(call.Pos()).Line))
+			}
+		}
+		return true
+	})
+	return bad, nil
+}
+
 // mentionsRecorder reports whether a type expression refers to obs.Recorder
 // anywhere inside it.
 func mentionsRecorder(typ ast.Expr) bool {
