@@ -6,12 +6,6 @@ DATE    := $(shell date +%Y-%m-%d)
 # The layers the obs recorder threads through; vet-obs lints them.
 HOT_SRC := internal/core/core.go internal/matching/matching.go internal/contract/contract.go
 
-# Every kernel layer that takes its execution state from exec.Ctx; vet-obs
-# rejects functions here that regrow a positional `p int` worker count.
-CTX_SRC := $(HOT_SRC) internal/contract/listchase.go internal/scoring/scoring.go \
-	internal/scoring/func.go internal/refine/refine.go internal/hierarchy/hierarchy.go \
-	internal/plp/plp.go
-
 # Layers whose stderr diagnostics must flow through log/slog (obs.NewLogger)
 # so they honor -log.level/-log.format and mirror into the flight recorder;
 # vet-obs forbids raw fmt.Fprint*(os.Stderr, ...) here.
@@ -40,9 +34,10 @@ race:
 	# the only guard on that argument, so the package races at elevated count.
 	$(GO) test -race -count=2 ./internal/matching/...
 	# The PLP shared-label sweeps and the ensemble pipeline race at elevated
-	# count: the mark scatter is the kernel's one concurrently written
-	# surface (see the internal/plp package comment for the consistency
-	# argument) and the engine hands the PLP scratch across phases.
+	# count: the check-before-store mark scatter is the kernel's one
+	# concurrently written surface (see the internal/plp package comment for
+	# the consistency argument) and the engine hands the PLP scratch across
+	# phases.
 	$(GO) test -race -count=2 ./internal/plp/...
 	# Contraction's dedup ranges each claim their own k-wide slice of the
 	# count stripes as their merge position array; the package races at
@@ -54,9 +49,10 @@ race:
 	# the row-owned parallel apply (each worker writing only its own rows,
 	# degrees and counter partials), compaction's parallel passes writing
 	# disjoint buckets of the packed graph in place or of a fresh repack, the
-	# builder's parallel passes, and the incremental serving loop, at
-	# elevated count.
-	$(GO) test -race -count=2 -run 'Overlay|Delta|Build|Compact' ./internal/graph/...
+	# builder's parallel passes, the CSR build's ranges (each counting into
+	# and scattering from its own stripe, writing disjoint slots of every
+	# row), and the incremental serving loop, at elevated count.
+	$(GO) test -race -count=2 -run 'Overlay|Delta|Build|Compact|CSR' ./internal/graph/...
 	$(GO) test -race -run 'Incremental' ./internal/core/...
 	$(GO) test -race $(PKGS)
 
@@ -70,19 +66,16 @@ vet:
 # chunk-local counts through *obs.Hot — never call recorder methods per event;
 # that check is TestPerEdgeWorkersTakeNoRecorder (vetobs_test.go), a go/parser
 # test `go test ./...` runs. The same file's TestNoCSRFieldAccessOutsideGraph
-# keeps raw CSR field access (.Offsets/.Adj/.Wgt) inside internal/graph, and
+# keeps raw CSR field access (.Offsets/.Adj/.Wgt) inside internal/graph,
 # TestKernelsReadNoWallClock keeps raw time.Now calls out of the kernel
-# packages (wall-clock reads there go through obs.NowNS).
+# packages (wall-clock reads there go through obs.NowNS), and
+# TestKernelsTakeNoPositionalWorkerCount keeps the exec.Ctx kernel layers
+# from regrowing a positional `p int` worker count.
 vet-obs:
 	$(GO) vet ./internal/obs/... ./internal/core ./internal/matching ./internal/contract ./internal/scoring
 	@bad=$$(grep -nE 'obs\.Recorder' $(HOT_SRC) | grep -vE '\*obs\.Recorder'); \
 	if [ -n "$$bad" ]; then \
 		echo "vet-obs: recorder passed by value or interface (want *obs.Recorder):"; \
-		echo "$$bad"; exit 1; \
-	fi
-	@bad=$$(grep -nE '^func (\([^)]*\) )?[A-Za-z0-9_]+\(p int' $(CTX_SRC)); \
-	if [ -n "$$bad" ]; then \
-		echo "vet-obs: kernel takes a positional worker count (thread *exec.Ctx instead):"; \
 		echo "$$bad"; exit 1; \
 	fi
 	@bad=$$(grep -nE 'fmt\.Fprint[a-z]*\(os\.Stderr' $(LOG_SRC) /dev/null | grep -v '_test.go'); \

@@ -170,8 +170,8 @@ func shardedManifest(sr shardedRun, opt core.Options, rec *obs.Recorder, led *ob
 // loadShardCSR opens the detection input as a CSR view. An mmapcsr file maps
 // zero-copy (rows are stored neighbor-sorted, and random access is the shard
 // extraction pattern); every other source goes through loadGraph and is
-// converted, with rows sorted so the sharded result is byte-deterministic
-// across runs regardless of the parallel scatter order inside ToCSR.
+// converted, with rows sorted by neighbor id like the mapped format's, so
+// the sharded result does not depend on the input's bucket layout.
 func loadShardCSR(sr shardedRun) (csr *graph.CSR, edges, totW int64, source string, cleanup func(), err error) {
 	cleanup = func() {}
 	if sr.format == "mmapcsr" && sr.inPath != "" {

@@ -251,8 +251,9 @@ func StreamRMAT(cfg RMATConfig) (int64, EdgeSource, error) {
 	return n, EdgeSource(src), err
 }
 
-// SortCSRRows sorts each CSR row by neighbor id in place, canonicalizing
-// ToCSR's parallel scatter order; mmapcsr files are stored sorted already.
+// SortCSRRows sorts each CSR row by neighbor id in place. ToCSR's rows are
+// the same at every thread count but follow the bucket layout, not id
+// order; mmapcsr files are stored sorted already.
 func SortCSRRows(p int, c *CSR) { graph.SortCSRRows(p, c) }
 
 // FromCSR materializes a CSR view (e.g. a MappedGraph's) back into a Graph.

@@ -227,3 +227,29 @@ func TestSteadyStatePhasesAllocateNothing(t *testing.T) {
 		t.Fatalf("warm 1-phase run allocates %.1f times, want a small constant", short)
 	}
 }
+
+// TestSteadyStateEnsembleAllocatesOnlyResult is the same guard for the
+// ensemble: on a warm arena the PLP prelabel (its CSR build's stripes and
+// schedule, labels, worklists and histogram) and the matching stage after
+// it reuse every buffer, so a run allocates no more than the Result
+// envelope a warm 1-phase matching run allocates.
+func TestSteadyStateEnsembleAllocatesOnlyResult(t *testing.T) {
+	g := gen.CliqueChain(64, 8)
+	s := NewScratch()
+	run := func(opt Options) {
+		if _, err := detectExec(context.Background(), g, opt, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ensemble := Options{Threads: 1, Engine: EngineEnsemble, DiscardLevels: true}
+	envelope := Options{Threads: 1, MaxPhases: 1, DiscardLevels: true}
+	run(ensemble)
+	run(Options{Threads: 1, MaxPhases: 6, DiscardLevels: true})
+
+	want := testing.AllocsPerRun(5, func() { run(envelope) })
+	got := testing.AllocsPerRun(5, func() { run(ensemble) })
+	if got > want {
+		t.Fatalf("warm ensemble run allocates %.1f times, the Result envelope %.1f "+
+			"(the prelabel stage should reuse the arena)", got, want)
+	}
+}

@@ -5,9 +5,10 @@
 // offline over any manifest set.
 //
 // The statistics are deliberately boring and robust. For each baseline key
-// (graph × engine × threads × shards) and each metric, the model is the
-// median and the MAD (median absolute deviation) over the archived runs; a
-// new observation's drift is the robust z-score
+// (graph × engine × threads × shards × host CPUs × GOMAXPROCS × Go version)
+// and each metric, the model is the median and the MAD (median absolute
+// deviation) over the archived runs; a new observation's drift is the
+// robust z-score
 //
 //	z = (x − median) / max(1.4826·MAD, 5%·median)
 //
@@ -38,27 +39,37 @@ import (
 )
 
 // Key is one baseline bucket: runs are only comparable within the same
-// workload and execution shape.
+// workload and execution shape, on the same host shape and Go release.
 type Key struct {
 	Graph   string
 	Engine  string
 	Threads int
 	Shards  int
+	// NumCPU, GOMAXPROCS and GoVersion come from the manifest's host
+	// metadata; a manifest without it keys them as zero values.
+	NumCPU     int
+	GOMAXPROCS int
+	GoVersion  string
 }
 
 // KeyOf buckets a manifest.
 func KeyOf(m *report.Manifest) Key {
-	return Key{
+	k := Key{
 		Graph:   m.Graph.Name,
 		Engine:  m.Options.Engine,
 		Threads: m.Options.Threads,
 		Shards:  m.Options.Shards,
 	}
+	if h := m.Host; h != nil {
+		k.NumCPU, k.GOMAXPROCS, k.GoVersion = h.NumCPU, h.GOMAXPROCS, h.GoVersion
+	}
+	return k
 }
 
 // String renders the key the way reports and verdicts print it.
 func (k Key) String() string {
-	return fmt.Sprintf("%s engine=%s threads=%d shards=%d", k.Graph, k.Engine, k.Threads, k.Shards)
+	return fmt.Sprintf("%s engine=%s threads=%d shards=%d num_cpu=%d gomaxprocs=%d go=%s",
+		k.Graph, k.Engine, k.Threads, k.Shards, k.NumCPU, k.GOMAXPROCS, k.GoVersion)
 }
 
 // Options tune the assessment thresholds; zero fields take defaults.

@@ -108,6 +108,39 @@ func TestAssessNoBaseline(t *testing.T) {
 	}
 }
 
+// TestHostsDoNotShareBaseline checks that the host shape and Go release
+// are part of the key: runs archived on one host give no baseline for a run
+// on another, and a manifest without host metadata keys as zero values.
+func TestHostsDoNotShareBaseline(t *testing.T) {
+	hostA := &report.Meta{GoVersion: "go1.24.0", NumCPU: 2, GOMAXPROCS: 2}
+	onHost := func(h *report.Meta, totalSec float64) *report.Manifest {
+		m := mkRun("rmat-14-16", 8, totalSec, 0.61)
+		m.Host = h
+		return m
+	}
+	var archive []*report.Manifest
+	for _, s := range []float64{0.250, 0.252, 0.248, 0.255, 0.251} {
+		archive = append(archive, onHost(hostA, s))
+	}
+	b := Learn(archive)
+	if v := b.Assess(onHost(hostA, 0.253), Options{}); v.Status != obs.VerdictOK {
+		t.Fatalf("same host: status %q, want ok", v.Status)
+	}
+	for name, h := range map[string]*report.Meta{
+		"num_cpu":    {GoVersion: "go1.24.0", NumCPU: 64, GOMAXPROCS: 2},
+		"gomaxprocs": {GoVersion: "go1.24.0", NumCPU: 2, GOMAXPROCS: 1},
+		"go":         {GoVersion: "go1.23.4", NumCPU: 2, GOMAXPROCS: 2},
+		"no host":    nil,
+	} {
+		if v := b.Assess(onHost(h, 0.75), Options{}); v.Status != obs.VerdictNoBaseline {
+			t.Errorf("%s differs: status %q, want no-baseline", name, v.Status)
+		}
+	}
+	if got, want := KeyOf(onHost(nil, 0.25)), KeyOf(mkRun("rmat-14-16", 8, 0.25, 0.61)); got != want || got.NumCPU != 0 || got.GoVersion != "" {
+		t.Fatalf("nil host keys as %+v, want zero host fields", got)
+	}
+}
+
 func TestAssessQualityDirection(t *testing.T) {
 	b := Learn(baseline5())
 	// Modularity collapsing is a regression even though the value went DOWN.

@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"sync/atomic"
+
 	"repro/internal/buf"
 	"repro/internal/par"
 )
@@ -21,9 +23,11 @@ type CSR struct {
 	Wgt     []int64
 	// Self mirrors Graph.Self.
 	Self []int64
-	// cursor is the scatter pass's per-row write position, kept so
-	// ToCSRInto can rebuild the view without allocating.
-	cursor []int64
+	// stripes and part are the build's per-(range, row) counts and write
+	// cursors and its edge-balanced schedule, kept so ToCSRInto can
+	// rebuild the view without allocating.
+	stripes []int64
+	part    par.Partition
 }
 
 // NumVertices returns the number of vertices in the view.
@@ -50,8 +54,18 @@ func (c *CSR) RowBounds() (start, end []int64) {
 	return c.Offsets[:n], c.Offsets[1 : n+1]
 }
 
-// ToCSR symmetrizes g into a CSR view using p workers: a counting pass with
-// fetch-and-add, a prefix sum for row offsets, and a scatter pass.
+// ToCSR symmetrizes g into a CSR view using p workers. The build is the
+// contraction's striped placement (§IV-C) with no atomics: an edge-balanced
+// count pass tallies each row's in-entries into per-range stripes, a
+// striped-offset reduction and a prefix sum turn them into row offsets and
+// private per-(range, row) write cursors, and a scatter pass copies every
+// bucket to the head of its own row and writes each in-entry at its cursor.
+//
+// Row x is x's own bucket in bucket order, then x's in-neighbors — the
+// vertices whose buckets store an edge to x — by ascending source bucket.
+// The layout is therefore the same at every p. Rows are not sorted by
+// neighbor id unless the buckets happen to produce that order; see
+// SortCSRRows.
 func ToCSR(p int, g *Graph) *CSR {
 	return ToCSRInto(p, g, &CSR{})
 }
@@ -66,55 +80,164 @@ func ToCSRInto(p int, g *Graph, c *CSR) *CSR {
 }
 
 // toCSRInto is ToCSRInto also reporting whether every bucket of g is sorted
-// by V, which its counting pass learns at the cost of one compare per edge.
+// by V, which its count pass learns at the cost of one compare per edge.
+//
+// The build uses at most max(1, 2|E|/|V|) ranges, so its n-wide stripes
+// never hold more words than Adj has entries.
 func toCSRInto(p int, g *Graph, c *CSR) (*CSR, bool) {
 	if c == nil {
 		c = &CSR{}
 	}
-	n := int(g.NumVertices())
+	n := int(g.n)
 	c.Offsets = buf.Grow(c.Offsets, n+1)
-	counts := c.Offsets
-	par.ZeroInt64(p, counts)
-	var unsorted int64
-	par.ForDynamic(p, n, 0, func(lo, hi int) {
-		sorted := true
-		for x := lo; x < hi; x++ {
-			prev := int64(-1)
-			for e := g.Start[x]; e < g.End[x]; e++ {
-				v := g.V[e]
-				atomicAdd(&counts[g.U[e]], 1)
-				atomicAdd(&counts[v], 1)
-				if v < prev {
-					sorted = false
-				}
-				prev = v
-			}
-		}
-		if !sorted {
-			atomicAdd(&unsorted, 1)
-		}
-	})
-	total := par.ExclusiveSumInt64(p, counts[:n])
-	counts[n] = total
-	c.Adj = buf.Grow(c.Adj, int(total))
-	c.Wgt = buf.Grow(c.Wgt, int(total))
 	c.Self = buf.Grow(c.Self, n)
 	copy(c.Self, g.Self)
-	// The offsets double as each row's initial write position; the scatter
-	// advances a separate cursor copy so Offsets survives.
-	c.cursor = buf.Grow(c.cursor, n)
-	cursor := c.cursor
-	copy(cursor, c.Offsets[:n])
-	par.ForDynamic(p, n, 0, func(lo, hi int) {
-		for x := lo; x < hi; x++ {
-			for e := g.Start[x]; e < g.End[x]; e++ {
-				u, v, w := g.U[e], g.V[e], g.W[e]
-				pu := atomicAdd(&cursor[u], 1) - 1
-				c.Adj[pu], c.Wgt[pu] = v, w
-				pv := atomicAdd(&cursor[v], 1) - 1
-				c.Adj[pv], c.Wgt[pv] = u, w
+	c.Offsets[0] = 0
+	if n == 0 {
+		c.Adj, c.Wgt = c.Adj[:0], c.Wgt[:0]
+		return c, true
+	}
+	ranges := min(par.Workers(p, n), max(1, int(2*g.m/int64(n))))
+	if ranges > 1 {
+		c.part.BuildBuckets(nil, ranges, n, g.Start, g.End)
+		ranges = c.part.Workers()
+	}
+	c.stripes = buf.Grow(c.stripes, ranges*n)
+	stripes := c.stripes
+	par.ZeroInt64(p, stripes)
+
+	// Count: stripe j of range j tallies the in-entries its edges add to
+	// each row. Ranges are edge-exact spans; a hub bucket split across
+	// spans is checked for order across the split too.
+	sorted := true
+	if ranges == 1 {
+		sorted = countInRange(g, stripes, 0, n, g.Start[0], g.End[n-1])
+	} else {
+		var unsorted atomic.Bool
+		pt := &c.part
+		par.For(ranges, ranges, func(lo, hi int) {
+			for j := lo; j < hi; j++ {
+				sp := pt.Span(j)
+				if !countInRange(g, stripes[j*n:(j+1)*n], sp.LoV, sp.HiV, sp.LoE, sp.HiE) {
+					unsorted.Store(true)
+				}
 			}
+		})
+		sorted = !unsorted.Load()
+	}
+
+	// Offsets: the striped reduction leaves each row's in-degree in Offsets
+	// and each range's exclusive share in its stripe; adding the own-bucket
+	// length and a prefix sum gives the row offsets, and adding each row's
+	// first in-entry slot to the stripes turns them into write cursors.
+	offsets := c.Offsets
+	par.StripeOffsets(p, stripes, ranges, n, offsets)
+	if par.Serial(p, n) {
+		addOwnDegrees(g, offsets, 0, n)
+	} else {
+		par.For(p, n, func(lo, hi int) { addOwnDegrees(g, offsets, lo, hi) })
+	}
+	total := par.ExclusiveSumInt64(p, offsets[:n])
+	offsets[n] = total
+	if par.Serial(p, n) {
+		cursorsFromOffsets(g, offsets, stripes, ranges, 0, n)
+	} else {
+		par.For(p, n, func(lo, hi int) { cursorsFromOffsets(g, offsets, stripes, ranges, lo, hi) })
+	}
+
+	// Scatter: each range replays the edges it counted against the same
+	// stripe, so no two ranges write the same slot.
+	c.Adj = buf.Grow(c.Adj, int(total))
+	c.Wgt = buf.Grow(c.Wgt, int(total))
+	if ranges == 1 {
+		scatterRange(g, c, stripes, 0, n, g.Start[0], g.End[n-1])
+	} else {
+		pt := &c.part
+		par.For(ranges, ranges, func(lo, hi int) {
+			for j := lo; j < hi; j++ {
+				sp := pt.Span(j)
+				scatterRange(g, c, stripes[j*n:(j+1)*n], sp.LoV, sp.HiV, sp.LoE, sp.HiE)
+			}
+		})
+	}
+	return c, sorted
+}
+
+// countInRange adds one to in[v] for every edge (x, v) of buckets [lo, hi),
+// the first and last bucket clamped to the edge run [eloFirst, ehiLast)
+// (the par.Span discipline). It reports whether the run's buckets are
+// sorted by V, comparing a split bucket's first edge with the one before it.
+func countInRange(g *Graph, in []int64, lo, hi int, eloFirst, ehiLast int64) bool {
+	sorted := true
+	for x := lo; x < hi; x++ {
+		elo, ehi := g.Start[x], g.End[x]
+		if x == lo {
+			elo = eloFirst
 		}
-	})
-	return c, unsorted == 0
+		if x == hi-1 {
+			ehi = ehiLast
+		}
+		prev := int64(-1)
+		if elo > g.Start[x] {
+			prev = g.V[elo-1]
+		}
+		for _, v := range g.V[elo:ehi] {
+			in[v]++
+			if v < prev {
+				sorted = false
+			}
+			prev = v
+		}
+	}
+	return sorted
+}
+
+// addOwnDegrees adds the bucket lengths of vertices [lo, hi) to deg.
+func addOwnDegrees(g *Graph, deg []int64, lo, hi int) {
+	for x := lo; x < hi; x++ {
+		deg[x] += g.End[x] - g.Start[x]
+	}
+}
+
+// cursorsFromOffsets offsets every range's exclusive in-entry share of rows
+// [lo, hi) by the row's first in-entry slot, just past its own bucket.
+func cursorsFromOffsets(g *Graph, offsets, stripes []int64, ranges, lo, hi int) {
+	n := len(offsets) - 1
+	for x := lo; x < hi; x++ {
+		first := offsets[x] + g.End[x] - g.Start[x]
+		for j := 0; j < ranges; j++ {
+			stripes[j*n+x] += first
+		}
+	}
+}
+
+// scatterRange writes countInRange's edge run into c: each bucket piece
+// goes to the matching place at the head of its own row, and each edge
+// (x, v) to row v at the range's cursor cur[v].
+func scatterRange(g *Graph, c *CSR, cur []int64, lo, hi int, eloFirst, ehiLast int64) {
+	for x := lo; x < hi; x++ {
+		elo, ehi := g.Start[x], g.End[x]
+		if x == lo {
+			elo = eloFirst
+		}
+		if x == hi-1 {
+			ehi = ehiLast
+		}
+		row := c.Offsets[x] + elo - g.Start[x]
+		copy(c.Adj[row:], g.V[elo:ehi])
+		copy(c.Wgt[row:], g.W[elo:ehi])
+		src := int64(x)
+		for e := elo; e < ehi; e++ {
+			v := g.V[e]
+			pos := cur[v]
+			cur[v] = pos + 1
+			c.Adj[pos], c.Wgt[pos] = src, g.W[e]
+		}
+	}
+}
+
+// dropBuildState releases the build's stripes and schedule, for a view that
+// is kept long after it is built.
+func (c *CSR) dropBuildState() {
+	c.stripes, c.part = nil, par.Partition{}
 }

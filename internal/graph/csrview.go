@@ -86,9 +86,10 @@ func VerifyCSR(c *CSR) error {
 }
 
 // SortCSRRows sorts every adjacency row of c by neighbor id (weights follow
-// their neighbors) with p workers. ToCSR's parallel scatter writes each row
-// in a nondeterministic worker-race order; the mapped on-disk format
-// requires sorted rows so identical graphs serialize to identical bytes.
+// their neighbors) with p workers. ToCSR writes each row as the vertex's
+// own bucket followed by its in-neighbors, the same at every thread count
+// but not sorted by id; the mapped on-disk format requires sorted rows so
+// identical graphs serialize to identical bytes.
 func SortCSRRows(p int, c *CSR) {
 	n := int(c.NumVertices())
 	par.ForDynamic(p, n, 0, func(lo, hi int) {

@@ -390,6 +390,47 @@ func TestToCSRSymmetric(t *testing.T) {
 	}
 }
 
+// TestToCSRSortedCheckAcrossSplitBuckets swaps each adjacent pair of every
+// bucket of a complete graph in turn and requires the CSR build to report
+// the graph unsorted at every thread count, including when the pair
+// straddles a bucket split between two ranges.
+func TestToCSRSortedCheckAcrossSplitBuckets(t *testing.T) {
+	const n = 32
+	var edges []Edge
+	for u := int64(0); u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			edges = append(edges, Edge{u, v, 1})
+		}
+	}
+	g := MustBuild(1, n, edges)
+	c := &CSR{}
+	splits := 0
+	for _, p := range []int{1, 2, 3, 8} {
+		if _, sorted := toCSRInto(p, g, c); !sorted {
+			t.Fatalf("p=%d: a Build graph reported unsorted", p)
+		}
+		if c.part.Workers() > 1 && p > 1 {
+			for j := 0; j < c.part.Workers(); j++ {
+				if sp := c.part.Span(j); sp.LoV < sp.HiV && sp.LoE > g.Start[sp.LoV] {
+					splits++
+				}
+			}
+		}
+		for x := 0; x < n; x++ {
+			for e := g.Start[x] + 1; e < g.End[x]; e++ {
+				g.V[e-1], g.V[e] = g.V[e], g.V[e-1]
+				if _, sorted := toCSRInto(p, g, c); sorted {
+					t.Fatalf("p=%d: bucket %d swapped at edge %d reported sorted", p, x, e)
+				}
+				g.V[e-1], g.V[e] = g.V[e], g.V[e-1]
+			}
+		}
+	}
+	if splits == 0 {
+		t.Fatal("no range split a bucket; the straddling case is not exercised")
+	}
+}
+
 func TestComponentsSingletons(t *testing.T) {
 	g := NewEmpty(4)
 	comp, k := Components(2, g)

@@ -223,8 +223,8 @@ func (r *patchRow) reset() {
 // Base lookups and Compact's merge walk need buckets sorted by V, which
 // Build guarantees but contraction does not (it keeps first-seen order).
 // When the CSR pass finds an unsorted bucket, the overlay adopts a private
-// clone with every bucket sorted as its base; the CSR rows are the same
-// either way. The merged weighted degrees and total weight are computed
+// clone with every bucket sorted as its base; the CSR rows hold the same
+// entries either way. The merged weighted degrees and total weight are computed
 // here once and kept current by ApplyDelta.
 func NewOverlay(p int, base *Graph) *Overlay {
 	if p <= 0 {
@@ -240,6 +240,7 @@ func NewOverlay(p int, base *Graph) *Overlay {
 		o.base = base.Clone()
 		o.base.sortBuckets(p)
 	}
+	o.csr.dropBuildState()
 	o.liveEdges = base.NumEdges()
 	o.deg = base.WeightedDegrees(p)
 	o.totW = base.TotalWeight(p)
@@ -339,6 +340,7 @@ func (o *Overlay) lockSharedWithCSR() {
 		o.mu.Lock()
 		if o.csrStale {
 			ToCSRInto(o.p, o.base, &o.csr)
+			o.csr.dropBuildState()
 			o.csrStale = false
 		}
 		o.mu.Unlock()

@@ -22,10 +22,13 @@
 //     the worklist, so the store is unshared) and scatters next-sweep
 //     activation marks to the changed vertex and its neighbors. The mark
 //     scatter is the one concurrently written surface: several committers
-//     may mark a shared neighbor at once, so the marks go through atomic
-//     stores (monotone 0→1, any order is the same outcome). The per-sweep
-//     changed counter aggregates per-range partials with atomic adds —
-//     a commutative sum, so it too is schedule-independent.
+//     may mark a shared neighbor at once, so a mark is an atomic load and,
+//     only when it reads 0, an atomic store of 1. Marks only go 0→1, so
+//     skipping the store of an already-set mark, or two committers both
+//     storing it, is the same outcome in any order, and most neighbors of
+//     a changed vertex are already marked. The per-sweep changed counter
+//     aggregates per-range partials with one atomic add per range — a
+//     commutative sum, so it too is schedule-independent.
 //
 // Ties on the dominant weight break toward the smaller label, and a vertex
 // may ascend to a larger label only on even sweeps ("descend-only on odd
@@ -76,8 +79,8 @@ type Options struct {
 type Result struct {
 	// Labels[v] is v's community label: a vertex id in [0, n), not
 	// necessarily dense (contract.ByLabels densifies during contraction).
-	// With a caller-provided Scratch, Labels aliases scratch storage and is
-	// valid only until the scratch's next use.
+	// With a caller-provided Scratch, the Result and Labels live in scratch
+	// storage and are valid only until the scratch's next use.
 	Labels []int64
 	// Sweeps is the number of executed sweeps.
 	Sweeps int
@@ -112,6 +115,7 @@ type Scratch struct {
 	part    par.Partition
 	active  []int64
 	changed []int64
+	res     Result
 }
 
 // orNew returns s, or a fresh Scratch when s is nil, keeping the kernel's
@@ -144,17 +148,18 @@ func PropagateWith(ec *exec.Ctx, g *graph.Graph, opt Options, scratch *Scratch) 
 		maxSweeps = DefaultMaxSweeps
 	}
 	s := scratch.orNew()
-	res := &Result{}
+	res := &s.res
+	*res = Result{}
 	if n == 0 {
 		res.Labels = s.labels[:0]
 		return res
 	}
 
 	// PLP needs whole neighborhoods; the bucketed triple graph stores each
-	// edge once, so symmetrize into the scratch CSR. Adjacency order within
-	// a row is schedule-dependent (atomic cursors), but every consumer below
-	// is order-independent: weight sums commute exactly in int64 and the
-	// min-label tie-break is a total order.
+	// edge once, so symmetrize into the scratch CSR. Its row order is the
+	// same at every thread count, and every consumer below is
+	// order-independent anyway: weight sums commute exactly in int64 and
+	// the min-label tie-break is a total order.
 	c := graph.ToCSRInto(ec.Threads(), g, &s.csr)
 
 	workers := ec.Workers(n)
@@ -241,14 +246,20 @@ func PropagateWith(ec *exec.Ctx, g *graph.Graph, opt Options, scratch *Scratch) 
 		var changed int64
 		if ec.Serial(len(lst)) {
 			changed = commitRange(c, labels, s.pending, marks, sweep, lst, 0, len(lst))
-		} else if balanced {
-			ec.ForRanges("plp/commit", &s.part, func(lo, hi int) {
-				atomic.AddInt64(&changed, commitRange(c, labels, s.pending, marks, sweep, lst, lo, hi))
-			})
 		} else {
-			ec.ForDynamic(len(lst), 0, func(lo, hi int) {
-				atomic.AddInt64(&changed, commitRange(c, labels, s.pending, marks, sweep, lst, lo, hi))
-			})
+			// Declared here so the serial path, whose counters no closure
+			// captures, stays allocation-free.
+			var sum atomic.Int64
+			sw := sweep
+			body := func(lo, hi int) {
+				sum.Add(commitRange(c, labels, s.pending, marks, sw, lst, lo, hi))
+			}
+			if balanced {
+				ec.ForRanges("plp/commit", &s.part, body)
+			} else {
+				ec.ForDynamic(len(lst), 0, body)
+			}
+			changed = sum.Load()
 		}
 		s.changed = append(s.changed, changed)
 
@@ -335,12 +346,13 @@ func computeRangeMap(c *graph.CSR, labels, pending []int64, list []int64, lo, hi
 
 // commitRange is phase B over list[lo:hi]: apply pending labels (each
 // worklist vertex is owned by exactly one range, so the label store is
-// plain) and atomically mark the changed vertex and its neighbors active for
-// the next sweep. On odd sweeps an ascent (pending label larger than the
-// current one) is blocked — the oscillation breaker — but the vertex
-// re-marks itself so the next, even sweep reconsiders the move; without the
-// re-mark a blocked vertex would fall off the worklist frozen below its
-// dominant label. Returns the number of vertices that changed label.
+// plain) and mark the changed vertex and its neighbors active for the next
+// sweep, storing a mark only when an atomic load finds it unset. On odd
+// sweeps an ascent (pending label larger than the current one) is blocked —
+// the oscillation breaker — but the vertex re-marks itself so the next,
+// even sweep reconsiders the move; without the re-mark a blocked vertex
+// would fall off the worklist frozen below its dominant label. Returns the
+// number of vertices that changed label.
 func commitRange(c *graph.CSR, labels, pending, marks []int64, sweep int, list []int64, lo, hi int) int64 {
 	var changed int64
 	for i := lo; i < hi; i++ {
@@ -350,16 +362,25 @@ func commitRange(c *graph.CSR, labels, pending, marks []int64, sweep int, list [
 			continue
 		}
 		if sweep%2 == 1 && nl > labels[v] {
-			atomic.StoreInt64(&marks[v], 1)
+			mark(marks, v)
 			continue
 		}
 		labels[v] = nl
 		changed++
-		atomic.StoreInt64(&marks[v], 1)
+		mark(marks, v)
 		adj, _ := c.Neighbors(v)
 		for _, u := range adj {
-			atomic.StoreInt64(&marks[u], 1)
+			mark(marks, u)
 		}
 	}
 	return changed
+}
+
+// mark sets marks[v] to 1. The load comes first because most marks are
+// already set by then: on amd64 an atomic load is a plain move, while an
+// atomic store is a locked exchange.
+func mark(marks []int64, v int64) {
+	if atomic.LoadInt64(&marks[v]) == 0 {
+		atomic.StoreInt64(&marks[v], 1)
+	}
 }

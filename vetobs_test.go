@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"slices"
@@ -249,6 +250,77 @@ func wallClockCalls(file string, src any) ([]string, error) {
 		}
 		return true
 	})
+	return bad, nil
+}
+
+// ctxKernelFiles are the kernel layers that take their execution state from
+// exec.Ctx. A function there whose first parameter is a positional `p int`
+// worker count has regrown the plumbing exec.Ctx replaced.
+var ctxKernelFiles = []string{
+	"internal/core/core.go", "internal/matching/matching.go", "internal/contract/contract.go",
+	"internal/contract/listchase.go", "internal/scoring/scoring.go", "internal/scoring/func.go",
+	"internal/refine/refine.go", "internal/hierarchy/hierarchy.go", "internal/plp/plp.go",
+}
+
+// TestKernelsTakeNoPositionalWorkerCount parses the exec.Ctx kernel files
+// and fails on any function or method whose first parameter is named p
+// with an int type.
+func TestKernelsTakeNoPositionalWorkerCount(t *testing.T) {
+	for _, file := range ctxKernelFiles {
+		bad, err := positionalWorkerCounts(file, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range bad {
+			t.Errorf("%s: kernel takes a positional worker count (thread *exec.Ctx instead)", b)
+		}
+	}
+}
+
+// TestPositionalWorkerCountsFlagsViolations proves the check can fail: a
+// function or method whose first parameter is p of an int type is
+// reported, wherever its signature breaks lines, and p in a later position
+// or of another type is not.
+func TestPositionalWorkerCountsFlagsViolations(t *testing.T) {
+	src := `package k
+func f(p int, g *graph.Graph) {}
+func (s *S) m(p int64) {}
+func split(
+	p int,
+) {}
+func later(g *graph.Graph, p int) {}
+func other(p *Pool) {}
+func ctx(ec *exec.Ctx) {}
+`
+	bad, err := positionalWorkerCounts("k.go", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(bad, " "); got != "k.go:2 f k.go:3 m k.go:4 split" {
+		t.Fatalf("flagged %q, want f, m and split", got)
+	}
+}
+
+// positionalWorkerCounts parses file (from src when non-nil) and returns
+// "file:line name" for every function declaration whose first parameter is
+// named p and has a type whose source starts with "int".
+func positionalWorkerCounts(file string, src any) ([]string, error) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, file, src, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	var bad []string
+	for _, d := range f.Decls {
+		fn, ok := d.(*ast.FuncDecl)
+		if !ok || len(fn.Type.Params.List) == 0 {
+			continue
+		}
+		first := fn.Type.Params.List[0]
+		if len(first.Names) > 0 && first.Names[0].Name == "p" && strings.HasPrefix(types.ExprString(first.Type), "int") {
+			bad = append(bad, fmt.Sprintf("%s:%d %s", file, fset.Position(fn.Pos()).Line, fn.Name.Name))
+		}
+	}
 	return bad, nil
 }
 
