@@ -420,8 +420,8 @@ func loadGraph(inPath, format, genName string, scale int, n int64, seed uint64, 
 		return nil, fmt.Errorf("use either -in or -gen, not both")
 	case inPath != "":
 		if format == "mmapcsr" {
-			// Without -shards the mapped file is materialized through the
-			// builder; pair -format mmapcsr with -shards to keep it off-heap.
+			// Without -shards the mapped file is materialized on the heap;
+			// pair -format mmapcsr with -shards to keep it off-heap.
 			mp, err := graphio.OpenMapped(inPath)
 			if err != nil {
 				return nil, err

@@ -110,8 +110,8 @@ func sniffFileMapped(path string) (bool, error) {
 	return graphio.SniffMapped(f), nil
 }
 
-// readMapped materializes an mmapcsr file through the builder (sequential
-// sweep, so hint the kernel accordingly).
+// readMapped materializes an mmapcsr file with one sequential sweep over its
+// rows, so it hints the kernel accordingly.
 func readMapped(path string, p int) (*graph.Graph, error) {
 	mp, err := graphio.OpenMapped(path)
 	if err != nil {

@@ -197,37 +197,42 @@ func DetectSharded(ctx context.Context, c *graph.CSR, opt ShardOptions) (*ShardR
 	}
 	q := base[K]
 	globalComm := make([]int64, n)
-	var totalCut, quotientInput int64
-	for k := 0; k < K; k++ {
-		lo, _ := pt.Range(k)
-		for i, lc := range locals[k].comm {
-			globalComm[int64(lo)+int64(i)] = base[k] + lc
+	par.For(threads, K, func(klo, khi int) {
+		for k := klo; k < khi; k++ {
+			lo, _ := pt.Range(k)
+			for i, lc := range locals[k].comm {
+				globalComm[int64(lo)+int64(i)] = base[k] + lc
+			}
 		}
-		totalCut += int64(len(locals[k].cut))
-		quotientInput += locals[k].cg.NumEdges() + int64(len(locals[k].cut))
-	}
+	})
 
 	// The quotient graph: every shard's community graph (self-loops
 	// carried as explicit loop edges so the builder folds them back into
 	// Self) plus every cut edge mapped to its endpoints' communities.
 	// Weights are preserved exactly, so modularity/coverage on the quotient
-	// equal the same metrics of the induced partition on the input.
-	qEdges := make([]graph.Edge, 0, quotientInput)
+	// equal the same metrics of the induced partition on the input. Shard
+	// k fills its own slice [qOff[k], qOff[k+1]) of the edge list, so the
+	// shards fill in parallel.
+	qOff := make([]int64, K+1)
+	var totalCut int64
 	for k := 0; k < K; k++ {
-		b := base[k]
-		locals[k].cg.ForEachEdge(func(_ int64, u, v, w int64) {
-			qEdges = append(qEdges, graph.Edge{U: b + u, V: b + v, W: w})
-		})
-		for lc, s := range locals[k].cg.Self {
+		cg := locals[k].cg
+		loops := int64(0)
+		for _, s := range cg.Self {
 			if s != 0 {
-				qEdges = append(qEdges, graph.Edge{U: b + int64(lc), V: b + int64(lc), W: s})
+				loops++
 			}
 		}
-		for _, e := range locals[k].cut {
-			qEdges = append(qEdges, graph.Edge{U: globalComm[e.U], V: globalComm[e.V], W: e.W})
-		}
-		locals[k].cg = nil // release the shard's community graph
+		qOff[k+1] = qOff[k] + cg.NumEdges() + loops + int64(len(locals[k].cut))
+		totalCut += int64(len(locals[k].cut))
 	}
+	qEdges := make([]graph.Edge, qOff[K])
+	par.For(threads, K, func(klo, khi int) {
+		for k := klo; k < khi; k++ {
+			fillQuotient(qEdges[qOff[k]:qOff[k+1]], &locals[k], base[k], globalComm)
+			locals[k].cg = nil // release the shard's community graph
+		}
+	})
 	qg, err := graph.Build(threads, q, qEdges)
 	if err != nil {
 		return nil, fmt.Errorf("core: quotient graph: %w", err)
@@ -321,55 +326,43 @@ func DetectSharded(ctx context.Context, c *graph.CSR, opt ShardOptions) (*ShardR
 	return res, nil
 }
 
+// fillQuotient writes shard l's quotient edges into dst, which has exactly
+// their number of slots: its community graph's edges and non-zero
+// self-loops shifted to the shard's community id base b, then its cut
+// edges mapped through globalComm.
+func fillQuotient(dst []graph.Edge, l *shardLocal, b int64, globalComm []int64) {
+	i := 0
+	l.cg.ForEachEdge(func(_ int64, u, v, w int64) {
+		dst[i] = graph.Edge{U: b + u, V: b + v, W: w}
+		i++
+	})
+	for lc, s := range l.cg.Self {
+		if s != 0 {
+			dst[i] = graph.Edge{U: b + int64(lc), V: b + int64(lc), W: s}
+			i++
+		}
+	}
+	for _, e := range l.cut {
+		dst[i] = graph.Edge{U: globalComm[e.U], V: globalComm[e.V], W: e.W}
+		i++
+	}
+}
+
 // detectShard extracts shard k's induced subgraph from the CSR and runs the
-// standard engine on it with its own execution context and arena. Cut
-// edges (one endpoint outside [lo,hi)) are recorded in global vertex ids
-// when this side owns them (x < v), so across all shards each cut edge
-// appears exactly once.
+// standard engine on it with its own execution context and arena. The
+// extraction validates the shard's rows and records its cut edges in global
+// vertex ids from the lower endpoint's side, so across all shards each cut
+// edge appears exactly once.
 func detectShard(ctx context.Context, c *graph.CSR, lo, hi int64, k, threads int, tmpl Options) shardLocal {
 	t0 := time.Now()
 	var out shardLocal
 	out.stat = ShardStat{Shard: k, FirstVertex: lo, LastVertex: hi, Vertices: hi - lo}
-	// Count first for exact allocations: internal edges are stored once
-	// (from the lower endpoint), cut edges once across the two shards.
-	var nInternal, nCut int64
-	for x := lo; x < hi; x++ {
-		adj, _ := c.Neighbors(x)
-		for _, v := range adj {
-			if v >= lo && v < hi {
-				if v > x {
-					nInternal++
-				}
-			} else if v > x {
-				nCut++
-			}
-		}
-	}
-	localEdges := make([]graph.Edge, 0, nInternal)
-	out.cut = make([]graph.Edge, 0, nCut)
-	for x := lo; x < hi; x++ {
-		adj, wgt := c.Neighbors(x)
-		for i, v := range adj {
-			if v >= lo && v < hi {
-				if v > x {
-					localEdges = append(localEdges, graph.Edge{U: x - lo, V: v - lo, W: wgt[i]})
-				}
-			} else if v > x {
-				out.cut = append(out.cut, graph.Edge{U: x, V: v, W: wgt[i]})
-			}
-		}
-	}
-	sg, err := graph.Build(threads, hi-lo, localEdges)
+	sg, cut, err := graph.InducedFromCSR(c, lo, hi)
 	if err != nil {
 		out.err = err
 		return out
 	}
-	localEdges = nil
-	for x := lo; x < hi; x++ {
-		if s := c.SelfLoop(x); s != 0 {
-			sg.Self[x-lo] += s
-		}
-	}
+	out.cut = cut
 	out.stat.Edges = sg.NumEdges()
 	out.stat.CutEdges = int64(len(out.cut))
 

@@ -210,3 +210,50 @@ func TestShardDegenerateInputs(t *testing.T) {
 		t.Fatal("accepted empty graph")
 	}
 }
+
+// TestShardRejectsHostileCSR feeds views with one row defect each — the
+// content NewCSRView's O(n) open does not check — to DetectSharded at
+// several shard counts and to FromCSR. Every defect must come back as an
+// error: no index panic in the quotient fill, no silently dropped or
+// accumulated entry.
+func TestShardRejectsHostileCSR(t *testing.T) {
+	cases := map[string]func(adj, wgt, self []int64){
+		"valid":         func(adj, wgt, self []int64) {},
+		"out-of-range":  func(adj, wgt, self []int64) { adj[7] = 9 },
+		"negative":      func(adj, wgt, self []int64) { adj[6] = -1 },
+		"self-entry":    func(adj, wgt, self []int64) { adj[7] = 3 },
+		"duplicate":     func(adj, wgt, self []int64) { adj[6] = 2 },
+		"descending":    func(adj, wgt, self []int64) { adj[6], adj[7] = 2, 0 },
+		"zero-weight":   func(adj, wgt, self []int64) { wgt[7] = 0 },
+		"negative-self": func(adj, wgt, self []int64) { self[3] = -1 },
+	}
+	for name, mutate := range cases {
+		// The 4-cycle 0-1-2-3 with a self-loop on 2, rows sorted, every
+		// edge stored twice; each defect sits in the last row.
+		offsets := []int64{0, 2, 4, 6, 8}
+		adj := []int64{1, 3, 0, 2, 1, 3, 0, 2}
+		wgt := []int64{1, 4, 1, 2, 2, 3, 4, 3}
+		self := []int64{0, 0, 7, 0}
+		mutate(adj, wgt, self)
+		c, err := graph.NewCSRView(offsets, adj, wgt, self)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := name == "valid"
+		for _, shards := range []int{1, 2, 4} {
+			res, err := DetectSharded(context.Background(), c, ShardOptions{
+				Shards: shards,
+				Opt:    Options{Threads: 2, Engine: EngineMatching},
+			})
+			if (err == nil) != want {
+				t.Errorf("%s shards=%d: err = %v", name, shards, err)
+			}
+			if err == nil {
+				validatePartition(t, res.CommunityOf, res.NumCommunities)
+			}
+		}
+		if _, err := graph.FromCSR(1, c); (err == nil) != want {
+			t.Errorf("%s: FromCSR err = %v", name, err)
+		}
+	}
+}

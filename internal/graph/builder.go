@@ -13,8 +13,11 @@ import (
 // rejected. Build leaves the input slice in an unspecified order.
 //
 // The pipeline is the parallel analogue of the paper's construction: orient
-// every triple by the parity hash, sort the triple array by (first, second),
-// accumulate duplicates with a segmented scan, then cut contiguous buckets.
+// every triple by the parity hash, order the triple array by (first,
+// second), accumulate duplicates with a segmented scan, then cut contiguous
+// buckets. The ordering is a stable two-pass counting placement (§IV-C's
+// bucket placement in place of the paper's sort), so the whole build is
+// O(|E| + |V|).
 func Build(p int, numVertices int64, edges []Edge) (*Graph, error) {
 	if numVertices < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", numVertices)
@@ -46,17 +49,12 @@ func Build(p int, numVertices int64, edges []Edge) (*Graph, error) {
 			bad, numVertices, ErrVertexRange)
 	}
 
-	// Pass 2: sort by (U, V). Self-loops (U == V) sort adjacent to the
+	// Pass 2: order by (U, V). Self-loops (U == V) land adjacent to the
 	// vertex's bucket and are peeled off during accumulation. A linear
-	// presort check skips the O(E log E) pass for callers that feed triples
-	// already in stored order, such as a graph's own Edges().
+	// presort check skips the placement for callers that feed triples
+	// already in stored order, such as ReadBinary or a graph's own Edges().
 	if !sortedByUV(p, edges) {
-		par.Sort(p, edges, func(a, b Edge) bool {
-			if a.U != b.U {
-				return a.U < b.U
-			}
-			return a.V < b.V
-		})
+		placeByUV(p, numVertices, edges)
 	}
 
 	// Pass 3: segmented accumulation. head[i] = 1 iff edges[i] starts a new
@@ -140,6 +138,73 @@ func sortedByUV(p int, edges []Edge) bool {
 		}
 	})
 	return unsorted == 0
+}
+
+// placeByUV orders edges by (U, V) with a stable two-pass counting
+// placement: by V into a temporary, then by U back. Each pass is the
+// contraction's striped placement without atomics: the edge array splits
+// into equal ranges, every range counts its keys into a private stripe,
+// par.StripeOffsets and a prefix sum over the per-key totals turn the
+// stripes into per-(range, key) write cursors, and every range scatters its
+// edges in order. Within a key, ranges write in range order and each range
+// in input order, so both passes are stable and the result is the same at
+// every p. Duplicate (U, V) groups may come out in any input order; their
+// weights are integers and sum to the same total.
+//
+// The placement uses at most max(1, 2|E|/|V|) ranges, so past the first
+// |V|-wide stripe the stripes add at most 2|E| words, less than the triple
+// array's 3|E|.
+func placeByUV(p int, numVertices int64, edges []Edge) {
+	n, m := int(numVertices), len(edges)
+	ranges := min(par.Workers(p, m), max(1, 2*m/n))
+	stripes := make([]int64, ranges*n)
+	totals := make([]int64, n)
+	tmp := make([]Edge, m)
+	placeBy(p, ranges, edges, tmp, stripes, totals, false)
+	placeBy(p, ranges, tmp, edges, stripes, totals, true)
+}
+
+// placeBy is one stable counting pass of placeByUV: it writes src into dst
+// ordered by U when byU is set and by V otherwise. stripes holds ranges
+// n-wide stripes and totals n entries, n the key space.
+func placeBy(p, ranges int, src, dst []Edge, stripes, totals []int64, byU bool) {
+	n, m := len(totals), len(src)
+	par.ZeroInt64(p, stripes)
+	par.For(ranges, ranges, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			cnt := stripes[r*n : (r+1)*n]
+			for _, e := range src[r*m/ranges : (r+1)*m/ranges] {
+				if byU {
+					cnt[e.U]++
+				} else {
+					cnt[e.V]++
+				}
+			}
+		}
+	})
+	par.StripeOffsets(p, stripes, ranges, n, totals)
+	par.ExclusiveSumInt64(p, totals)
+	par.For(p, n, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			base := totals[k]
+			for r := 0; r < ranges; r++ {
+				stripes[r*n+k] += base
+			}
+		}
+	})
+	par.For(ranges, ranges, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			cur := stripes[r*n : (r+1)*n]
+			for _, e := range src[r*m/ranges : (r+1)*m/ranges] {
+				k := e.V
+				if byU {
+					k = e.U
+				}
+				dst[cur[k]] = e
+				cur[k]++
+			}
+		}
+	})
 }
 
 // MustBuild is Build for tests and generators with known-good input; it

@@ -12,18 +12,21 @@ package graphio
 // entries each; because the counts are exact, every bucket's region in the
 // spill file is known up front and pass B scatters each directed entry
 // (u→v and v→u) to its bucket's cursor with small per-bucket write buffers
-// — an out-of-core counting sort. Each bucket is then loaded alone, sorted
-// by (row, neighbor), duplicate edges accumulated into one weighted entry,
-// and its rows appended to the adjacency section; weights stage in a second
+// — an out-of-core counting sort. Each bucket is then loaded alone, every
+// entry placed in its row (the raw degrees size the rows exactly), each row
+// sorted by neighbor, duplicate edges accumulated into one weighted entry,
+// and the rows appended to the adjacency section; weights stage in a second
 // temporary file because the wgt section's offset depends on the deduped
 // adjacency length, known only at the end.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 )
 
@@ -36,14 +39,14 @@ import (
 type EdgeSource func(yield func(u, v, w int64) error) error
 
 // DefaultMaxBufferedEdges is the per-bucket raw-entry budget when
-// StreamOptions.MaxBufferedEdges is 0: 2 Mi directed entries ≈ 48 MiB for
-// the flat sort buffer.
+// StreamOptions.MaxBufferedEdges is 0: 2 Mi directed entries ≈ 32 MiB for
+// the row placement buffer.
 const DefaultMaxBufferedEdges = 1 << 21
 
 // StreamOptions tunes StreamMapped.
 type StreamOptions struct {
 	// MaxBufferedEdges bounds how many raw directed entries one bucket may
-	// hold — the unit of in-memory sorting, 24 bytes each. 0 selects
+	// hold — the unit of in-memory placement, 16 bytes each. 0 selects
 	// DefaultMaxBufferedEdges. A single vertex whose raw degree exceeds the
 	// budget still forms its own (oversized) bucket.
 	MaxBufferedEdges int64
@@ -174,9 +177,9 @@ func StreamMapped(path string, n int64, src EdgeSource, opt StreamOptions) (Stre
 		return stats, fmt.Errorf("graphio: stream: source not deterministic: %d entries on second pass, %d on first", sp.written, raw)
 	}
 
-	// Per-bucket: load, sort, dedup, emit. Adjacency streams straight into
-	// the output file at its known section offset; weights stage in a
-	// second spill file.
+	// Per-bucket: load, place by row, sort rows, dedup, emit. Adjacency
+	// streams straight into the output file at its known section offset;
+	// weights stage in a second spill file.
 	out, err := os.Create(path)
 	if err != nil {
 		return stats, err
@@ -200,53 +203,75 @@ func StreamMapped(path string, n int64, src EdgeSource, opt StreamOptions) (Stre
 	adjW.off = partial.offAdj
 	wgtW := newPaddedWriter(wgtF)
 
-	offsets := rawDeg // reuse: rawDeg is consumed bucket by bucket before offsets[x] is written
+	offsets := rawDeg // reuse: a bucket's raw degrees are read before its offsets[x] are written
 	var adjLen, wgtSum int64
-	triples := make([]int64, 0, 3*budget)
+	var entries []rowEntry
+	var cursor []int64         // per-row write cursor of the current bucket
 	var adjOut, wgtOut []int64 // per-bucket staged output, written in one call each
 	readBuf := make([]byte, 1<<16)
 	for b := 0; b < nb; b++ {
 		cnt := bucketRaw(b)
-		triples = triples[:0]
-		if cap(triples) < int(3*cnt) {
-			triples = make([]int64, 0, 3*cnt)
+		lo, hi := bucketLo[b], bucketEnd(b)
+		// Rows sit in vertex order, each sized by its raw degree: cursor[r]
+		// is row lo+r's next free slot, and rawDeg[x] counts the slots row
+		// x still has. Once every entry is placed, each row is exactly full
+		// and cursor[r] is its end.
+		entries = slices.Grow(entries[:0], int(cnt))[:cnt]
+		cursor = slices.Grow(cursor[:0], int(hi-lo))[:hi-lo]
+		var run int64
+		for x := lo; x < hi; x++ {
+			cursor[x-lo] = run
+			run += rawDeg[x]
 		}
-		// Load the bucket's region.
+		// Load the bucket's region, placing each entry in its row.
 		at := 24 * bucketBase[b]
-		for got := int64(0); got < 3*cnt; {
-			c := int64(len(readBuf))
-			if rem := (3*cnt - got) * 8; rem < c {
+		for got := int64(0); got < cnt; {
+			c := int64(len(readBuf)) / 24 * 24
+			if rem := (cnt - got) * 24; rem < c {
 				c = rem
 			}
 			if _, err := io.ReadFull(io.NewSectionReader(spillF, at, c), readBuf[:c]); err != nil {
 				return stats, fmt.Errorf("graphio: stream: spill read: %w", err)
 			}
-			for i := int64(0); i < c; i += 8 {
-				triples = append(triples, int64(binary.LittleEndian.Uint64(readBuf[i:])))
+			for i := int64(0); i < c; i += 24 {
+				x := int64(binary.LittleEndian.Uint64(readBuf[i:]))
+				if x < lo || x >= hi {
+					return stats, fmt.Errorf("graphio: stream: bucket %d has entries outside its vertex range", b)
+				}
+				if rawDeg[x] == 0 {
+					return stats, fmt.Errorf("graphio: stream: source not deterministic: vertex %d overflows its counted row", x)
+				}
+				rawDeg[x]--
+				r := x - lo
+				pos := cursor[r]
+				entries[pos] = rowEntry{
+					v: int64(binary.LittleEndian.Uint64(readBuf[i+8:])),
+					w: int64(binary.LittleEndian.Uint64(readBuf[i+16:])),
+				}
+				cursor[r] = pos + 1
 			}
 			at += c
-			got += c / 8
+			got += c / 24
 		}
-		sort.Sort(tripleSort(triples))
-		// Dedup-accumulate and emit rows for vertices [bucketLo[b], end).
-		lo, hi := bucketLo[b], bucketEnd(b)
+		// Sort each row by neighbor, then dedup-accumulate and emit rows
+		// for vertices [lo, hi).
 		adjOut, wgtOut = adjOut[:0], wgtOut[:0]
-		i := 0
+		var rowLo int64
 		for x := lo; x < hi; x++ {
 			offsets[x] = adjLen
-			for i < len(triples)/3 && triples[3*i] == x {
-				v, w := triples[3*i+1], triples[3*i+2]
-				for i++; i < len(triples)/3 && triples[3*i] == x && triples[3*i+1] == v; i++ {
-					w += triples[3*i+2]
+			row := entries[rowLo:cursor[x-lo]]
+			rowLo = cursor[x-lo]
+			slices.SortFunc(row, func(a, b rowEntry) int { return cmp.Compare(a.v, b.v) })
+			for i := 0; i < len(row); {
+				v, w := row[i].v, row[i].w
+				for i++; i < len(row) && row[i].v == v; i++ {
+					w += row[i].w
 				}
 				adjOut = append(adjOut, v)
 				wgtOut = append(wgtOut, w)
 				wgtSum += w
 				adjLen++
 			}
-		}
-		if i != len(triples)/3 {
-			return stats, fmt.Errorf("graphio: stream: bucket %d has entries outside its vertex range", b)
 		}
 		if err := adjW.writeInt64s(adjOut); err != nil {
 			return stats, err
@@ -335,22 +360,8 @@ func StreamMapped(path string, n int64, src EdgeSource, opt StreamOptions) (Stre
 	return stats, nil
 }
 
-// tripleSort orders a flat (row, neighbor, weight) triple array by row then
-// neighbor, moving all three words per swap.
-type tripleSort []int64
-
-func (t tripleSort) Len() int { return len(t) / 3 }
-func (t tripleSort) Less(i, j int) bool {
-	if t[3*i] != t[3*j] {
-		return t[3*i] < t[3*j]
-	}
-	return t[3*i+1] < t[3*j+1]
-}
-func (t tripleSort) Swap(i, j int) {
-	t[3*i], t[3*j] = t[3*j], t[3*i]
-	t[3*i+1], t[3*j+1] = t[3*j+1], t[3*i+1]
-	t[3*i+2], t[3*j+2] = t[3*j+2], t[3*i+2]
-}
+// rowEntry is one raw directed entry of a bucket row: neighbor and weight.
+type rowEntry struct{ v, w int64 }
 
 // spiller scatters directed (row, neighbor, weight) entries into
 // per-bucket regions of one spill file, each bucket buffering a few hundred

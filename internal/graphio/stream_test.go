@@ -177,3 +177,27 @@ func TestStreamMappedRejectsNondeterministicSource(t *testing.T) {
 		t.Fatalf("nondeterministic source: err = %v, want 'not deterministic'", err)
 	}
 }
+
+// TestStreamMappedRejectsRowDrift replays a source whose second pass keeps
+// the entry total but moves an entry from row 0 to row 1: rows are sized by
+// the first pass's degrees, so the drift must surface as an error.
+func TestStreamMappedRejectsRowDrift(t *testing.T) {
+	calls := 0
+	src := EdgeSource(func(yield func(u, v, w int64) error) error {
+		calls++
+		edges := [][3]int64{{0, 1, 1}, {0, 2, 1}}
+		if calls > 1 {
+			edges = [][3]int64{{1, 2, 1}, {0, 1, 1}}
+		}
+		for _, e := range edges {
+			if err := yield(e[0], e[1], e[2]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	_, err := StreamMapped(filepath.Join(t.TempDir(), "drift.mmapcsr"), 3, src, StreamOptions{})
+	if err == nil || !strings.Contains(err.Error(), "not deterministic") {
+		t.Fatalf("row drift: err = %v, want 'not deterministic'", err)
+	}
+}

@@ -7,8 +7,9 @@ import "sort"
 // then runs are merged pairwise in a parallel tree. less must be a strict
 // weak ordering. The sort is not stable.
 //
-// The edge-array builder sorts |E|-long triple arrays with this routine;
-// per-bucket sorts inside contraction are small and use sort.Sort directly.
+// Graph construction does not sort: graph.Build orders its triples with a
+// counting placement. Sort serves the remaining comparison orders, such as
+// the SᵀAS sparse product's triples and test references.
 func Sort[T any](p int, s []T, less func(a, b T) bool) {
 	n := len(s)
 	if n < 2 {

@@ -338,3 +338,112 @@ func mentionsRecorder(typ ast.Expr) bool {
 	})
 	return found
 }
+
+// mappingPrimitives are the calls that map or reinterpret raw memory, per
+// import path. Outside internal/graphio, code opens graphs through
+// graphio.OpenMapped, so mapping lifetime and the endianness and page
+// checks stay in one package.
+var mappingPrimitives = map[string][]string{
+	"syscall": {"Mmap", "Madvise", "Munmap"},
+	"unsafe":  {"Slice"},
+}
+
+// TestMappingPrimitivesOnlyInGraphio parses every Go file under cmd and
+// internal except internal/graphio, plus the root package's files, test
+// files included, and fails on any use of a mapping primitive.
+func TestMappingPrimitivesOnlyInGraphio(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, root := range []string{"cmd", "internal"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && path == filepath.Join("internal", "graphio") {
+				return filepath.SkipDir
+			}
+			if !d.IsDir() && strings.HasSuffix(path, ".go") {
+				files = append(files, path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, file := range files {
+		bad, err := mappingPrimitiveUses(file, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range bad {
+			t.Errorf("%s: mmap/unsafe primitive outside internal/graphio (open graphs through graphio.OpenMapped)", b)
+		}
+	}
+}
+
+// TestMappingPrimitiveUsesFlagsViolations proves the check can fail: each
+// primitive is reported, under an import alias too, while other members of
+// the same packages and a mention in a comment are not.
+func TestMappingPrimitiveUsesFlagsViolations(t *testing.T) {
+	src := `package k
+import (
+	"syscall"
+	u "unsafe"
+)
+func f(fd int, p *byte) {
+	b, _ := syscall.Mmap(fd, 0, 8, 0, 0)
+	_ = syscall.Madvise(b, 0)
+	_ = syscall.Munmap(b)
+	_ = u.Slice(p, 8)
+	_ = u.Sizeof(p)
+	_ = syscall.Getpid()
+	// syscall.Mmap in a comment
+}
+`
+	bad, err := mappingPrimitiveUses("k.go", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(bad, " "); got != "k.go:7 Mmap k.go:8 Madvise k.go:9 Munmap k.go:10 Slice" {
+		t.Fatalf("flagged %q, want Mmap, Madvise, Munmap and the aliased Slice", got)
+	}
+}
+
+// mappingPrimitiveUses parses file (from src when non-nil) and returns
+// "file:line name" for every selector naming a mapping primitive through
+// the file's own name for its package.
+func mappingPrimitiveUses(file string, src any) ([]string, error) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, file, src, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	local := map[string][]string{} // file-local package name → primitives
+	for _, imp := range f.Imports {
+		path := strings.Trim(imp.Path.Value, `"`)
+		names, ok := mappingPrimitives[path]
+		if !ok {
+			continue
+		}
+		name := path
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		local[name] = names
+	}
+	var bad []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); ok && slices.Contains(local[pkg.Name], sel.Sel.Name) {
+			bad = append(bad, fmt.Sprintf("%s:%d %s", file, fset.Position(sel.Pos()).Line, sel.Sel.Name))
+		}
+		return true
+	})
+	return bad, nil
+}
