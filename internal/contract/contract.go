@@ -380,6 +380,9 @@ func byMappingRun(ec *exec.Ctx, g *graph.Graph, mapping []int64, k int64, layout
 			total = bump
 		}
 	}
+	// Absolute cursors: adding each bucket's base to every span's offset
+	// lets the scatter store at cntS[first]++ with no per-edge Start load.
+	ec.StripeCursors(cntS, spans, kk, ng.Start)
 	ng.ResizeEdges(total)
 	spOff.EndArgs("survived", total, "buckets", k)
 	rec.Add(obs.CtrContractSurvived, total)
@@ -388,8 +391,8 @@ func byMappingRun(ec *exec.Ctx, g *graph.Graph, mapping []int64, k int64, layout
 	// the first endpoint implicit (§IV-C) — it is filled in during the
 	// merge step. Each span replays exactly the edge range it
 	// counted (same partition, same span index, so the same stripe),
-	// advancing its private cursors cntS[j·k+c] within the per-span
-	// sub-range of each bucket: no synchronization at all.
+	// advancing its private absolute cursors cntS[j·k+c] through the
+	// per-span sub-range of each bucket: no synchronization at all.
 	spScat := rec.Begin(obs.CatContract, "scatter", -1)
 	if serial {
 		scatterSweepRange(g, ng, mapping, cntS[:kk], 0, n, g.Start[0], g.End[n-1])
@@ -482,7 +485,8 @@ func countSweepRange(g *graph.Graph, mapping []int64, cntS, selfS []int64, lo, h
 }
 
 // scatterSweepRange replays countSweepRange's exact edge range against the
-// same stripe, writing each surviving edge at its private cursor position.
+// same stripe, now holding absolute positions: each surviving edge is
+// written at its bucket's cursor, which then advances.
 func scatterSweepRange(g, ng *graph.Graph, mapping []int64, cntS []int64, lo, hi int, eloFirst, ehiLast int64) {
 	for x := lo; x < hi; x++ {
 		elo, ehi := g.Start[x], g.End[x]
@@ -499,8 +503,8 @@ func scatterSweepRange(g, ng *graph.Graph, mapping []int64, cntS []int64, lo, hi
 				continue
 			}
 			first, second := graph.StoredOrder(ni, nj)
-			pos := ng.Start[first] + cntS[first]
-			cntS[first]++
+			pos := cntS[first]
+			cntS[first] = pos + 1
 			ng.V[pos] = second
 			ng.W[pos] = g.W[e]
 		}

@@ -323,6 +323,11 @@ func (c *Ctx) StripeOffsets(stripes []int64, workers, k int, totals []int64) {
 	c.pool.StripeOffsets(c.threads, stripes, workers, k, totals)
 }
 
+// StripeCursors adds each bucket's base to every worker's scatter offset.
+func (c *Ctx) StripeCursors(stripes []int64, workers, k int, bases []int64) {
+	c.pool.StripeCursors(c.threads, stripes, workers, k, bases)
+}
+
 // ExclusiveSumInt64 scans xs in place, returning the total.
 func (c *Ctx) ExclusiveSumInt64(xs []int64) int64 {
 	return c.pool.ExclusiveSumInt64(c.threads, xs)

@@ -144,12 +144,13 @@ func sortedByUV(p int, edges []Edge) bool {
 // placement: by V into a temporary, then by U back. Each pass is the
 // contraction's striped placement without atomics: the edge array splits
 // into equal ranges, every range counts its keys into a private stripe,
-// par.StripeOffsets and a prefix sum over the per-key totals turn the
-// stripes into per-(range, key) write cursors, and every range scatters its
-// edges in order. Within a key, ranges write in range order and each range
-// in input order, so both passes are stable and the result is the same at
-// every p. Duplicate (U, V) groups may come out in any input order; their
-// weights are integers and sum to the same total.
+// par.StripeOffsets, a prefix sum over the per-key totals and
+// par.StripeCursors turn the stripes into per-(range, key) absolute write
+// cursors, and every range scatters its edges in order. Within a key,
+// ranges write in range order and each range in input order, so both
+// passes are stable and the result is the same at every p. Duplicate
+// (U, V) groups may come out in any input order; their weights are
+// integers and sum to the same total.
 //
 // The placement uses at most max(1, 2|E|/|V|) ranges, so past the first
 // |V|-wide stripe the stripes add at most 2|E| words, less than the triple
@@ -184,14 +185,7 @@ func placeBy(p, ranges int, src, dst []Edge, stripes, totals []int64, byU bool) 
 	})
 	par.StripeOffsets(p, stripes, ranges, n, totals)
 	par.ExclusiveSumInt64(p, totals)
-	par.For(p, n, func(lo, hi int) {
-		for k := lo; k < hi; k++ {
-			base := totals[k]
-			for r := 0; r < ranges; r++ {
-				stripes[r*n+k] += base
-			}
-		}
-	})
+	par.StripeCursors(p, stripes, ranges, n, totals)
 	par.For(ranges, ranges, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			cur := stripes[r*n : (r+1)*n]

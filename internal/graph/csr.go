@@ -56,10 +56,12 @@ func (c *CSR) RowBounds() (start, end []int64) {
 
 // ToCSR symmetrizes g into a CSR view using p workers. The build is the
 // contraction's striped placement (§IV-C) with no atomics: an edge-balanced
-// count pass tallies each row's in-entries into per-range stripes, a
-// striped-offset reduction and a prefix sum turn them into row offsets and
-// private per-(range, row) write cursors, and a scatter pass copies every
-// bucket to the head of its own row and writes each in-entry at its cursor.
+// count pass tallies each row's in-entries into per-range stripes behind a
+// leading stripe of own-bucket lengths, a striped-offset reduction and a
+// prefix sum turn them into row offsets and private per-(range, row)
+// absolute write cursors (par.StripeCursors), and a scatter pass copies
+// every bucket to the head of its own row and writes each in-entry at its
+// cursor.
 //
 // Row x is x's own bucket in bucket order, then x's in-neighbors — the
 // vertices whose buckets store an edge to x — by ascending source bucket.
@@ -82,8 +84,9 @@ func ToCSRInto(p int, g *Graph, c *CSR) *CSR {
 // toCSRInto is ToCSRInto also reporting whether every bucket of g is sorted
 // by V, which its count pass learns at the cost of one compare per edge.
 //
-// The build uses at most max(1, 2|E|/|V|) ranges, so its n-wide stripes
-// never hold more words than Adj has entries.
+// The build uses at most max(1, 2|E|/|V|) ranges, so past the leading
+// own-length stripe its n-wide stripes never hold more words than Adj has
+// entries.
 func toCSRInto(p int, g *Graph, c *CSR) (*CSR, bool) {
 	if c == nil {
 		c = &CSR{}
@@ -102,23 +105,32 @@ func toCSRInto(p int, g *Graph, c *CSR) (*CSR, bool) {
 		c.part.BuildBuckets(nil, ranges, n, g.Start, g.End)
 		ranges = c.part.Workers()
 	}
-	c.stripes = buf.Grow(c.stripes, ranges*n)
+	// Stripe 0 holds every row's own-bucket length and stripe 1+j range
+	// j's in-entry counts, so the striped offsets put each own bucket at
+	// the head of its row, ahead of the in-entries in range order.
+	c.stripes = buf.Grow(c.stripes, (ranges+1)*n)
 	stripes := c.stripes
-	par.ZeroInt64(p, stripes)
+	own, in := stripes[:n], stripes[n:]
+	if par.Serial(p, n) {
+		bucketLengths(g, own, 0, n)
+	} else {
+		par.For(p, n, func(lo, hi int) { bucketLengths(g, own, lo, hi) })
+	}
+	par.ZeroInt64(p, in)
 
-	// Count: stripe j of range j tallies the in-entries its edges add to
-	// each row. Ranges are edge-exact spans; a hub bucket split across
+	// Count: range j's stripe in[j*n:(j+1)*n] tallies the in-entries its
+	// edges add to each row. Ranges are edge-exact spans; a hub bucket split across
 	// spans is checked for order across the split too.
 	sorted := true
 	if ranges == 1 {
-		sorted = countInRange(g, stripes, 0, n, g.Start[0], g.End[n-1])
+		sorted = countInRange(g, in, 0, n, g.Start[0], g.End[n-1])
 	} else {
 		var unsorted atomic.Bool
 		pt := &c.part
 		par.For(ranges, ranges, func(lo, hi int) {
 			for j := lo; j < hi; j++ {
 				sp := pt.Span(j)
-				if !countInRange(g, stripes[j*n:(j+1)*n], sp.LoV, sp.HiV, sp.LoE, sp.HiE) {
+				if !countInRange(g, in[j*n:(j+1)*n], sp.LoV, sp.HiV, sp.LoE, sp.HiE) {
 					unsorted.Store(true)
 				}
 			}
@@ -126,37 +138,28 @@ func toCSRInto(p int, g *Graph, c *CSR) (*CSR, bool) {
 		sorted = !unsorted.Load()
 	}
 
-	// Offsets: the striped reduction leaves each row's in-degree in Offsets
-	// and each range's exclusive share in its stripe; adding the own-bucket
-	// length and a prefix sum gives the row offsets, and adding each row's
-	// first in-entry slot to the stripes turns them into write cursors.
+	// Offsets: the striped reduction leaves each row's degree in Offsets
+	// and each range's exclusive in-row offset, past the own bucket, in
+	// its stripe; a prefix sum gives the row offsets, and adding them to
+	// the stripes turns the stripes into write cursors.
 	offsets := c.Offsets
-	par.StripeOffsets(p, stripes, ranges, n, offsets)
-	if par.Serial(p, n) {
-		addOwnDegrees(g, offsets, 0, n)
-	} else {
-		par.For(p, n, func(lo, hi int) { addOwnDegrees(g, offsets, lo, hi) })
-	}
+	par.StripeOffsets(p, stripes, ranges+1, n, offsets)
 	total := par.ExclusiveSumInt64(p, offsets[:n])
 	offsets[n] = total
-	if par.Serial(p, n) {
-		cursorsFromOffsets(g, offsets, stripes, ranges, 0, n)
-	} else {
-		par.For(p, n, func(lo, hi int) { cursorsFromOffsets(g, offsets, stripes, ranges, lo, hi) })
-	}
+	par.StripeCursors(p, stripes, ranges+1, n, offsets)
 
 	// Scatter: each range replays the edges it counted against the same
 	// stripe, so no two ranges write the same slot.
 	c.Adj = buf.Grow(c.Adj, int(total))
 	c.Wgt = buf.Grow(c.Wgt, int(total))
 	if ranges == 1 {
-		scatterRange(g, c, stripes, 0, n, g.Start[0], g.End[n-1])
+		scatterRange(g, c, in, 0, n, g.Start[0], g.End[n-1])
 	} else {
 		pt := &c.part
 		par.For(ranges, ranges, func(lo, hi int) {
 			for j := lo; j < hi; j++ {
 				sp := pt.Span(j)
-				scatterRange(g, c, stripes[j*n:(j+1)*n], sp.LoV, sp.HiV, sp.LoE, sp.HiE)
+				scatterRange(g, c, in[j*n:(j+1)*n], sp.LoV, sp.HiV, sp.LoE, sp.HiE)
 			}
 		})
 	}
@@ -192,22 +195,10 @@ func countInRange(g *Graph, in []int64, lo, hi int, eloFirst, ehiLast int64) boo
 	return sorted
 }
 
-// addOwnDegrees adds the bucket lengths of vertices [lo, hi) to deg.
-func addOwnDegrees(g *Graph, deg []int64, lo, hi int) {
+// bucketLengths writes the bucket lengths of vertices [lo, hi) into own.
+func bucketLengths(g *Graph, own []int64, lo, hi int) {
 	for x := lo; x < hi; x++ {
-		deg[x] += g.End[x] - g.Start[x]
-	}
-}
-
-// cursorsFromOffsets offsets every range's exclusive in-entry share of rows
-// [lo, hi) by the row's first in-entry slot, just past its own bucket.
-func cursorsFromOffsets(g *Graph, offsets, stripes []int64, ranges, lo, hi int) {
-	n := len(offsets) - 1
-	for x := lo; x < hi; x++ {
-		first := offsets[x] + g.End[x] - g.Start[x]
-		for j := 0; j < ranges; j++ {
-			stripes[j*n+x] += first
-		}
+		own[x] = g.End[x] - g.Start[x]
 	}
 }
 

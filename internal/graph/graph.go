@@ -59,20 +59,19 @@ type Graph struct {
 // vertices across many source buckets instead of piling them into one
 // (§IV-A). StoredOrder panics if i == j; self-loops are not stored as
 // triples.
+//
+// The orientation is a coin flip per edge, which a branch predictor cannot
+// learn, so it is computed branch-free from a sign mask and a parity mask.
+// Vertex ids are non-negative, so i-j cannot overflow.
 func StoredOrder(i, j int64) (first, second int64) {
 	if i == j {
 		panic("graph: StoredOrder of a self-loop")
 	}
-	if (i^j)&1 == 0 {
-		if i < j {
-			return i, j
-		}
-		return j, i
-	}
-	if i > j {
-		return i, j
-	}
-	return j, i
+	d := i - j
+	lt := d >> 63           // all ones when i < j
+	odd := -((i ^ j) & 1)   // all ones when the parities differ
+	swap := d &^ (lt ^ odd) // d when j goes first, 0 otherwise
+	return i - swap, j + swap
 }
 
 // NewEmpty returns a graph with n vertices and no edges.

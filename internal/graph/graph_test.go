@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -40,6 +41,56 @@ func TestStoredOrderSymmetric(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// storedOrderSpec is the parity hash written as its definition reads, with
+// the two coin-flip branches StoredOrder computes from masks.
+func storedOrderSpec(i, j int64) (first, second int64) {
+	if (i^j)&1 == 0 {
+		if i < j {
+			return i, j
+		}
+		return j, i
+	}
+	if i > j {
+		return i, j
+	}
+	return j, i
+}
+
+// TestStoredOrderMatchesSpec checks the branch-free StoredOrder against the
+// branchy definition over random ids across [0, 2^62), adjacent ids,
+// equal-parity pairs and the ends of the range, in both argument orders.
+// The seq oracle calls StoredOrder too, so its parity tests cannot catch a
+// wrong orientation; this test can.
+func TestStoredOrderMatchesSpec(t *testing.T) {
+	const top = int64(1) << 62
+	rng := rand.New(rand.NewPCG(20, 62))
+	check := func(i, j int64) {
+		t.Helper()
+		if i == j {
+			return
+		}
+		for _, ab := range [2][2]int64{{i, j}, {j, i}} {
+			f, s := StoredOrder(ab[0], ab[1])
+			wf, ws := storedOrderSpec(ab[0], ab[1])
+			if f != wf || s != ws {
+				t.Fatalf("StoredOrder(%d,%d) = (%d,%d), want (%d,%d)", ab[0], ab[1], f, s, wf, ws)
+			}
+		}
+	}
+	for range 50000 {
+		i := rng.Int64N(top)
+		check(i, rng.Int64N(top))                         // random pair, any parity
+		check(i, (rng.Int64N(top)&^1)|(i&1))              // equal parity
+		check(i, (i+1)%top)                               // adjacent ids
+		check(i, rng.Int64N(1024))                        // far apart: small and large
+		check(rng.Int64N(64), rng.Int64N(64))             // dense small ids
+		check(top-1-rng.Int64N(64), top-1-rng.Int64N(64)) // dense near the top
+	}
+	for _, p := range [][2]int64{{0, 1}, {0, 2}, {0, top - 1}, {0, top - 2}, {1, top - 1}, {top - 2, top - 1}} {
+		check(p[0], p[1])
 	}
 }
 

@@ -13,14 +13,18 @@
 //     An explicit array of currently unmatched vertices is then swept in
 //     parallel: each vertex keeps its candidate — its best unmatched
 //     neighbor under the total edge order — while that neighbor stays
-//     unmatched, and otherwise rescans its row, swap-removing matched
-//     neighbors in place. A vertex claims its candidate exactly when the
-//     candidate names it back. Every vertex writes only its own candidate,
-//     row and match entries, and the pass barriers order every cross-vertex
-//     read, so the kernel takes no locks and issues no atomics. Vertices
-//     whose candidate was taken by someone else stay on the list and rescan
-//     — the pruning Sahu's Louvain work applies to its vertex-following
-//     sweeps.
+//     unmatched, and otherwise rescans its row. The rescan is branch-free
+//     where the predictor cannot help: one loop drops the neighbors whose
+//     one-byte taken flag is set with a stable filter and takes the
+//     survivors' maximum score, and a second picks the best of the entries
+//     carrying it.
+//     A vertex claims its candidate exactly when the candidate names it
+//     back, and sets its own taken flag. Every vertex writes only its own
+//     candidate, row, taken and match entries, and the pass barriers order
+//     every cross-vertex read, so the kernel takes no locks and issues no
+//     atomics. Vertices whose candidate was taken by someone else stay on
+//     the list and rescan — the pruning Sahu's Louvain work applies to its
+//     vertex-following sweeps.
 //
 //   - EdgeSweep: the 2011 algorithm kept as an ablation baseline. Every
 //     sweep runs over the whole edge array and funnels the per-vertex best
@@ -36,6 +40,7 @@ package matching
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/buf"
@@ -126,10 +131,13 @@ type Scratch struct {
 	cand      []int64
 	candScore []float64
 
-	// Worklist state: the positive-edge row store (row x is
-	// rows[rowStart[x]:rowEnd[x]], shrinking as matched neighbors are
-	// swap-removed), the per-span count/cursor stripes that build it, and
-	// the worklist double-buffers with their pack workspace.
+	// Worklist state: taken[x] is 1 once x is matched (the claim phase sets
+	// its own vertex's flag; propose reads it across the pass barrier, one
+	// byte per vertex where match costs eight), the positive-edge row store
+	// (row x is rows[rowStart[x]:rowEnd[x]], shrinking as each rescan
+	// filters out taken neighbors), the per-span count/cursor stripes that
+	// build it, and the worklist double-buffers with their pack workspace.
+	taken    []uint8
 	rowStart []int64
 	rowEnd   []int64
 	rows     []rowEntry
@@ -182,8 +190,8 @@ func (s *Scratch) orNew() *Scratch {
 // barrier-separated phases. Propose: an active vertex u keeps cand[u] while
 // that neighbor is still unmatched — its row only loses entries, so the
 // maximum survives — and otherwise rescans its row for the maximum under
-// the total order (score, stored endpoints), swap-removing matched
-// neighbors so each entry is dropped at most once. Claim: u takes cand[u]
+// the total order (score, stored endpoints), filtering matched neighbors
+// out so each entry is dropped at most once. Claim: u takes cand[u]
 // = o exactly when cand[o] == u; "if edge {i, j} dominates the scores
 // adjacent to i and j, that edge will be found by one of the two vertices"
 // (§IV-B), and here by both, each writing its own match entry. This is the
@@ -291,18 +299,21 @@ func WorklistWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scrat
 }
 
 // buildRows fills s's row store from g's positive-score edges and resets
-// the per-vertex state: match and cand to Unmatched, rowEnd to the row's
-// end, and keep[x] to whether x has any positive edge. Parallel builds
-// count into one n-wide stripe per edge-exact span (the engine's installed
-// level partition when it matches g, a locally built one otherwise), turn
-// the stripes into private per-(span, row) cursors with StripeOffsets, and
-// replay the identical spans to scatter — the contract.ByMapping discipline
-// (DESIGN.md §7): plain stores, no atomics, and hub rows split across spans
-// without contention.
+// the per-vertex state: match and cand to Unmatched, taken to 0, rowEnd to
+// the row's end, and keep[x] to whether x has any positive edge. Parallel
+// builds count into one n-wide stripe per edge-exact span (the engine's
+// installed level partition when it matches g, a locally built one
+// otherwise), turn the stripes into private per-(span, row) absolute
+// cursors with StripeOffsets and StripeCursors, and replay the identical
+// spans to scatter — the contract.ByMapping discipline (DESIGN.md §7):
+// plain stores, no atomics, and hub rows split across spans without
+// contention. The serial build's one span scatters through rowEnd, seeded
+// from rowStart.
 func buildRows(ec *exec.Ctx, g *graph.Graph, scores []float64, s *Scratch, n int) {
 	s.match = buf.Grow(s.match, n)
 	s.cand = buf.Grow(s.cand, n)
 	s.candScore = buf.Grow(s.candScore, n)
+	s.taken = buf.Grow(s.taken, n)
 	s.rowEnd = buf.Grow(s.rowEnd, n)
 	s.keep = buf.Grow(s.keep, n)
 	s.slots = buf.Grow(s.slots, n)
@@ -314,13 +325,13 @@ func buildRows(ec *exec.Ctx, g *graph.Graph, scores []float64, s *Scratch, n int
 	}
 	if ec.Serial(n) {
 		// One span: count straight into rowStart, and scatter with rowEnd
-		// as the (row-relative) cursors.
+		// as the cursors, starting at each row's first slot.
 		clear(rowStart)
 		rowCountRange(g, scores, rowStart, 0, n, g.Start[0], g.End[n-1])
 		total := ec.ExclusiveSumInt64(rowStart)
 		s.rows = buf.Grow(s.rows, int(total))
-		clear(s.rowEnd)
-		rowScatterRange(g, scores, s.rows, rowStart, s.rowEnd, 0, n, g.Start[0], g.End[n-1])
+		copy(s.rowEnd, rowStart[:n])
+		rowScatterRange(g, scores, s.rows, s.rowEnd, 0, n, g.Start[0], g.End[n-1])
 		rowReset(s, 0, n)
 		return
 	}
@@ -339,10 +350,11 @@ func buildRows(ec *exec.Ctx, g *graph.Graph, scores []float64, s *Scratch, n int
 	ec.StripeOffsets(stripes, spans, n, rowStart)
 	rowStart[n] = 0
 	total := ec.ExclusiveSumInt64(rowStart)
+	ec.StripeCursors(stripes, spans, n, rowStart)
 	s.rows = buf.Grow(s.rows, int(total))
 	rows := s.rows
 	ec.ForSpans("match/rows-scatter", pt, func(j int, sp par.Span) {
-		rowScatterRange(g, scores, rows, rowStart, stripes[j*n:(j+1)*n], sp.LoV, sp.HiV, sp.LoE, sp.HiE)
+		rowScatterRange(g, scores, rows, stripes[j*n:(j+1)*n], sp.LoV, sp.HiV, sp.LoE, sp.HiE)
 	})
 	ec.For(n, func(lo, hi int) {
 		rowReset(s, lo, hi)
@@ -351,7 +363,9 @@ func buildRows(ec *exec.Ctx, g *graph.Graph, scores []float64, s *Scratch, n int
 
 // rowCountRange counts the positive edges of buckets [lo, hi) into cnt, once
 // per endpoint. The first bucket is entered at edge eloFirst and the last
-// left at ehiLast (a span's clamps; whole buckets otherwise).
+// left at ehiLast (a span's clamps; whole buckets otherwise). Every edge in
+// x's bucket has U == x, so x's own count is kept in a register and added
+// once per bucket.
 func rowCountRange(g *graph.Graph, scores []float64, cnt []int64, lo, hi int, eloFirst, ehiLast int64) {
 	for x := lo; x < hi; x++ {
 		elo, ehi := g.Start[x], g.End[x]
@@ -361,18 +375,23 @@ func rowCountRange(g *graph.Graph, scores []float64, cnt []int64, lo, hi int, el
 		if x == hi-1 {
 			ehi = ehiLast
 		}
+		var own int64
 		for e := elo; e < ehi; e++ {
 			if scores[e] > 0 {
-				cnt[g.U[e]]++
+				own++
 				cnt[g.V[e]]++
 			}
 		}
+		cnt[x] += own
 	}
 }
 
 // rowScatterRange replays rowCountRange's edge range, writing each positive
-// edge into both endpoints' rows at rowStart plus the private cursor.
-func rowScatterRange(g *graph.Graph, scores []float64, rows []rowEntry, rowStart, cur []int64, lo, hi int, eloFirst, ehiLast int64) {
+// edge into both endpoints' rows at the span's absolute cursors cur[u] and
+// cur[v], which then advance. The bucket owner's cursor cur[x] stays in a
+// register for the bucket, so consecutive writes to row x do not wait on
+// a store to reload it.
+func rowScatterRange(g *graph.Graph, scores []float64, rows []rowEntry, cur []int64, lo, hi int, eloFirst, ehiLast int64) {
 	for x := lo; x < hi; x++ {
 		elo, ehi := g.Start[x], g.End[x]
 		if x == lo {
@@ -381,27 +400,30 @@ func rowScatterRange(g *graph.Graph, scores []float64, rows []rowEntry, rowStart
 		if x == hi-1 {
 			ehi = ehiLast
 		}
+		u, cu := int64(x), cur[x]
 		for e := elo; e < ehi; e++ {
 			sc := scores[e]
 			if sc <= 0 {
 				continue
 			}
-			u, v := g.U[e], g.V[e]
-			rows[rowStart[u]+cur[u]] = rowEntry{v, sc}
-			cur[u]++
-			rows[rowStart[v]+cur[v]] = rowEntry{u, sc}
+			v := g.V[e]
+			rows[cu] = rowEntry{v, sc}
+			cu++
+			rows[cur[v]] = rowEntry{u, sc}
 			cur[v]++
 		}
+		cur[x] = cu
 	}
 }
 
 // rowReset resets vertices [lo, hi) for a new matching, turning rowEnd from
 // scatter cursor (serial build) or stale state into each row's end.
 func rowReset(s *Scratch, lo, hi int) {
-	match, cand, rowStart, rowEnd, keep := s.match, s.cand, s.rowStart, s.rowEnd, s.keep
+	match, cand, taken, rowStart, rowEnd, keep := s.match, s.cand, s.taken, s.rowStart, s.rowEnd, s.keep
 	for x := lo; x < hi; x++ {
 		match[x] = Unmatched
 		cand[x] = Unmatched
+		taken[x] = 0
 		end := rowStart[x+1]
 		rowEnd[x] = end
 		if end > rowStart[x] {
@@ -414,35 +436,43 @@ func rowReset(s *Scratch, lo, hi int) {
 
 // worklistPropose is the propose phase of one worklist pass over
 // list[lo:hi]: each active vertex keeps its candidate while the candidate is
-// unmatched, and otherwise rescans its row for the best unmatched neighbor,
-// swap-removing matched ones. It writes only the listed vertices' own cand,
-// candScore, row and rowEnd entries and reads match, which only the claim
-// phase (across a barrier) writes.
+// untaken, and otherwise rescans its row for the best untaken neighbor. The
+// rescan compacts the row with a stable filter whose store is unconditional
+// and whose advance is the neighbor's free bit, and in the same loop takes
+// the maximum survivor score as an integer max over masked score bits, so
+// neither a matched neighbor nor a new running maximum costs a branch the
+// predictor must guess. A second loop over the survivors picks the best of
+// the entries carrying that score; the best entry is unique under the total
+// order, so row order does not matter. It writes only the listed vertices'
+// own cand, candScore, row and rowEnd entries and reads taken, which only
+// the claim phase (across a barrier) writes.
 func worklistPropose(s *Scratch, list []int64, lo, hi int) {
-	match, cand, candScore := s.match, s.cand, s.candScore
+	cand, candScore, taken := s.cand, s.candScore, s.taken
 	rowStart, rowEnd, rows := s.rowStart, s.rowEnd, s.rows
 	for i := lo; i < hi; i++ {
 		u := list[i]
-		if c := cand[u]; c != Unmatched && match[c] == Unmatched {
+		if c := cand[u]; c != Unmatched && taken[c] == 0 {
 			continue // the best neighbor is still free, so still the best
 		}
-		best, bestScore := Unmatched, 0.0
-		j, end := rowStart[u], rowEnd[u]
-		for j < end {
-			v := rows[j].nbr
-			if match[v] != Unmatched {
-				end--
-				rows[j] = rows[end]
-				continue
-			}
-			// Scores are strictly positive, so the first free entry always
-			// beats the initial zero.
-			if sc := rows[j].score; sc > bestScore || (sc == bestScore && tieBelow(u, best, v)) {
-				best, bestScore = v, sc
-			}
-			j++
+		row := rows[rowStart[u]:rowEnd[u]]
+		w := 0
+		var bestBits uint64
+		for _, e := range row {
+			row[w] = e
+			free := uint64(taken[e.nbr] ^ 1)
+			w += int(free)
+			// Row scores are strictly positive, so their bit patterns order
+			// like the scores; a taken neighbor's masks to zero.
+			bestBits = max(bestBits, math.Float64bits(e.score)&-free)
 		}
-		rowEnd[u] = end
+		row = row[:w]
+		best, bestScore := Unmatched, math.Float64frombits(bestBits)
+		for _, e := range row {
+			if e.score == bestScore && (best == Unmatched || tieBelow(u, best, e.nbr)) {
+				best = e.nbr
+			}
+		}
+		rowEnd[u] = rowStart[u] + int64(w)
 		cand[u] = best
 		candScore[u] = bestScore
 	}
@@ -458,14 +488,14 @@ func tieBelow(u, a, b int64) bool {
 }
 
 // worklistClaim is the claim phase of one worklist pass over list[lo:hi]:
-// u takes its candidate o when o's candidate is u, writing only match[u] (o
-// is on the list too and writes match[o] itself), and sets the keep flag
-// for vertices whose candidate was taken by someone else. A vertex whose
-// row drained (no candidate) drops for good. Claims are counted once per
+// u takes its candidate o when o's candidate is u, writing only match[u]
+// and taken[u] (o is on the list too and writes its own), and sets the keep
+// flag for vertices whose candidate was taken by someone else. A vertex
+// whose row drained (no candidate) drops for good. Claims are counted once per
 // pair into a chunk-local and flushed once into hot (nil when
 // observability is off) — never a per-vertex atomic.
 func worklistClaim(s *Scratch, list, keep []int64, hot *obs.Hot, lo, hi int) {
-	match, cand := s.match, s.cand
+	match, cand, taken := s.match, s.cand, s.taken
 	var claims int64
 	for i := lo; i < hi; i++ {
 		u := list[i]
@@ -475,6 +505,7 @@ func worklistClaim(s *Scratch, list, keep []int64, hot *obs.Hot, lo, hi int) {
 			keep[i] = 0
 		case cand[o] == u:
 			match[u] = o
+			taken[u] = 1
 			if u < o {
 				claims++
 			}

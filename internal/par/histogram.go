@@ -130,3 +130,41 @@ func (pl *Pool) StripeOffsets(p int, stripes []int64, workers, k int, totals []i
 		}
 	})
 }
+
+// StripeCursors turns StripeOffsets' per-(worker, bucket) exclusive offsets
+// into absolute write cursors: stripes[w*k+c] += bases[c], where bases[c] is
+// bucket c's first write position. A scatter pass then stores at
+// stripes[w*k+c]++ without loading the bucket base per item. The pass is
+// parallel over buckets, so no two workers write the same stripe entry.
+func StripeCursors(p int, stripes []int64, workers, k int, bases []int64) {
+	(*Pool)(nil).StripeCursors(p, stripes, workers, k, bases)
+}
+
+// StripeCursors is the free StripeCursors running on the team; a nil pool
+// spawns.
+func (pl *Pool) StripeCursors(p int, stripes []int64, workers, k int, bases []int64) {
+	if len(stripes) < workers*k {
+		panic("par: StripeCursors stripe slice too short")
+	}
+	if len(bases) < k {
+		panic("par: StripeCursors bases too short")
+	}
+	if Serial(p, k) {
+		addStripeBases(stripes, workers, k, bases, 0, k)
+		return
+	}
+	pl.For(p, k, func(lo, hi int) {
+		addStripeBases(stripes, workers, k, bases, lo, hi)
+	})
+}
+
+// addStripeBases adds bases[c] to every worker's stripe entry for buckets
+// [lo, hi).
+func addStripeBases(stripes []int64, workers, k int, bases []int64, lo, hi int) {
+	for w := 0; w < workers; w++ {
+		cur, b := stripes[w*k+lo:w*k+hi], bases[lo:hi]
+		for c := range cur {
+			cur[c] += b[c]
+		}
+	}
+}

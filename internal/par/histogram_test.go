@@ -58,6 +58,35 @@ func TestStripeOffsets(t *testing.T) {
 	}
 }
 
+// TestStripeCursors checks that every stripe entry gains its bucket's base
+// and nothing else, serial and parallel.
+func TestStripeCursors(t *testing.T) {
+	for _, tc := range []struct{ workers, k, p int }{
+		{1, 1, 1}, {3, 7, 1}, {5, 97, 4}, {8, 3, 3},
+	} {
+		stripes := make([]int64, tc.workers*tc.k)
+		orig := make([]int64, len(stripes))
+		bases := make([]int64, tc.k+1) // longer than k: the tail is ignored
+		rng := rand.New(rand.NewSource(3))
+		for i := range stripes {
+			stripes[i] = int64(rng.Intn(10))
+			orig[i] = stripes[i]
+		}
+		for c := range bases {
+			bases[c] = int64(rng.Intn(1000))
+		}
+		StripeCursors(tc.p, stripes, tc.workers, tc.k, bases)
+		for w := 0; w < tc.workers; w++ {
+			for c := 0; c < tc.k; c++ {
+				if got, want := stripes[w*tc.k+c], orig[w*tc.k+c]+bases[c]; got != want {
+					t.Fatalf("workers=%d k=%d p=%d: cursor[%d][%d] = %d, want %d",
+						tc.workers, tc.k, tc.p, w, c, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestZeroInt64(t *testing.T) {
 	xs := make([]int64, 10_000)
 	for i := range xs {

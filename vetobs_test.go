@@ -324,6 +324,103 @@ func positionalWorkerCounts(file string, src any) ([]string, error) {
 	return bad, nil
 }
 
+// hotLayers are the layers the obs recorder threads through. There the
+// recorder travels as the concrete *obs.Recorder: a nil pointer costs a
+// predictable branch when recording is off, while a value copies it and an
+// interface adds dynamic dispatch to the disabled path.
+var hotLayers = []string{
+	"internal/core/core.go", "internal/matching/matching.go", "internal/contract/contract.go",
+}
+
+// TestHotLayersTakeRecorderByPointer parses the hot layers and fails on any
+// use of obs.Recorder (or any obs name starting with Recorder) that is not
+// directly under a pointer.
+func TestHotLayersTakeRecorderByPointer(t *testing.T) {
+	for _, file := range hotLayers {
+		bad, err := recorderByValue(file, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range bad {
+			t.Errorf("%s: recorder passed by value or interface (want *obs.Recorder)", b)
+		}
+	}
+}
+
+// TestRecorderByValueFlagsViolations proves the check can fail: the
+// recorder as a value parameter, a field, a slice element, a composite
+// literal, a Recorder-prefixed name and an import alias are reported,
+// while *obs.Recorder, a mention in a comment and other obs names are not.
+func TestRecorderByValueFlagsViolations(t *testing.T) {
+	src := `package k
+import (
+	"repro/internal/obs"
+	o2 "repro/internal/obs"
+)
+type S struct {
+	ok  *obs.Recorder
+	bad obs.Recorder
+}
+func f(r *obs.Recorder, h *obs.Hot) {}
+func g(r obs.Recorder) {}
+func h(rs []obs.Recorder) {}
+var x = &obs.Recorder{}
+func a(r o2.Recorder, q *o2.Recorder) {}
+func b(r obs.RecorderLike) {}
+// obs.Recorder in a comment
+`
+	bad, err := recorderByValue("k.go", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(bad, " "); got != "k.go:8 k.go:11 k.go:12 k.go:13 k.go:14 k.go:15" {
+		t.Fatalf("flagged %q, want the field, value and slice parameters, the literal, the aliased value and RecorderLike", got)
+	}
+}
+
+// recorderByValue parses file (from src when non-nil) and returns
+// "file:line" for every selector naming obs.Recorder, or another obs name
+// starting with Recorder, through the file's own name for the obs package,
+// whose parent is not a pointer type.
+func recorderByValue(file string, src any) ([]string, error) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, file, src, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	local := map[string]bool{}
+	for _, imp := range f.Imports {
+		if strings.Trim(imp.Path.Value, `"`) != "repro/internal/obs" {
+			continue
+		}
+		name := "obs"
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		local[name] = true
+	}
+	isRecorder := func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok || !strings.HasPrefix(sel.Sel.Name, "Recorder") {
+			return false
+		}
+		pkg, ok := sel.X.(*ast.Ident)
+		return ok && local[pkg.Name]
+	}
+	pointed := map[ast.Node]bool{}
+	var bad []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		if star, ok := n.(*ast.StarExpr); ok && isRecorder(star.X) {
+			pointed[star.X] = true
+		}
+		if isRecorder(n) && !pointed[n] {
+			bad = append(bad, fmt.Sprintf("%s:%d", file, fset.Position(n.Pos()).Line))
+		}
+		return true
+	})
+	return bad, nil
+}
+
 // mentionsRecorder reports whether a type expression refers to obs.Recorder
 // anywhere inside it.
 func mentionsRecorder(typ ast.Expr) bool {
