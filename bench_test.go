@@ -672,7 +672,7 @@ func benchPhase0(b *testing.B) (*graph.Graph, []int64, []float64) {
 	b.Helper()
 	_, lj, _ := loadBenchGraphs(b)
 	deg := lj.WeightedDegrees(0)
-	scores := make([]float64, len(lj.U))
+	scores := make([]float64, len(lj.V))
 	scoring.Modularity{}.Score(exec.Background(0), lj, deg, lj.TotalWeight(0), scores)
 	return lj, deg, scores
 }

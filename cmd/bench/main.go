@@ -660,7 +660,7 @@ func (b *bencher) runMemory() {
 	section("Memory — measured storage vs the paper's §IV space formulas")
 	g := b.lj()
 	f := g.MemoryFootprint()
-	fmt.Printf("graph (|V|=%d |E|=%d): %d words measured, 3|V|+3|E| = %d (+%d scalars) — %s\n",
+	fmt.Printf("graph (|V|=%d |E|=%d): %d words measured (3|V|+2|E|, owners implied), paper's 3|V|+3|E| = %d (+%d scalars) — %s\n",
 		g.NumVertices(), g.NumEdges(), f.TotalWords(), g.PaperFormulaWords(), f.ScalarWords,
 		fmtMiB(f.Bytes()))
 	mw, locks := graph.MatchingWorkspaceWords(g)
@@ -711,7 +711,7 @@ func (b *bencher) runExtensions() {
 	ec := exec.New(b.ctx, b.maxThreads, nil)
 	defer ec.Close()
 	deg := g.WeightedDegrees(b.maxThreads)
-	scores := make([]float64, len(g.U))
+	scores := make([]float64, len(g.V))
 	scoring.Modularity{}.Score(ec, g, deg, g.TotalWeight(b.maxThreads), scores)
 	mres := matching.Worklist(ec, g, scores)
 	mapping, k := contract.Relabel(ec, g, mres.Match)

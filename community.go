@@ -35,8 +35,8 @@ import (
 	"repro/internal/sparse"
 )
 
-// Graph is the paper's bucketed triple representation of a weighted
-// undirected graph (§IV-A). See the graph package for invariants.
+// Graph is the paper's bucketed edge representation of a weighted
+// undirected graph (§IV-A), with each bucket's owner implied. See the graph package for invariants.
 type Graph = graph.Graph
 
 // Edge is one weighted undirected input edge.

@@ -388,8 +388,8 @@ func byMappingRun(ec *exec.Ctx, g *graph.Graph, mapping []int64, k int64, layout
 	rec.Add(obs.CtrContractSurvived, total)
 
 	// Scatter (j; w) into the bucket of the stored-first endpoint, leaving
-	// the first endpoint implicit (§IV-C) — it is filled in during the
-	// merge step. Each span replays exactly the edge range it
+	// the first endpoint implicit (§IV-C): the bucket is its owner, so no
+	// owner is ever written. Each span replays exactly the edge range it
 	// counted (same partition, same span index, so the same stripe),
 	// advancing its private absolute cursors cntS[j·k+c] through the
 	// per-span sub-range of each bucket: no synchronization at all.
@@ -404,12 +404,12 @@ func byMappingRun(ec *exec.Ctx, g *graph.Graph, mapping []int64, k int64, layout
 	}
 	spScat.End()
 
-	// Fold duplicate neighbors in place, shorten each bucket, and fill in the
-	// implicit first endpoint. Merge cost is linear in the bucket length, so
-	// the dedup ranges are statically balanced over the surviving counts (the
-	// count/scatter schedule is spent by now), under every scheduler. Each
-	// range owns a k-wide position array; the count stripes are dead after the
-	// scatter, so they are zeroed once and reused for it.
+	// Fold duplicate neighbors in place and shorten each bucket. Merge cost
+	// is linear in the bucket length, so the dedup ranges are statically
+	// balanced over the surviving counts (the count/scatter schedule is spent
+	// by now), under every scheduler. Each range owns a k-wide position
+	// array; the count stripes are dead after the scatter, so they are zeroed
+	// once and reused for it.
 	spDedup := rec.Begin(obs.CatContract, "dedup", -1)
 	var dedupT0 int64
 	if rec.Enabled() {
@@ -455,8 +455,8 @@ func byMappingRun(ec *exec.Ctx, g *graph.Graph, mapping []int64, k int64, layout
 // last bucket to the span's exact edge run. A vertex's per-vertex work —
 // the old self-loop fold — belongs to the span piece that owns the
 // bucket's first edge, so a hub bucket split across spans folds it exactly
-// once. Every edge in x's bucket has U == x, so x's new id is read once per
-// bucket rather than through U per edge.
+// once. Every edge in x's bucket belongs to x, so x's new id is read once
+// per bucket.
 func countSweepRange(g *graph.Graph, mapping []int64, cntS, selfS []int64, lo, hi int, eloFirst, ehiLast int64) {
 	for x := lo; x < hi; x++ {
 		elo, ehi := g.Start[x], g.End[x]
@@ -538,10 +538,8 @@ func mergeBuckets(ng *graph.Graph, counts, pos []int64, hot *obs.Hot, lo, hi int
 			out++
 			pos[x] = out
 		}
-		u := ng.U[s : s+out]
-		for i := range u {
-			pos[v[i]] = 0
-			u[i] = int64(c)
+		for _, x := range v[:out] {
+			pos[x] = 0
 		}
 		ng.End[c] = s + out
 		live += out

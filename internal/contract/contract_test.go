@@ -125,7 +125,7 @@ func TestContractPreservesTotalWeightAndDegrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	deg := g.WeightedDegrees(4)
-	scores := make([]float64, len(g.U))
+	scores := make([]float64, len(g.V))
 	scoring.Modularity{}.Score(exec.Background(4), g, deg, g.TotalWeight(4), scores)
 	res := matching.Worklist(exec.Background(4), g, scores)
 	for name, kern := range kernels {
@@ -281,7 +281,7 @@ func TestNonContiguousLeavesValidGaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	deg := g.WeightedDegrees(2)
-	scores := make([]float64, len(g.U))
+	scores := make([]float64, len(g.V))
 	scoring.Modularity{}.Score(exec.Background(2), g, deg, g.TotalWeight(2), scores)
 	res := matching.Worklist(exec.Background(2), g, scores)
 	ng, _ := Bucket(exec.Background(2), g, res.Match, NonContiguous)

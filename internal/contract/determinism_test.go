@@ -29,7 +29,7 @@ type contractCase struct {
 // then the worklist kernel.
 func modularityMatch(g *graph.Graph) []int64 {
 	deg := g.WeightedDegrees(2)
-	scores := make([]float64, len(g.U))
+	scores := make([]float64, len(g.V))
 	scoring.Modularity{}.Score(exec.Background(2), g, deg, g.TotalWeight(2), scores)
 	return matching.Worklist(exec.Background(2), g, scores).Match
 }
@@ -119,9 +119,9 @@ func sameBuckets(t *testing.T, label string, want, got *graph.Graph, exact bool)
 		}
 		for i := int64(0); i < we-ws; i++ {
 			a, b := ws+i, gs+i
-			if want.U[a] != got.U[b] || want.V[a] != got.V[b] || want.W[a] != got.W[b] {
-				t.Fatalf("%s: bucket %d slot %d = (%d,%d,%d), want (%d,%d,%d)", label, x, i,
-					got.U[b], got.V[b], got.W[b], want.U[a], want.V[a], want.W[a])
+			if want.V[a] != got.V[b] || want.W[a] != got.W[b] {
+				t.Fatalf("%s: bucket %d slot %d = (%d,%d), want (%d,%d)", label, x, i,
+					got.V[b], got.W[b], want.V[a], want.W[a])
 			}
 		}
 	}

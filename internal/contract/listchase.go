@@ -53,7 +53,7 @@ func ListChase(ec *exec.Ctx, g *graph.Graph, match []int64) (*graph.Graph, []int
 	ec.ForDynamic(n, 0, func(lo, hi int) {
 		for x := lo; x < hi; x++ {
 			for e := g.Start[x]; e < g.End[x]; e++ {
-				ni, nj := mapping[g.U[e]], mapping[g.V[e]]
+				ni, nj := mapping[x], mapping[g.V[e]]
 				w := g.W[e]
 				if ni == nj {
 					atomic.AddInt64(&ng.Self[ni], w)
@@ -103,13 +103,11 @@ func ListChase(ec *exec.Ctx, g *graph.Graph, match []int64) (*graph.Graph, []int
 			ng.End[c] = cursor[c] + counts[c]
 		}
 	})
-	ng.U = make([]int64, unique)
 	ng.V = make([]int64, unique)
 	ng.W = make([]int64, unique)
 	ec.For(int(unique), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			pos := atomic.AddInt64(&cursor[nodeU[i]], 1) - 1
-			ng.U[pos] = nodeU[i]
 			ng.V[pos] = nodeV[i]
 			ng.W[pos] = nodeW[i]
 		}

@@ -409,6 +409,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 	// ledger) keeps a pointer published to the live expvar endpoint valid
 	// across bench iterations.
 	opt.Ledger.Reset()
+	s.final = nil
 	// The run's heap footprint brackets the whole detection: two ReadMemStats
 	// stop-the-worlds per run, only when recording is on — never per kernel.
 	rec.BeginAllocs()
@@ -490,9 +491,11 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		rec.EndAllocs()
 		return res, nil
 	}
-	// A seeded run that completes keeps its final partition's community
-	// degrees and intra weights in the arena's carry for the next batch.
+	// finish leaves the final community graph in the arena. A seeded run
+	// that completes also keeps its final partition's community degrees and
+	// intra weights in the arena's carry for the next batch.
 	finish := func(term Termination, deg []int64, cg *graph.Graph, sizes []int64) (*Result, error) {
+		s.final = cg
 		if cg == nil {
 			// Only a seeded run ends before it has a graph, with the seed
 			// stage's measure in deg and seed.intra.
@@ -824,8 +827,8 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 				return nil, fmt.Errorf("core: phase %d: %w", phase, err)
 			}
 		}
-		s.scores = buf.Grow(s.scores, len(cg.U))
-		scores := s.scores[:len(cg.U)]
+		s.scores = buf.Grow(s.scores, len(cg.V))
+		scores := s.scores[:len(cg.V)]
 		var positive bool
 		if fused, ok := scorer.(scoring.Fused); ok {
 			positive = fused.ScoreFused(ec, cg, deg, totW, scores, sizes, opt.MaxCommunitySize,
@@ -841,7 +844,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 				ec.ForDynamic(int(mcg.NumVertices()), 0, func(lo, hi int) {
 					for x := lo; x < hi; x++ {
 						for e := mcg.Start[x]; e < mcg.End[x]; e++ {
-							if msizes[mcg.U[e]]+msizes[mcg.V[e]] > maxSize {
+							if msizes[x]+msizes[mcg.V[e]] > maxSize {
 								scores[e] = -1
 							}
 						}

@@ -171,7 +171,7 @@ func DetectIncrementalWithContext(ctx context.Context, ov *graph.Overlay, prev *
 	if err != nil {
 		return nil, err
 	}
-	// The kernels consume the frozen triple representation, so the overlay
+	// The kernels consume the frozen bucketed representation, so the overlay
 	// is folded unconditionally; in-place compaction rewrites only the
 	// buckets the batch touched.
 	sp = opt.Recorder.Begin(obs.CatKernel, "overlay/compact", -1)

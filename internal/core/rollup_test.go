@@ -43,7 +43,7 @@ func TestRolledDegreesEqualRecomputedPerLevel(t *testing.T) {
 				t.Fatalf("%s p=%d input: %v", name, p, err)
 			}
 			for level := 0; ; level++ {
-				scores := make([]float64, len(g.U))
+				scores := make([]float64, len(g.V))
 				scoring.Modularity{}.Score(ec, g, deg, g.TotalWeight(p), scores)
 				mres := matching.Worklist(ec, g, scores)
 				if mres.Pairs == 0 {

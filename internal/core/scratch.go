@@ -55,6 +55,12 @@ type Scratch struct {
 	// worklist arrays, histogram stripes), used by EnginePLP/EngineEnsemble.
 	plp plp.Scratch
 	cg  [2]*graph.Graph
+	// final is the last run's final community graph, whose vertex c is
+	// community c of its Result.CommunityOf: a ping-pong buffer, a
+	// refinement rebuild, or the input itself when nothing was contracted.
+	// It is nil after a run that failed a validation check or a seeded run
+	// that ended on its seed measure, and valid until the arena's next run.
+	final *graph.Graph
 	// Incremental re-detection working set (DetectIncrementalWithContext): the
 	// per-previous-community dirty flags, the sorted dirty list and the id
 	// remap, the dense seed partition handed to the engine's seed stage, the

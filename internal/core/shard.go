@@ -26,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/contract"
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/hierarchy"
@@ -188,56 +187,11 @@ func DetectSharded(ctx context.Context, c *graph.CSR, opt ShardOptions) (*ShardR
 		locals[k].stat.Imbalance = w * float64(K) / schedTotal
 	}
 
-	// Global community ids: shard k's communities occupy
-	// [base[k], base[k]+k_k), densely, so the composed vertex map is a
-	// valid dendrogram level.
-	base := make([]int64, K+1)
-	for k := 0; k < K; k++ {
-		base[k+1] = base[k] + locals[k].k
-	}
-	q := base[K]
-	globalComm := make([]int64, n)
-	par.For(threads, K, func(klo, khi int) {
-		for k := klo; k < khi; k++ {
-			lo, _ := pt.Range(k)
-			for i, lc := range locals[k].comm {
-				globalComm[int64(lo)+int64(i)] = base[k] + lc
-			}
-		}
-	})
-
-	// The quotient graph: every shard's community graph (self-loops
-	// carried as explicit loop edges so the builder folds them back into
-	// Self) plus every cut edge mapped to its endpoints' communities.
-	// Weights are preserved exactly, so modularity/coverage on the quotient
-	// equal the same metrics of the induced partition on the input. Shard
-	// k fills its own slice [qOff[k], qOff[k+1]) of the edge list, so the
-	// shards fill in parallel.
-	qOff := make([]int64, K+1)
-	var totalCut int64
-	for k := 0; k < K; k++ {
-		cg := locals[k].cg
-		loops := int64(0)
-		for _, s := range cg.Self {
-			if s != 0 {
-				loops++
-			}
-		}
-		qOff[k+1] = qOff[k] + cg.NumEdges() + loops + int64(len(locals[k].cut))
-		totalCut += int64(len(locals[k].cut))
-	}
-	qEdges := make([]graph.Edge, qOff[K])
-	par.For(threads, K, func(klo, khi int) {
-		for k := klo; k < khi; k++ {
-			fillQuotient(qEdges[qOff[k]:qOff[k+1]], &locals[k], base[k], globalComm)
-			locals[k].cg = nil // release the shard's community graph
-		}
-	})
-	qg, err := graph.Build(threads, q, qEdges)
+	qg, globalComm, totalCut, err := quotient(threads, n, pt, locals)
 	if err != nil {
-		return nil, fmt.Errorf("core: quotient graph: %w", err)
+		return nil, err
 	}
-	qEdges = nil
+	q := qg.NumVertices()
 
 	// Stitch: one matching agglomeration over the quotient, run to its
 	// normal termination. Level maps are kept so the dendrogram chains;
@@ -326,6 +280,59 @@ func DetectSharded(ctx context.Context, c *graph.CSR, opt ShardOptions) (*ShardR
 	return res, nil
 }
 
+// quotient assigns global community ids — shard k's communities occupy
+// [base[k], base[k]+k_k), densely, so the composed vertex map globalComm is
+// a valid dendrogram level — and builds the quotient graph: every shard's
+// community graph (self-loops carried as explicit loop edges so the builder
+// folds them back into Self) plus every cut edge mapped to its endpoints'
+// communities. Weights are preserved exactly, so modularity/coverage on the
+// quotient equal the same metrics of the induced partition on the input.
+// Shard k fills its own slice [qOff[k], qOff[k+1]) of the edge list, so the
+// shards fill in parallel, and each shard's community graph is released
+// once copied. graph.Build canonicalizes the quotient, so it depends only on
+// the shards' edge sets, not on their community graphs' layouts.
+func quotient(threads int, n int64, pt *par.Partition, locals []shardLocal) (qg *graph.Graph, globalComm []int64, totalCut int64, err error) {
+	K := len(locals)
+	base := make([]int64, K+1)
+	for k := 0; k < K; k++ {
+		base[k+1] = base[k] + locals[k].k
+	}
+	globalComm = make([]int64, n)
+	par.For(threads, K, func(klo, khi int) {
+		for k := klo; k < khi; k++ {
+			lo, _ := pt.Range(k)
+			for i, lc := range locals[k].comm {
+				globalComm[int64(lo)+int64(i)] = base[k] + lc
+			}
+		}
+	})
+
+	qOff := make([]int64, K+1)
+	for k := 0; k < K; k++ {
+		cg := locals[k].cg
+		loops := int64(0)
+		for _, s := range cg.Self {
+			if s != 0 {
+				loops++
+			}
+		}
+		qOff[k+1] = qOff[k] + cg.NumEdges() + loops + int64(len(locals[k].cut))
+		totalCut += int64(len(locals[k].cut))
+	}
+	qEdges := make([]graph.Edge, qOff[K])
+	par.For(threads, K, func(klo, khi int) {
+		for k := klo; k < khi; k++ {
+			fillQuotient(qEdges[qOff[k]:qOff[k+1]], &locals[k], base[k], globalComm)
+			locals[k].cg = nil // release the shard's community graph
+		}
+	})
+	qg, err = graph.Build(threads, base[K], qEdges)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("core: quotient graph: %w", err)
+	}
+	return qg, globalComm, totalCut, nil
+}
+
 // fillQuotient writes shard l's quotient edges into dst, which has exactly
 // their number of slots: its community graph's edges and non-zero
 // self-loops shifted to the shard's community id base b, then its cut
@@ -352,7 +359,8 @@ func fillQuotient(dst []graph.Edge, l *shardLocal, b int64, globalComm []int64) 
 // standard engine on it with its own execution context and arena. The
 // extraction validates the shard's rows and records its cut edges in global
 // vertex ids from the lower endpoint's side, so across all shards each cut
-// edge appears exactly once.
+// edge appears exactly once. The shard's community graph is the engine's
+// final level, taken from the arena rather than contracted again.
 func detectShard(ctx context.Context, c *graph.CSR, lo, hi int64, k, threads int, tmpl Options) shardLocal {
 	t0 := time.Now()
 	var out shardLocal
@@ -373,14 +381,15 @@ func detectShard(ctx context.Context, c *graph.CSR, lo, hi int64, k, threads int
 	dopt.DiscardLevels = true
 	ec := exec.Acquire(ctx, threads, nil)
 	defer ec.Release()
-	res, err := DetectExec(ec, sg, dopt, nil)
+	s := NewScratch()
+	res, err := DetectExec(ec, sg, dopt, s)
 	if err != nil {
 		out.err = err
 		return out
 	}
 	out.comm = res.CommunityOf
 	out.k = res.NumCommunities
-	out.cg = contract.ByMapping(ec, sg, res.CommunityOf, res.NumCommunities, contract.Contiguous)
+	out.cg = s.final
 	out.stat.Communities = res.NumCommunities
 	out.stat.CommunityEdges = out.cg.NumEdges()
 	out.stat.Detect = time.Since(t0)

@@ -2,12 +2,17 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
+	"repro/internal/contract"
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/metrics"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/seq"
 )
 
@@ -256,4 +261,84 @@ func TestShardRejectsHostileCSR(t *testing.T) {
 			t.Errorf("%s: FromCSR err = %v", name, err)
 		}
 	}
+}
+
+// TestShardFinalGraphMatchesRebuild pins that each shard's community graph,
+// taken from its arena as the engine's final level, yields the same quotient
+// as contracting the shard's subgraph again by its partition.
+func TestShardFinalGraphMatchesRebuild(t *testing.T) {
+	rmat, _, err := gen.ConnectedRMAT(2, gen.DefaultRMAT(12, 77))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lj, _, err := gen.LJSim(2, gen.DefaultLJSim(3000, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"rmat", rmat}, {"lj", lj}} {
+		c := shardCSR(tc.g)
+		n := c.NumVertices()
+		rowStart, rowEnd := c.RowBounds()
+		for _, engine := range []Engine{EngineMatching, EngineEnsemble} {
+			for _, shards := range []int{1, 2, 3, 4, 7} {
+				pt := &par.Partition{}
+				pt.BuildBuckets(nil, shards, int(n), rowStart, rowEnd)
+				locals := make([]shardLocal, pt.Workers())
+				for k := range locals {
+					lo, hi := pt.Range(k)
+					locals[k] = detectShard(context.Background(), c, int64(lo), int64(hi), k, 2, Options{Engine: engine})
+					if err := locals[k].err; err != nil {
+						t.Fatal(err)
+					}
+				}
+				reused, _, _, err := quotient(2, n, pt, locals)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k := range locals {
+					lo, hi := pt.Range(k)
+					sg, _, err := graph.InducedFromCSR(c, int64(lo), int64(hi))
+					if err != nil {
+						t.Fatal(err)
+					}
+					l := &locals[k]
+					l.cg = contract.ByMapping(exec.Background(2), sg, l.comm, l.k, contract.Contiguous)
+					if l.cg.NumEdges() != l.stat.CommunityEdges {
+						t.Fatalf("%s %s K=%d shard %d: rebuilt community graph has %d edges, final level %d",
+							tc.name, engine, shards, k, l.cg.NumEdges(), l.stat.CommunityEdges)
+					}
+				}
+				rebuilt, _, _, err := quotient(2, n, pt, locals)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameLayout(reused, rebuilt); err != nil {
+					t.Fatalf("%s %s K=%d: quotient from final levels differs from rebuild: %v", tc.name, engine, shards, err)
+				}
+			}
+		}
+	}
+}
+
+// sameLayout reports the first array in which two graphs differ, slot for
+// slot.
+func sameLayout(got, want *graph.Graph) error {
+	if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() {
+		return fmt.Errorf("|V|=%d |E|=%d, want %d and %d", got.NumVertices(), got.NumEdges(), want.NumVertices(), want.NumEdges())
+	}
+	for _, a := range []struct {
+		name      string
+		got, want []int64
+	}{
+		{"V", got.V, want.V}, {"W", got.W, want.W},
+		{"Self", got.Self, want.Self}, {"Start", got.Start, want.Start}, {"End", got.End, want.End},
+	} {
+		if !slices.Equal(a.got, a.want) {
+			return fmt.Errorf("%s differs", a.name)
+		}
+	}
+	return nil
 }

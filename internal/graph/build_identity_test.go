@@ -40,20 +40,18 @@ func sortBuildReference(n int64, in []graph.Edge) *graph.Graph {
 			g.W[len(g.W)-1] += e.W
 			continue
 		}
-		g.U, g.V, g.W = append(g.U, e.U), append(g.V, e.V), append(g.W, e.W)
-	}
-	for i, u := range g.U {
-		if i == 0 || g.U[i-1] != u {
-			g.Start[u] = int64(i)
+		if len(g.V) == 0 || es[i-1].U != e.U {
+			g.Start[e.U] = int64(len(g.V))
 		}
-		g.End[u] = int64(i) + 1
+		g.V, g.W = append(g.V, e.V), append(g.W, e.W)
+		g.End[e.U] = int64(len(g.V))
 	}
-	g.SetCounts(n, int64(len(g.U)))
+	g.SetCounts(n, int64(len(g.V)))
 	return g
 }
 
 // sameGraph reports the first difference between two bucketed graphs in
-// U/V/W/Self and the bounds of every non-empty bucket.
+// V/W/Self and the bounds of every non-empty bucket.
 func sameGraph(got, want *graph.Graph) error {
 	if got.NumVertices() != want.NumVertices() || got.NumEdges() != want.NumEdges() {
 		return fmt.Errorf("size (%d,%d), want (%d,%d)", got.NumVertices(), got.NumEdges(), want.NumVertices(), want.NumEdges())
@@ -62,7 +60,7 @@ func sameGraph(got, want *graph.Graph) error {
 	for _, a := range []struct {
 		name      string
 		got, want []int64
-	}{{"U", got.U[:m], want.U[:m]}, {"V", got.V[:m], want.V[:m]}, {"W", got.W[:m], want.W[:m]}, {"Self", got.Self, want.Self}} {
+	}{{"V", got.V[:m], want.V[:m]}, {"W", got.W[:m], want.W[:m]}, {"Self", got.Self, want.Self}} {
 		if !slices.Equal(a.got, a.want) {
 			return fmt.Errorf("%s differs", a.name)
 		}

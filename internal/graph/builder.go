@@ -74,45 +74,52 @@ func Build(p int, numVertices int64, edges []Edge) (*Graph, error) {
 	unique := par.ExclusiveSumInt64(p, head)
 
 	// The scatter accumulates weights with fetch-and-add into the fresh
-	// (zeroed) W; exactly one group leader writes each U and V slot.
+	// (zeroed) W; exactly one group leader writes each V slot. The same
+	// sweep cuts the buckets: the input is sorted by U, so where U changes
+	// the exclusive prefix is both the old owner's End and the new owner's
+	// Start.
 	g.ResizeEdges(unique)
 	par.For(p, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e := edges[i]
+			lead := e.U != e.V && (i == 0 || edges[i-1].U != e.U || edges[i-1].V != e.V)
+			// head[i] now holds the exclusive prefix: for a group's leader
+			// it is the group's output slot; for continuations and
+			// self-loops it is the next free slot.
+			slot := head[i]
+			if i == 0 || edges[i-1].U != e.U {
+				g.Start[e.U] = slot
+			}
+			if i == n-1 || edges[i+1].U != e.U {
+				end := slot
+				if lead {
+					end++
+				}
+				g.End[e.U] = end
+			}
 			if e.U == e.V {
 				atomicAdd(&g.Self[e.U], e.W)
 				continue
 			}
-			// head[i] now holds the exclusive prefix: for a group's first
-			// member it is the group's output slot; for continuations it is
-			// the slot plus one (their own head flag was zero but the
-			// leader's one has been counted).
-			slot := head[i]
-			isStart := i == 0 || edges[i-1].U != e.U || edges[i-1].V != e.V
-			if !isStart {
-				slot--
-			}
-			// Only the group leader writes the endpoints (exactly one leader
+			// Only the group leader writes the neighbor (exactly one leader
 			// per slot, so the store is race-free); every member accumulates
-			// its weight with fetch-and-add.
-			if isStart {
-				g.U[slot] = e.U
+			// its weight with fetch-and-add, a continuation into the slot
+			// before its prefix.
+			if lead {
 				g.V[slot] = e.V
+			} else {
+				slot--
 			}
 			atomicAdd(&g.W[slot], e.W)
 		}
 	})
 
-	// Pass 4: cut buckets. Unique edges are sorted by U, so bucket borders
-	// are the positions where U changes.
-	par.For(p, int(unique), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			u := g.U[i]
-			if i == 0 || g.U[i-1] != u {
-				g.Start[u] = int64(i)
-			}
-			if i == int(unique)-1 || g.U[i+1] != u {
-				g.End[u] = int64(i) + 1
+	// A vertex whose run held only self-loops cut an empty bucket at its
+	// run's offset; empty buckets sit at Start = End = 0.
+	par.For(p, int(numVertices), func(lo, hi int) {
+		for x := lo; x < hi; x++ {
+			if g.Start[x] == g.End[x] {
+				g.Start[x], g.End[x] = 0, 0
 			}
 		}
 	})
@@ -255,14 +262,12 @@ func Compact(p int, g *Graph) {
 		}
 	})
 	total := par.ExclusiveSumInt64(p, lens) // lens becomes new Start offsets
-	nu := make([]int64, total)
 	nv := make([]int64, total)
 	nw := make([]int64, total)
 	par.ForDynamic(p, n, 0, func(lo, hi int) {
 		for x := lo; x < hi; x++ {
 			dst := lens[x]
 			for e := g.Start[x]; e < g.End[x]; e++ {
-				nu[dst] = g.U[e]
 				nv[dst] = g.V[e]
 				nw[dst] = g.W[e]
 				dst++
@@ -271,6 +276,6 @@ func Compact(p int, g *Graph) {
 			g.End[x] = dst
 		}
 	})
-	g.U, g.V, g.W = nu, nv, nw
+	g.V, g.W = nv, nw
 	g.setCounts(g.n, total)
 }

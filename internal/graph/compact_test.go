@@ -83,7 +83,7 @@ func requireSameArrays(t *testing.T, what string, got, want *Graph) {
 		name      string
 		got, want []int64
 	}{
-		{"U", got.U, want.U}, {"V", got.V, want.V}, {"W", got.W, want.W},
+		{"V", got.V, want.V}, {"W", got.W, want.W},
 		{"Self", got.Self, want.Self}, {"Start", got.Start, want.Start}, {"End", got.End, want.End},
 	} {
 		if !slices.Equal(a.got, a.want) {
@@ -118,7 +118,7 @@ func compactTestBase(r *par.RNG, n int64, contracted bool) *Graph {
 	for x := n - 1; x >= 0; x-- {
 		c.Start[x] = pos
 		for e := g.End[x] - 1; e >= g.Start[x]; e-- {
-			c.U[pos], c.V[pos], c.W[pos] = g.U[e], g.V[e], g.W[e]
+			c.V[pos], c.W[pos] = g.V[e], g.W[e]
 			pos++
 		}
 		c.End[x] = pos
@@ -369,7 +369,7 @@ func TestCompactLeavesUntouchedBucketsInPlace(t *testing.T) {
 			}
 			s, e := before.Start[v], before.End[v]
 			if got.Start[v] != s || got.End[v] != e ||
-				!slices.Equal(got.U[s:e], before.U[s:e]) || !slices.Equal(got.V[s:e], before.V[s:e]) ||
+				!slices.Equal(got.V[s:e], before.V[s:e]) ||
 				!slices.Equal(got.W[s:e], before.W[s:e]) {
 				t.Fatalf("step %d: untouched bucket %d moved or changed", step, v)
 			}
@@ -420,7 +420,11 @@ func TestOverlayCompactAloneAllocatesNothing(t *testing.T) {
 	var picks [8][2]int64
 	for k := range picks {
 		e := r.Int63n(g.NumEdges())
-		picks[k] = [2]int64{g.U[e], g.V[e]}
+		x := findOwner(g)
+		for g.End[x] <= e {
+			x++
+		}
+		picks[k] = [2]int64{x, g.V[e]}
 	}
 	apply := func() {
 		d := &Delta{Version: o.Version() + 1}

@@ -31,7 +31,7 @@ func Components(p int, g *Graph) (comp []int64, count int64) {
 			local := false
 			for x := lo; x < hi; x++ {
 				for e := g.Start[x]; e < g.End[x]; e++ {
-					u, v := g.U[e], g.V[e]
+					u, v := int64(x), g.V[e]
 					cu := atomic.LoadInt64(&comp[u])
 					cv := atomic.LoadInt64(&comp[v])
 					switch {
@@ -143,7 +143,7 @@ func LargestComponent(p int, g *Graph) (*Graph, []int64) {
 			}
 			base := atomicAdd(&cursor, cnt) - cnt
 			for e := g.Start[x]; e < g.End[x]; e++ {
-				edges[base] = Edge{newID[g.U[e]], newID[g.V[e]], g.W[e]}
+				edges[base] = Edge{newID[x], newID[g.V[e]], g.W[e]}
 				base++
 			}
 		}

@@ -14,7 +14,7 @@ import (
 // directly.
 //
 // Self-loop weights are not materialized as CSR entries; they remain in
-// Self, mirroring the triple representation.
+// Self, mirroring the bucketed representation.
 type CSR struct {
 	// Offsets has length |V|+1; vertex x's neighbors occupy
 	// Adj[Offsets[x]:Offsets[x+1]] with weights in the same positions of Wgt.

@@ -4,7 +4,7 @@ package graph
 // a memory-mapped file (DESIGN.md §15) rather than in heap slices built by
 // ToCSR. The mapped format stores exactly the four CSR sections —
 // offsets/self/adj/wgt — so opening a graph is wrapping validated slices,
-// and materializing one (for callers that need the bucketed triple
+// and materializing one (for callers that need the bucketed
 // representation), or one vertex range of it, is a linear extraction
 // straight from the rows.
 
@@ -121,7 +121,7 @@ func (r *rowByNeighbor) Swap(i, j int) {
 	r.wgt[i], r.wgt[j] = r.wgt[j], r.wgt[i]
 }
 
-// FromCSR materializes the bucketed triple representation from a symmetric
+// FromCSR materializes the bucketed representation from a symmetric
 // CSR view: the subgraph InducedFromCSR extracts for the whole vertex
 // range, with every row validated on the way. This is the single-image path
 // for graphs opened from the mapped format; the sharded path extracts
@@ -210,7 +210,7 @@ func InducedFromCSR(c *CSR, lo, hi int64) (*Graph, []Edge, error) {
 			}
 			pos := g.End[f]
 			g.End[f] = pos + 1
-			g.U[pos], g.V[pos], g.W[pos] = f, s, wgt[i]
+			g.V[pos], g.W[pos] = s, wgt[i]
 		}
 	}
 	g.setCounts(hi-lo, internal)

@@ -1,12 +1,17 @@
 // Package graph implements the paper's core data structure (§IV-A): a
-// weighted undirected graph stored as an array of (i, j, w) triples in which
-// each edge appears exactly once, ordered by a parity hash of its endpoints
-// and grouped into per-vertex buckets that need not be contiguous.
+// weighted undirected graph in which each edge appears exactly once,
+// oriented by a parity hash of its endpoints and grouped into per-vertex
+// buckets that need not be contiguous.
+//
+// The paper stores every edge as an (i, j, w) triple. Here the triple is
+// the file format and the Edge type, but in memory a bucket implies its
+// owner i, so a stored edge is the pair (j, w): bucket x is
+// V[Start[x]:End[x]] with weights W[Start[x]:End[x]].
 //
 // Self-loop weights live in a |V|-long side array; for a community graph
 // they count the input edges contained within each community. A graph with
-// |V| vertices and |E| unique non-self edges occupies 3|V| + 3|E| 64-bit
-// words plus a few scalars, matching the paper's space accounting.
+// |V| vertices and |E| unique non-self edges occupies 3|V| + 2|E| 64-bit
+// words plus a few scalars, |E| words under the paper's 3|V| + 3|E|.
 package graph
 
 import (
@@ -25,24 +30,27 @@ type Edge struct {
 	W    int64
 }
 
-// Graph is the bucketed triple representation. The exported arrays are the
+// Graph is the bucketed edge representation. The exported arrays are the
 // algorithm kernels' working surface; treat them as read-only outside this
 // package and the matching/contraction kernels unless noted otherwise.
+// An edge's first endpoint is not stored: every edge in x's bucket belongs
+// to x, so kernels take the owner from their bucket loop.
 //
 // Invariants (checked by Validate):
 //   - For every vertex x, Start[x] <= End[x] and [Start[x], End[x]) indexes
-//     U, V, W. Buckets never overlap but may sit in any order and may leave
+//     V and W. Buckets never overlap but may sit in any order and may leave
 //     gaps (the paper's non-contiguous layout, §IV-C).
-//   - For every stored edge e in x's bucket: U[e] == x, V[e] != x, W[e] > 0,
-//     and (U[e], V[e]) is in parity-hash order (see StoredOrder).
+//   - For every stored edge e in x's bucket: V[e] != x, W[e] > 0, and
+//     (x, V[e]) is in parity-hash order (see StoredOrder).
 //   - Each undirected edge {i, j} is stored exactly once, in the bucket of
 //     its parity-hash first endpoint.
 //   - Every bucket holds distinct V values. Buckets from Build are also
 //     sorted by V; contraction leaves them in first-seen order, and readers
 //     that need sorted buckets (the Overlay's base lookups) sort a copy.
 type Graph struct {
-	// U, V, W hold the stored edge triples. U[e] is the bucket owner.
-	U, V, W []int64
+	// V and W hold the stored edges: V[e] is the neighbor and W[e] the
+	// weight of an edge whose first endpoint is the owner of e's bucket.
+	V, W []int64
 	// Self[x] is the self-loop weight of vertex x (input edges inside
 	// community x once the graph has been contracted at least once).
 	Self []int64
@@ -112,11 +120,10 @@ func (g *Graph) ResizeVertices(n int64) {
 	g.n = n
 }
 
-// ResizeEdges reslices the edge arrays (U, V, W) to m entries under the same
+// ResizeEdges reslices the edge arrays (V, W) to m entries under the same
 // stale-contents contract as ResizeVertices. The live-edge count is set by
 // SetCounts once the kernels know how many edges survived deduplication.
 func (g *Graph) ResizeEdges(m int64) {
-	g.U = buf.Grow(g.U, int(m))
 	g.V = buf.Grow(g.V, int(m))
 	g.W = buf.Grow(g.W, int(m))
 }
@@ -127,12 +134,13 @@ func (g *Graph) Bucket(x int64) (lo, hi int64) {
 }
 
 // ForEachEdge calls fn once per stored edge, bucket by bucket, with the
-// edge-array index and the stored triple. It is sequential; parallel kernels
-// iterate buckets themselves with par.ForDynamic.
+// edge-array index, the bucket owner u, and the stored neighbor and weight.
+// It is sequential; parallel kernels iterate buckets themselves with
+// par.ForDynamic.
 func (g *Graph) ForEachEdge(fn func(e int64, u, v, w int64)) {
 	for x := int64(0); x < g.n; x++ {
 		for e := g.Start[x]; e < g.End[x]; e++ {
-			fn(e, g.U[e], g.V[e], g.W[e])
+			fn(e, x, g.V[e], g.W[e])
 		}
 	}
 }
@@ -206,7 +214,7 @@ func (g *Graph) WeightedDegrees(p int) []int64 {
 		for x := 0; x < n; x++ {
 			for e := g.Start[x]; e < g.End[x]; e++ {
 				w := g.W[e]
-				d[g.U[e]] += w
+				d[x] += w
 				d[g.V[e]] += w
 			}
 		}
@@ -218,14 +226,14 @@ func (g *Graph) WeightedDegrees(p int) []int64 {
 		}
 	})
 	// Each stored edge contributes to both endpoints, and both take an atomic
-	// add (the paper's fetch-and-add): the U side belongs to the bucket being
-	// scanned, but another bucket's V-side add can hit the same word at the
-	// same time.
+	// add (the paper's fetch-and-add): the owner side belongs to the bucket
+	// being scanned, but another bucket's V-side add can hit the same word at
+	// the same time.
 	par.ForDynamic(p, n, 0, func(lo, hi int) {
 		for x := lo; x < hi; x++ {
 			for e := g.Start[x]; e < g.End[x]; e++ {
 				w := g.W[e]
-				atomicAdd(&d[g.U[e]], w)
+				atomicAdd(&d[x], w)
 				atomicAdd(&d[g.V[e]], w)
 			}
 		}
@@ -248,7 +256,6 @@ func (g *Graph) MaxBucketLen() int64 {
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
-		U:     append([]int64(nil), g.U...),
 		V:     append([]int64(nil), g.V...),
 		W:     append([]int64(nil), g.W...),
 		Self:  append([]int64(nil), g.Self...),
@@ -268,10 +275,10 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("graph: side arrays sized %d/%d/%d, want %d",
 			len(g.Self), len(g.Start), len(g.End), g.n)
 	}
-	if len(g.U) != len(g.V) || len(g.U) != len(g.W) {
-		return fmt.Errorf("graph: edge arrays sized %d/%d/%d", len(g.U), len(g.V), len(g.W))
+	if len(g.V) != len(g.W) {
+		return fmt.Errorf("graph: edge arrays sized %d/%d", len(g.V), len(g.W))
 	}
-	capE := int64(len(g.U))
+	capE := int64(len(g.V))
 	var live int64
 	type span struct{ lo, hi, owner int64 }
 	spans := make([]span, 0, g.n)
@@ -294,12 +301,9 @@ func (g *Graph) Validate() error {
 		}
 		live += hi - lo
 		for e := lo; e < hi; e++ {
-			u, v, w := g.U[e], g.V[e], g.W[e]
-			if u != x {
-				return fmt.Errorf("graph: edge %d in bucket of %d has U=%d", e, x, u)
-			}
-			if v == u {
-				return fmt.Errorf("graph: edge %d is a stored self-loop (%d,%d)", e, u, v)
+			v, w := g.V[e], g.W[e]
+			if v == x {
+				return fmt.Errorf("graph: edge %d is a stored self-loop (%d,%d)", e, x, v)
 			}
 			if v < 0 || v >= g.n {
 				return fmt.Errorf("graph: edge %d endpoint %d out of range", e, v)
@@ -307,8 +311,10 @@ func (g *Graph) Validate() error {
 			if w <= 0 {
 				return fmt.Errorf("graph: edge %d non-positive weight %d", e, w)
 			}
-			if first, _ := StoredOrder(u, v); first != u {
-				return fmt.Errorf("graph: edge %d (%d,%d) violates parity-hash order", e, u, v)
+			// The owner is implied, so an edge filed in the wrong bucket
+			// shows as one whose stored-first endpoint is not the owner.
+			if first, _ := StoredOrder(x, v); first != x {
+				return fmt.Errorf("graph: edge %d (%d,%d) in the bucket of %d belongs in the bucket of %d", e, x, v, x, v)
 			}
 			if seen[v] == x+1 {
 				return fmt.Errorf("graph: bucket of %d repeats neighbor %d at edge %d", x, v, e)

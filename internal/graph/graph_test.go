@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -166,8 +167,8 @@ func TestBuildParityPlacement(t *testing.T) {
 	// Edge {1,2}: mixed parity, so larger endpoint 2 owns the bucket.
 	g := MustBuild(1, 3, []Edge{{1, 2, 7}})
 	lo, hi := g.Bucket(2)
-	if hi-lo != 1 || g.U[lo] != 2 || g.V[lo] != 1 {
-		t.Fatalf("edge stored as (%d,%d) in bucket of 2: [%d,%d)", g.U[lo], g.V[lo], lo, hi)
+	if hi-lo != 1 || g.V[lo] != 1 {
+		t.Fatalf("bucket of 2 is [%d,%d), want the single neighbor 1", lo, hi)
 	}
 	if lo2, hi2 := g.Bucket(1); hi2 != lo2 {
 		t.Fatalf("vertex 1 should have empty bucket, got [%d,%d)", lo2, hi2)
@@ -322,7 +323,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		func(g *Graph) { g.W[0] = -1 },
 		func(g *Graph) { g.Self[1] = -3 },
 		func(g *Graph) { g.Start[0], g.End[0] = 1, 0 },
-		func(g *Graph) { g.V[g.Start[findOwner(g)]] = g.U[g.Start[findOwner(g)]] }, // self-loop
+		func(g *Graph) { x := findOwner(g); g.V[g.Start[x]] = x }, // self-loop
 		func(g *Graph) { g.SetCounts(g.NumVertices(), g.NumEdges()+1) },
 	}
 	for i, mutate := range corrupt {
@@ -343,7 +344,6 @@ func TestValidateDistinctNotSorted(t *testing.T) {
 	bucket := func(vs ...int64) *Graph {
 		g := NewEmpty(6)
 		for _, v := range vs {
-			g.U = append(g.U, 0)
 			g.V = append(g.V, v)
 			g.W = append(g.W, 1)
 		}
@@ -709,6 +709,99 @@ func TestBuildMatchesNaiveReference(t *testing.T) {
 			if g.Self[x] != wantSelf[x] {
 				t.Fatalf("trial %d: Self[%d] = %d, naive %d", trial, x, g.Self[x], wantSelf[x])
 			}
+		}
+	}
+}
+
+// TestValidateRejectsHostileBuckets builds bucket layouts by hand, each
+// breaking one invariant the implied-owner layout depends on, and requires
+// Validate to reject every one of them while accepting the control.
+func TestValidateRejectsHostileBuckets(t *testing.T) {
+	// hand lays out n vertices over the neighbor array v (unit weights);
+	// each span {x, lo, hi} is vertex x's bucket.
+	hand := func(n int64, v []int64, spans ...[3]int64) *Graph {
+		g := NewEmpty(n)
+		g.V = v
+		g.W = make([]int64, len(v))
+		for i := range g.W {
+			g.W[i] = 1
+		}
+		var m int64
+		for _, s := range spans {
+			g.Start[s[0]], g.End[s[0]] = s[1], s[2]
+			m += s[2] - s[1]
+		}
+		g.SetCounts(n, m)
+		return g
+	}
+	if err := hand(6, []int64{2, 4, 4}, [3]int64{0, 0, 2}, [3]int64{2, 2, 3}).Validate(); err != nil {
+		t.Fatalf("control graph rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{
+		// {1, 2} has mixed parity, so it belongs in the bucket of 2.
+		{"misoriented", hand(4, []int64{2}, [3]int64{1, 0, 1})},
+		{"neighbor out of range", hand(4, []int64{6}, [3]int64{0, 0, 1})},
+		{"negative neighbor", hand(4, []int64{-2}, [3]int64{0, 0, 1})},
+		{"repeated neighbor", hand(6, []int64{2, 4, 2}, [3]int64{0, 0, 3})},
+		{"overlapping buckets", hand(6, []int64{2, 4}, [3]int64{0, 0, 2}, [3]int64{2, 1, 2})},
+		{"bucket past the arrays", hand(6, []int64{2}, [3]int64{0, 0, 2})},
+	} {
+		if err := tc.g.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted the graph", tc.name)
+		}
+	}
+}
+
+// TestEdgesFollowBuckets checks Edges against a reference built from a
+// bucket walk, with each bucket's owner as the first endpoint, on layouts
+// whose buckets are not back to back: a contracted graph with gaps and
+// buckets in descending order, and an overlay-packed base with a bucket
+// relocated to its tail.
+func TestEdgesFollowBuckets(t *testing.T) {
+	walk := func(g *Graph) []Edge {
+		var out []Edge
+		for x := int64(0); x < g.NumVertices(); x++ {
+			lo, hi := g.Bucket(x)
+			for e := lo; e < hi; e++ {
+				out = append(out, Edge{x, g.V[e], g.W[e]})
+			}
+		}
+		return out
+	}
+	r := par.NewRNG(23)
+	const n = 64
+	gapped := compactTestBase(r, n, true)
+	o := NewOverlay(2, compactTestBase(r, n, false))
+	// The first compaction repacks; the second grows bucket 0 by edges to
+	// isolated even vertices, which moves it to the tail and leaves its old
+	// slot as a gap.
+	for step, nbrs := range [][]int64{{3, 5, 7}, {40, 42, 44, 46}} {
+		d := &Delta{Version: uint64(step + 1)}
+		for _, v := range nbrs {
+			d.Insert(0, v, 1)
+		}
+		if err := o.ApplyDelta(d); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := o.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	packed := o.Base()
+	if o.Stats().Repacks != 1 || int64(len(packed.V)) == packed.NumEdges() {
+		t.Fatalf("overlay base is not a patched packed layout (%d repacks, %d slots for %d edges)",
+			o.Stats().Repacks, len(packed.V), packed.NumEdges())
+	}
+	for name, g := range map[string]*Graph{"gapped": gapped, "packed": packed} {
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, want := g.Edges(), walk(g)
+		if int64(len(got)) != g.NumEdges() || !slices.Equal(got, want) {
+			t.Fatalf("%s: Edges() = %v, bucket walk %v", name, got, want)
 		}
 	}
 }

@@ -3,10 +3,11 @@ package graph
 // Footprint reports the storage a graph actually occupies, in 64-bit words,
 // split the way the paper accounts for it (§IV-A): "a graph with |V|
 // vertices and |E| non-self, unique edges requires space for 3|V| + 3|E|
-// 64-bit integers plus a few additional scalars".
+// 64-bit integers plus a few additional scalars". A bucket implies its
+// owner, so the measured figure is 3|V| + 2|E|.
 type Footprint struct {
-	// EdgeWords counts the triple arrays (U, V, W), including any gap slots
-	// a non-contiguous contraction left behind.
+	// EdgeWords counts the edge arrays (V, W), two words per edge slot,
+	// including any gap slots a non-contiguous contraction left behind.
 	EdgeWords int64
 	// VertexWords counts the per-vertex arrays (Self, Start, End).
 	VertexWords int64
@@ -21,12 +22,13 @@ func (f Footprint) TotalWords() int64 { return f.EdgeWords + f.VertexWords + f.S
 func (f Footprint) Bytes() int64 { return 8 * f.TotalWords() }
 
 // MemoryFootprint measures the graph's storage. For a freshly built or
-// compacted graph this equals the paper's 3|V| + 3|E| formula exactly
-// (PaperFormulaWords); after a non-contiguous contraction the edge arrays
-// may be larger than 3|E| by the accumulated duplicate slots.
+// compacted graph this is the paper's 3|V| + 3|E| formula (PaperFormulaWords)
+// less the |E| owner words the buckets imply; after a non-contiguous
+// contraction the edge arrays may be larger than 2|E| by the accumulated
+// duplicate slots.
 func (g *Graph) MemoryFootprint() Footprint {
 	return Footprint{
-		EdgeWords:   int64(len(g.U) + len(g.V) + len(g.W)),
+		EdgeWords:   int64(len(g.V) + len(g.W)),
 		VertexWords: int64(len(g.Self) + len(g.Start) + len(g.End)),
 		ScalarWords: 2,
 	}

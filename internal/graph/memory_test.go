@@ -8,7 +8,7 @@ import (
 
 func TestMemoryFootprintMatchesPaperFormula(t *testing.T) {
 	// A freshly built graph occupies exactly the paper's 3|V| + 3|E| words
-	// plus scalars (§IV-A).
+	// (§IV-A) less one implied owner word per edge, plus scalars.
 	r := par.NewRNG(3)
 	for trial := 0; trial < 5; trial++ {
 		n := int64(20 + r.Intn(200))
@@ -18,15 +18,15 @@ func TestMemoryFootprintMatchesPaperFormula(t *testing.T) {
 		}
 		g := MustBuild(2, n, edges)
 		f := g.MemoryFootprint()
-		if f.EdgeWords != 3*g.NumEdges() {
-			t.Fatalf("edge words %d, want 3|E| = %d", f.EdgeWords, 3*g.NumEdges())
+		if f.EdgeWords != 2*g.NumEdges() {
+			t.Fatalf("edge words %d, want 2|E| = %d", f.EdgeWords, 2*g.NumEdges())
 		}
 		if f.VertexWords != 3*g.NumVertices() {
 			t.Fatalf("vertex words %d, want 3|V| = %d", f.VertexWords, 3*g.NumVertices())
 		}
-		if f.TotalWords() != g.PaperFormulaWords()+f.ScalarWords {
-			t.Fatalf("total %d, formula %d + %d scalars",
-				f.TotalWords(), g.PaperFormulaWords(), f.ScalarWords)
+		if f.TotalWords() != g.PaperFormulaWords()-g.NumEdges()+f.ScalarWords {
+			t.Fatalf("total %d, formula %d - |E| %d + %d scalars",
+				f.TotalWords(), g.PaperFormulaWords(), g.NumEdges(), f.ScalarWords)
 		}
 		if f.Bytes() != 8*f.TotalWords() {
 			t.Fatal("bytes accounting wrong")

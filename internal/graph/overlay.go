@@ -754,7 +754,7 @@ func (o *Overlay) patchInPlace(work int64) bool {
 
 	// Place each rewritten bucket: in its slot when it fits, else at the
 	// tail in a slot with slack.
-	tail := int64(len(g.U))
+	tail := int64(len(g.V))
 	var moved, freed int64
 	m := g.m
 	for i := range t {
@@ -772,13 +772,13 @@ func (o *Overlay) patchInPlace(work int64) bool {
 			moved += tr.slot
 		}
 	}
-	room := int64(min(cap(g.U), cap(g.V), cap(g.W)))
+	room := int64(min(cap(g.V), cap(g.W)))
 	if tail+moved > room || o.dead+freed > m/compactFractionDen {
 		return false
 	}
 	o.dead += freed
 	end := tail + moved
-	g.U, g.V, g.W = g.U[:end], g.V[:end], g.W[:end]
+	g.V, g.W = g.V[:end], g.W[:end]
 	o.runRanges((*Overlay).placeRows)
 	g.m = m
 	return true
@@ -853,7 +853,7 @@ func (o *Overlay) repack(work int64) {
 
 	m := par.ExclusiveSumInt64(o.p, dst.Start)
 	room := m + m/compactFractionDen
-	dst.U, dst.V, dst.W = make([]int64, m, room), make([]int64, m, room), make([]int64, m, room)
+	dst.V, dst.W = make([]int64, m, room), make([]int64, m, room)
 
 	// Fill, scheduled on output edges plus one unit per vertex: Start[x] + x
 	// is that weight's exclusive prefix until fillRange zeroes the empty
@@ -966,7 +966,6 @@ func (o *Overlay) fillRange(_, lo, hi int) {
 // copyEdges copies g's edges [lo, hi) to dst's edge arrays from index at.
 func copyEdges(dst *Graph, at int64, g *Graph, lo, hi int64) {
 	to := at + hi - lo
-	copy(dst.U[at:to], g.U[lo:hi])
 	copy(dst.V[at:to], g.V[lo:hi])
 	copy(dst.W[at:to], g.W[lo:hi])
 }
@@ -1002,7 +1001,7 @@ func mergeRow(g *Graph, x int64, r *patchRow, out *Graph, at int64) int64 {
 			continue // tombstone
 		}
 		if out != nil {
-			out.U[k], out.V[k], out.W[k] = x, pv, w
+			out.V[k], out.W[k] = pv, w
 		}
 		k++
 	}

@@ -112,43 +112,10 @@ func FuzzReadBinary(f *testing.F) {
 // sections agree with the header; no input may panic, and the bytes
 // allocated stay within a constant plus a small multiple of the input size,
 // so no header field can size an allocation the file does not back. The
-// seeds are a valid StreamMapped file, truncations of it, single bit flips
-// at low, middle and high bits of every header field, an offsets section
-// that decreases behind a consistent header, and a consistent header for a
-// graph far larger than the file.
+// seeds are mappedSeeds.
 func FuzzOpenMappedReaderAt(f *testing.F) {
 	limitVertices(f)
-	path := filepath.Join(f.TempDir(), "g.mmapcsr")
-	triples := [][3]int64{{0, 1, 2}, {1, 2, 1}, {2, 2, 4}, {3, 0, 5}, {4, 1, 3}}
-	if _, err := StreamMapped(path, 5, sliceSource(triples), StreamOptions{}); err != nil {
-		f.Fatal(err)
-	}
-	valid, err := os.ReadFile(path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:mappedPage])
-	f.Add(valid[:8*mappedHeaderFields])
-	for field := 0; field < mappedHeaderFields; field++ {
-		for _, bit := range []int{0, 20, 62} {
-			in := bytes.Clone(valid)
-			in[8*field+bit/8] ^= 1 << (bit % 8)
-			f.Add(in)
-		}
-	}
-	in := bytes.Clone(valid)
-	binary.LittleEndian.PutUint64(in[mappedPage+8:], 1<<40) // offsets[1]
-	f.Add(in)
-	// Self-consistent headers for graphs far larger than the file: only the
-	// size checks stand between them and section-sized allocations.
-	for _, big := range []mappedLayout{layoutFor(1<<19, 4, 1), layoutFor(5, 1<<30, 1)} {
-		in := bytes.Clone(valid)
-		for i, v := range []int64{int64(mappedMagic), big.n, big.m, big.totW,
-			big.offOffsets, big.offSelf, big.offAdj, big.offWgt, big.fileSize} {
-			binary.LittleEndian.PutUint64(in[8*i:], uint64(v))
-		}
+	for _, in := range mappedSeeds(f) {
 		f.Add(in)
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
@@ -182,4 +149,43 @@ func FuzzOpenMappedReaderAt(f *testing.F) {
 			t.Fatalf("rows cover %d entries, adj %d, wgt %d; header |E|=%d", prev, len(c.Adj), len(c.Wgt), mp.NumEdges())
 		}
 	})
+}
+
+// mappedSeeds returns the mmapcsr seed images the open-path fuzz targets
+// share: a valid StreamMapped file, truncations of it, single bit flips at
+// low, middle and high bits of every header field, an offsets section that
+// decreases behind a consistent header, and consistent headers for graphs
+// far larger than the file.
+func mappedSeeds(f *testing.F) [][]byte {
+	path := filepath.Join(f.TempDir(), "g.mmapcsr")
+	triples := [][3]int64{{0, 1, 2}, {1, 2, 1}, {2, 2, 4}, {3, 0, 5}, {4, 1, 3}}
+	if _, err := StreamMapped(path, 5, sliceSource(triples), StreamOptions{}); err != nil {
+		f.Fatal(err)
+	}
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds := [][]byte{valid, valid[:len(valid)/2], valid[:mappedPage], valid[:8*mappedHeaderFields]}
+	for field := 0; field < mappedHeaderFields; field++ {
+		for _, bit := range []int{0, 20, 62} {
+			in := bytes.Clone(valid)
+			in[8*field+bit/8] ^= 1 << (bit % 8)
+			seeds = append(seeds, in)
+		}
+	}
+	in := bytes.Clone(valid)
+	binary.LittleEndian.PutUint64(in[mappedPage+8:], 1<<40) // offsets[1]
+	seeds = append(seeds, in)
+	// Self-consistent headers for graphs far larger than the file: only the
+	// size checks stand between them and section-sized allocations.
+	for _, big := range []mappedLayout{layoutFor(1<<19, 4, 1), layoutFor(5, 1<<30, 1)} {
+		in := bytes.Clone(valid)
+		for i, v := range []int64{int64(mappedMagic), big.n, big.m, big.totW,
+			big.offOffsets, big.offSelf, big.offAdj, big.offWgt, big.fileSize} {
+			binary.LittleEndian.PutUint64(in[8*i:], uint64(v))
+		}
+		seeds = append(seeds, in)
+	}
+	return seeds
 }

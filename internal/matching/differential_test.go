@@ -48,7 +48,7 @@ func greedyReference(g *graph.Graph, scores []float64) []int64 {
 // modularityScores scores g's edges with the engine's default metric.
 func modularityScores(g *graph.Graph) []float64 {
 	deg := g.WeightedDegrees(1)
-	scores := make([]float64, len(g.U))
+	scores := make([]float64, len(g.V))
 	scoring.Modularity{}.Score(exec.Background(1), g, deg, g.TotalWeight(1), scores)
 	return scores
 }
@@ -77,8 +77,8 @@ func differentialCases(t *testing.T) []diffCase {
 		name string
 		g    *graph.Graph
 	}{{"rmat", rmat}, {"ljsim", lj}, {"karate", gen.Karate()}} {
-		equal := make([]float64, len(c.g.U))
-		quant := make([]float64, len(c.g.U))
+		equal := make([]float64, len(c.g.V))
+		quant := make([]float64, len(c.g.V))
 		for e := range equal {
 			equal[e] = 1
 			// Three integer levels plus non-positive edges the rows must skip.

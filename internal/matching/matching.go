@@ -108,7 +108,7 @@ func (k edgeKey) less(o edgeKey) bool {
 
 // rowEntry is one row-store entry: a positive-score neighbor and the score
 // of the edge to it, inline so a rescan touches one cache line per four
-// entries and never chases an edge id back into the triple arrays.
+// entries and never chases an edge id back into the edge arrays.
 type rowEntry struct {
 	nbr   int64
 	score float64
@@ -364,7 +364,7 @@ func buildRows(ec *exec.Ctx, g *graph.Graph, scores []float64, s *Scratch, n int
 // rowCountRange counts the positive edges of buckets [lo, hi) into cnt, once
 // per endpoint. The first bucket is entered at edge eloFirst and the last
 // left at ehiLast (a span's clamps; whole buckets otherwise). Every edge in
-// x's bucket has U == x, so x's own count is kept in a register and added
+// x's bucket belongs to x, so x's own count is kept in a register and added
 // once per bucket.
 func rowCountRange(g *graph.Graph, scores []float64, cnt []int64, lo, hi int, eloFirst, ehiLast int64) {
 	for x := lo; x < hi; x++ {
@@ -636,7 +636,7 @@ func edgeSweepBest(g *graph.Graph, scores []float64, s *Scratch, pass int64, lo,
 			if sc <= 0 {
 				continue
 			}
-			u, v := g.U[e], g.V[e]
+			u, v := x, g.V[e]
 			if atomic.LoadInt64(&match[u]) != Unmatched ||
 				atomic.LoadInt64(&match[v]) != Unmatched {
 				continue
@@ -669,7 +669,7 @@ func edgeSweepClaim(g *graph.Graph, scores []float64, s *Scratch, pass int64, ho
 			if scores[e] <= 0 {
 				continue
 			}
-			u, v := g.U[e], g.V[e]
+			u, v := x, g.V[e]
 			if bestPass[u] != pass || bestPass[v] != pass {
 				continue
 			}

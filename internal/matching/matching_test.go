@@ -25,14 +25,14 @@ var kernels = map[string]func(p int, g *graph.Graph, scores []float64) Result{
 
 // uniformScores gives every edge score 1.
 func uniformScores(g *graph.Graph) []float64 {
-	s := make([]float64, len(g.U))
+	s := make([]float64, len(g.V))
 	g.ForEachEdge(func(e int64, _, _, _ int64) { s[e] = 1 })
 	return s
 }
 
 // weightScores scores each edge by its weight.
 func weightScores(g *graph.Graph) []float64 {
-	s := make([]float64, len(g.U))
+	s := make([]float64, len(g.V))
 	g.ForEachEdge(func(e int64, _, _, w int64) { s[e] = float64(w) })
 	return s
 }
@@ -52,7 +52,7 @@ func TestSingleEdge(t *testing.T) {
 
 func TestNoPositiveScores(t *testing.T) {
 	g := gen.Ring(6)
-	scores := make([]float64, len(g.U)) // all zero
+	scores := make([]float64, len(g.V)) // all zero
 	for name, kern := range kernels {
 		res := kern(2, g, scores)
 		if res.Pairs != 0 {
@@ -69,7 +69,7 @@ func TestNoPositiveScores(t *testing.T) {
 func TestNegativeScoresExcluded(t *testing.T) {
 	// Path 0-1-2: edge {0,1} positive, edge {1,2} negative.
 	g := graph.MustBuild(1, 3, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}})
-	scores := make([]float64, len(g.U))
+	scores := make([]float64, len(g.V))
 	g.ForEachEdge(func(e int64, u, v, _ int64) {
 		if (u == 0 && v == 1) || (u == 1 && v == 0) {
 			scores[e] = 1
@@ -215,7 +215,7 @@ func TestModularityScoredMatchingOnLJSim(t *testing.T) {
 		t.Fatal(err)
 	}
 	deg := g.WeightedDegrees(4)
-	scores := make([]float64, len(g.U))
+	scores := make([]float64, len(g.V))
 	scoring.Modularity{}.Score(exec.Background(4), g, deg, g.TotalWeight(4), scores)
 	for name, kern := range kernels {
 		res := kern(4, g, scores)
@@ -353,7 +353,7 @@ func TestWorklistFewPassesOnSocialGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	deg := g.WeightedDegrees(2)
-	scores := make([]float64, len(g.U))
+	scores := make([]float64, len(g.V))
 	scoring.Modularity{}.Score(exec.Background(2), g, deg, g.TotalWeight(2), scores)
 	res := Worklist(exec.Background(2), g, scores)
 	if err := Verify(g, scores, res.Match); err != nil {

@@ -35,7 +35,7 @@ func TestScratchReuseAcrossGraphs(t *testing.T) {
 		for _, sc := range schedules() {
 			var s Scratch
 			for gi, g := range graphs {
-				scores := make([]float64, len(g.U))
+				scores := make([]float64, len(g.V))
 				for e := range scores {
 					scores[e] = float64(e%7) + 0.5
 				}
@@ -66,13 +66,13 @@ func TestScratchReuseAcrossGraphs(t *testing.T) {
 // produce the identical matching (p=1 makes the kernel deterministic).
 func TestScratchMatchesFresh(t *testing.T) {
 	g := gen.CliqueChain(24, 5)
-	scores := make([]float64, len(g.U))
+	scores := make([]float64, len(g.V))
 	for e := range scores {
 		scores[e] = float64((e*13)%11) + 0.25
 	}
 	var s Scratch
 	// Dirty the scratch first with an unrelated run.
-	WorklistWith(exec.Background(1), gen.Karate(), make([]float64, len(gen.Karate().U)), &s)
+	WorklistWith(exec.Background(1), gen.Karate(), make([]float64, len(gen.Karate().V)), &s)
 	fresh := Worklist(exec.Background(1), g, scores)
 	reused := WorklistWith(exec.Background(1), g, scores, &s)
 	for v := range fresh.Match {

@@ -91,7 +91,7 @@ func communityAggregates(p int, g *graph.Graph, comm []int64, k int64) (internal
 	par.ForDynamic(p, n, 0, func(lo, hi int) {
 		for x := lo; x < hi; x++ {
 			for e := g.Start[x]; e < g.End[x]; e++ {
-				if cu := comm[g.U[e]]; cu == comm[g.V[e]] {
+				if cu := comm[x]; cu == comm[g.V[e]] {
 					atomic.AddInt64(&internal[cu], g.W[e])
 				}
 			}

@@ -84,7 +84,7 @@ type LevelStats struct {
 	// SizeHist is the log2 histogram of post-merge community sizes (original
 	// vertices per community): bin b counts communities whose size has
 	// bit-length b. The drift of mass toward high bins is the hub
-	// concentration that motivated the bucketed-triple design.
+	// concentration that motivated the parity-hashed bucket design.
 	SizeHist []int64 `json:"size_hist,omitempty"`
 	// MaxBucketLen is the largest adjacency bucket entering the level;
 	// HubShare is its share of the edge array (derived).

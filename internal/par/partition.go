@@ -21,7 +21,7 @@ package par
 // Span is one worker's share of an edge-balanced sweep: vertices
 // [LoV, HiV), with the bucket of LoV entered only from edge index LoE and
 // the bucket of HiV-1 left at edge index HiE. Interior buckets are covered
-// whole. LoE and HiE are absolute indices into the graph's triple arrays,
+// whole. LoE and HiE are absolute indices into the graph's edge arrays,
 // so a Span is only meaningful against the Start/End slices it was built
 // from. An empty span has LoV == HiV.
 type Span struct {
@@ -90,7 +90,7 @@ func (pt *Partition) Reset() {
 }
 
 // BuildBuckets computes an edge-balanced schedule for n bucketed items:
-// item x spans edges start[x]..end[x] of the triple arrays and weighs
+// item x spans edges start[x]..end[x] of the edge arrays and weighs
 // end[x]-start[x]+1. Both aligned ranges and edge-exact spans are built.
 // The worker count is Workers(p, n); a nil pool spawns goroutines for the
 // prefix passes.

@@ -7,7 +7,7 @@ import "sort"
 // then runs are merged pairwise in a parallel tree. less must be a strict
 // weak ordering. The sort is not stable.
 //
-// Graph construction does not sort: graph.Build orders its triples with a
+// Graph construction does not sort: graph.Build orders its input edges with a
 // counting placement. Sort serves the remaining comparison orders, such as
 // the SᵀAS sparse product's triples and test references.
 func Sort[T any](p int, s []T, less func(a, b T) bool) {

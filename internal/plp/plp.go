@@ -155,7 +155,7 @@ func PropagateWith(ec *exec.Ctx, g *graph.Graph, opt Options, scratch *Scratch) 
 		return res
 	}
 
-	// PLP needs whole neighborhoods; the bucketed triple graph stores each
+	// PLP needs whole neighborhoods; the bucketed graph stores each
 	// edge once, so symmetrize into the scratch CSR. Its row order is the
 	// same at every thread count, and every consumer below is
 	// order-independent anyway: weight sums commute exactly in int64 and

@@ -32,7 +32,7 @@ func (f Func) Score(ec *exec.Ctx, g *graph.Graph, deg []int64, totalWeight int64
 	ec.ForDynamic(n, 0, func(lo, hi int) {
 		for x := lo; x < hi; x++ {
 			for e := g.Start[x]; e < g.End[x]; e++ {
-				u, v := g.U[e], g.V[e]
+				u, v := x, g.V[e]
 				scores[e] = f.F(g.W[e], deg[u], deg[v], g.Self[u], g.Self[v], totalWeight)
 			}
 		}

@@ -38,12 +38,12 @@ func TestScoreFusedMatchesSeparateSweeps(t *testing.T) {
 			t.Fatalf("%s does not implement Fused", scorer.Name())
 		}
 		for _, maxSize := range []int64{0, 3, 100} {
-			want := make([]float64, len(g.U))
+			want := make([]float64, len(g.V))
 			scorer.Score(exec.Background(1), g, deg, totW, want)
 			if maxSize > 0 {
 				for x := int64(0); x < g.NumVertices(); x++ {
 					for e := g.Start[x]; e < g.End[x]; e++ {
-						if sizes[g.U[e]]+sizes[g.V[e]] > maxSize {
+						if sizes[x]+sizes[g.V[e]] > maxSize {
 							want[e] = -1
 						}
 					}
@@ -51,7 +51,7 @@ func TestScoreFusedMatchesSeparateSweeps(t *testing.T) {
 			}
 			wantPos := HasPositive(exec.Background(1), g, want)
 
-			got := make([]float64, len(g.U))
+			got := make([]float64, len(g.V))
 			var nMasked int64
 			gotPos := fused.ScoreFused(exec.Background(2), g, deg, totW, got, sizes, maxSize, &nMasked)
 			if gotPos != wantPos {

@@ -96,8 +96,9 @@ func modularityFill(g *graph.Graph, deg []int64, scores []float64, inv, half flo
 		if x == hi-1 {
 			ehi = ehiLast
 		}
+		du := float64(deg[x])
 		for e := elo; e < ehi; e++ {
-			scores[e] = float64(g.W[e])*inv - float64(deg[g.U[e]])*float64(deg[g.V[e]])*half
+			scores[e] = float64(g.W[e])*inv - du*float64(deg[g.V[e]])*half
 		}
 	}
 }
@@ -117,14 +118,15 @@ func (Modularity) ScoreFused(ec *exec.Ctx, g *graph.Graph, deg []int64, totalWei
 		positive := false
 		var nMasked int64
 		for x := 0; x < n; x++ {
+			su, du := sizes[x], float64(deg[x])
 			for e := g.Start[x]; e < g.End[x]; e++ {
-				u, v := g.U[e], g.V[e]
-				if maxSize > 0 && sizes[u]+sizes[v] > maxSize {
+				v := g.V[e]
+				if maxSize > 0 && su+sizes[v] > maxSize {
 					scores[e] = -1
 					nMasked++
 					continue
 				}
-				s := float64(g.W[e])*inv - float64(deg[u])*float64(deg[v])*half
+				s := float64(g.W[e])*inv - du*float64(deg[v])*half
 				scores[e] = s
 				positive = positive || s > 0
 			}
@@ -162,14 +164,15 @@ func modularityFused(g *graph.Graph, deg []int64, scores []float64, sizes []int6
 		if x == hi-1 {
 			ehi = ehiLast
 		}
+		su, du := sizes[x], float64(deg[x])
 		for e := elo; e < ehi; e++ {
-			u, v := g.U[e], g.V[e]
-			if maxSize > 0 && sizes[u]+sizes[v] > maxSize {
+			v := g.V[e]
+			if maxSize > 0 && su+sizes[v] > maxSize {
 				scores[e] = -1
 				nMasked++
 				continue
 			}
-			s := float64(g.W[e])*inv - float64(deg[u])*float64(deg[v])*half
+			s := float64(g.W[e])*inv - du*float64(deg[v])*half
 			scores[e] = s
 			positive = positive || s > 0
 		}
@@ -229,8 +232,9 @@ func conductanceFill(g *graph.Graph, deg []int64, scores []float64, phi func(vol
 		if x == hi-1 {
 			ehi = ehiLast
 		}
+		u := int64(x)
 		for e := elo; e < ehi; e++ {
-			u, v, w := g.U[e], g.V[e], g.W[e]
+			v, w := g.V[e], g.W[e]
 			phiU := phi(deg[u], g.Self[u])
 			phiV := phi(deg[v], g.Self[v])
 			merged := phi(deg[u]+deg[v], g.Self[u]+g.Self[v]+w)
@@ -262,8 +266,9 @@ func (Conductance) ScoreFused(ec *exec.Ctx, g *graph.Graph, deg []int64, totalWe
 		positive := false
 		var nMasked int64
 		for x := 0; x < n; x++ {
+			u := int64(x)
 			for e := g.Start[x]; e < g.End[x]; e++ {
-				u, v, w := g.U[e], g.V[e], g.W[e]
+				v, w := g.V[e], g.W[e]
 				if maxSize > 0 && sizes[u]+sizes[v] > maxSize {
 					scores[e] = -1
 					nMasked++
@@ -309,8 +314,9 @@ func conductanceFused(g *graph.Graph, deg []int64, scores []float64, sizes []int
 		if x == hi-1 {
 			ehi = ehiLast
 		}
+		u := int64(x)
 		for e := elo; e < ehi; e++ {
-			u, v, w := g.U[e], g.V[e], g.W[e]
+			v, w := g.V[e], g.W[e]
 			if maxSize > 0 && sizes[u]+sizes[v] > maxSize {
 				scores[e] = -1
 				nMasked++

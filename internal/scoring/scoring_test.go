@@ -57,7 +57,7 @@ func singletons(n int64) []int64 {
 func scoreAll(t *testing.T, s Scorer, g *graph.Graph, p int) []float64 {
 	t.Helper()
 	deg := g.WeightedDegrees(p)
-	scores := make([]float64, len(g.U))
+	scores := make([]float64, len(g.V))
 	s.Score(exec.Background(p), g, deg, g.TotalWeight(p), scores)
 	return scores
 }
@@ -214,7 +214,7 @@ func splitScores(g *graph.Graph, scores []float64, s int64) (minIntra, maxBridge
 
 func TestHasPositive(t *testing.T) {
 	g := gen.Ring(6)
-	scores := make([]float64, len(g.U))
+	scores := make([]float64, len(g.V))
 	if HasPositive(exec.Background(2), g, scores) {
 		t.Fatal("all-zero scores reported positive")
 	}

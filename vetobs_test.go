@@ -449,29 +449,8 @@ var mappingPrimitives = map[string][]string{
 // internal except internal/graphio, plus the root package's files, test
 // files included, and fails on any use of a mapping primitive.
 func TestMappingPrimitivesOnlyInGraphio(t *testing.T) {
-	files, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, root := range []string{"cmd", "internal"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if d.IsDir() && path == filepath.Join("internal", "graphio") {
-				return filepath.SkipDir
-			}
-			if !d.IsDir() && strings.HasSuffix(path, ".go") {
-				files = append(files, path)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, file := range files {
-		bad, err := mappingPrimitiveUses(file, nil)
+	for _, file := range repoGoFiles(t, filepath.Join("internal", "graphio"), true) {
+		bad, err := importedSelectorUses(file, nil, mappingPrimitives)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -500,7 +479,7 @@ func f(fd int, p *byte) {
 	// syscall.Mmap in a comment
 }
 `
-	bad, err := mappingPrimitiveUses("k.go", src)
+	bad, err := importedSelectorUses("k.go", src, mappingPrimitives)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,38 +488,223 @@ func f(fd int, p *byte) {
 	}
 }
 
-// mappingPrimitiveUses parses file (from src when non-nil) and returns
-// "file:line name" for every selector naming a mapping primitive through
-// the file's own name for its package.
-func mappingPrimitiveUses(file string, src any) ([]string, error) {
+// importedSelectorUses parses file (from src when non-nil) and returns
+// "file:line name" for every selector naming one of members' functions
+// through the file's own name for its package, alias included. members maps
+// an import path to the names it forbids.
+func importedSelectorUses(file string, src any, members map[string][]string) ([]string, error) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, file, src, parser.SkipObjectResolution)
 	if err != nil {
 		return nil, err
 	}
-	local := map[string][]string{} // file-local package name → primitives
-	for _, imp := range f.Imports {
-		path := strings.Trim(imp.Path.Value, `"`)
-		names, ok := mappingPrimitives[path]
-		if !ok {
-			continue
-		}
-		name := path
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		local[name] = names
-	}
+	local := importNames(f)
 	var bad []string
 	ast.Inspect(f, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		if pkg, ok := sel.X.(*ast.Ident); ok && slices.Contains(local[pkg.Name], sel.Sel.Name) {
-			bad = append(bad, fmt.Sprintf("%s:%d %s", file, fset.Position(sel.Pos()).Line, sel.Sel.Name))
+		if path, name := imported(local, n); slices.Contains(members[path], name) {
+			bad = append(bad, fmt.Sprintf("%s:%d %s", file, fset.Position(n.Pos()).Line, name))
 		}
 		return true
 	})
 	return bad, nil
+}
+
+// importNames maps the file-local name of each of f's imports, alias
+// included, to its import path.
+func importNames(f *ast.File) map[string]string {
+	local := map[string]string{}
+	for _, imp := range f.Imports {
+		path := strings.Trim(imp.Path.Value, `"`)
+		name := path[strings.LastIndex(path, "/")+1:]
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		local[name] = path
+	}
+	return local
+}
+
+// imported returns the import path and member name when n is a selector
+// pkg.Name whose pkg is one of the file's imports (local from importNames),
+// and empty strings otherwise.
+func imported(local map[string]string, n ast.Node) (path, name string) {
+	sel, ok := n.(*ast.SelectorExpr)
+	if !ok {
+		return "", ""
+	}
+	pkg, ok := sel.X.(*ast.Ident)
+	if !ok || local[pkg.Name] == "" {
+		return "", ""
+	}
+	return local[pkg.Name], sel.Sel.Name
+}
+
+// logSources are the layers whose stderr diagnostics must flow through
+// log/slog (obs.NewLogger) so they honor -log.level/-log.format and mirror
+// into the flight recorder: every command's main package and the harness.
+var logSources = []string{"cmd/*/*.go", "internal/harness/*.go"}
+
+// TestNoRawStderrInLoggedLayers parses the non-test files of logSources
+// and fails on any fmt.Fprint* call that writes to os.Stderr.
+func TestNoRawStderrInLoggedLayers(t *testing.T) {
+	var files []string
+	for _, pattern := range logSources {
+		matches, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(matches) == 0 {
+			t.Fatalf("%s: no Go files", pattern)
+		}
+		files = append(files, matches...)
+	}
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		bad, err := rawStderrPrints(file, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range bad {
+			t.Errorf("%s: raw stderr diagnostic (route through log/slog via obs.NewLogger)", b)
+		}
+	}
+}
+
+// TestRawStderrPrintsFlagsViolations proves the check can fail: Fprint,
+// Fprintf and Fprintln to os.Stderr are reported, under import aliases too,
+// while a print to os.Stdout, a stderr write outside fmt and a mention in a
+// comment are not.
+func TestRawStderrPrintsFlagsViolations(t *testing.T) {
+	src := `package k
+import (
+	"fmt"
+	o "os"
+)
+func f(err error) {
+	fmt.Fprintf(o.Stderr, "x %v\n", err)
+	fmt.Fprintln(o.Stderr, err)
+	fmt.Fprint(o.Stderr, err)
+	fmt.Fprintln(o.Stdout, err)
+	o.Stderr.WriteString("y")
+	// fmt.Fprintf(os.Stderr, ...) in a comment
+}
+`
+	bad, err := rawStderrPrints("k.go", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(bad, " "); got != "k.go:7 Fprintf k.go:8 Fprintln k.go:9 Fprint" {
+		t.Fatalf("flagged %q, want the three prints to the aliased os.Stderr", got)
+	}
+}
+
+// rawStderrPrints parses file (from src when non-nil) and returns
+// "file:line name" for every call of a fmt.Fprint* function whose writer
+// argument is os.Stderr.
+func rawStderrPrints(file string, src any) ([]string, error) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, file, src, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	local := importNames(f)
+	var bad []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		fpath, fname := imported(local, call.Fun)
+		wpath, wname := imported(local, call.Args[0])
+		if fpath == "fmt" && strings.HasPrefix(fname, "Fprint") && wpath == "os" && wname == "Stderr" {
+			bad = append(bad, fmt.Sprintf("%s:%d %s", file, fset.Position(call.Pos()).Line, fname))
+		}
+		return true
+	})
+	return bad, nil
+}
+
+// profileWrites are the runtime/pprof calls that start or write a profile.
+// Outside internal/obs, profiles are captured through obs.Profiler so they
+// are archived, rate-limited and cross-linked.
+var profileWrites = map[string][]string{
+	"runtime/pprof": {"StartCPUProfile", "StopCPUProfile", "WriteHeapProfile", "Lookup"},
+}
+
+// TestProfileWritesOnlyInObs parses the root package's non-test files and
+// every non-test Go file under cmd and internal except internal/obs, and
+// fails on any runtime/pprof profile write.
+func TestProfileWritesOnlyInObs(t *testing.T) {
+	for _, file := range repoGoFiles(t, filepath.Join("internal", "obs"), false) {
+		bad, err := importedSelectorUses(file, nil, profileWrites)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range bad {
+			t.Errorf("%s: raw runtime/pprof profile write outside internal/obs (capture through obs.Profiler)", b)
+		}
+	}
+}
+
+// TestProfileWritesFlagsViolations proves the check can fail: each profile
+// write is reported, under an import alias too, while other runtime/pprof
+// members, net/http/pprof and a mention in a comment are not.
+func TestProfileWritesFlagsViolations(t *testing.T) {
+	src := `package k
+import (
+	"io"
+	hp "net/http/pprof"
+	rp "runtime/pprof"
+)
+func f(w io.Writer) {
+	_ = rp.StartCPUProfile(w)
+	rp.StopCPUProfile()
+	_ = rp.WriteHeapProfile(w)
+	_ = rp.Lookup("heap")
+	_ = rp.Profiles()
+	_ = hp.Handler("heap")
+	// pprof.Lookup in a comment
+}
+`
+	bad, err := importedSelectorUses("k.go", src, profileWrites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(bad, " "); got != "k.go:8 StartCPUProfile k.go:9 StopCPUProfile k.go:10 WriteHeapProfile k.go:11 Lookup" {
+		t.Fatalf("flagged %q, want the four profile writes", got)
+	}
+}
+
+// repoGoFiles lists the root package's Go files and every Go file under cmd
+// and internal, skipping the directory skip, and test files unless tests is
+// set.
+func repoGoFiles(t *testing.T, skip string, tests bool) []string {
+	t.Helper()
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, root := range []string{"cmd", "internal"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && path == skip {
+				return filepath.SkipDir
+			}
+			if !d.IsDir() && strings.HasSuffix(path, ".go") {
+				files = append(files, path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !tests {
+		files = slices.DeleteFunc(files, func(f string) bool { return strings.HasSuffix(f, "_test.go") })
+	}
+	return files
 }
