@@ -81,9 +81,11 @@ vet-obs:
 
 # End-to-end telemetry check, also a CI step: a real detection serves
 # /metrics/prom and the scrape comes back non-empty with the counter, gauge,
-# and histogram families the serving dashboards depend on.
+# and histogram families the serving dashboards depend on; and a served
+# convergence ledger shows in /metrics/prom and in /debug/flight's
+# convergence rows.
 telemetry-smoke:
-	$(GO) test -run 'TestLivePrometheusScrape|TestWritePrometheus' -count=1 ./internal/obs/
+	$(GO) test -run 'TestLivePrometheusScrape|TestWritePrometheus|TestServeBindsAndServes' -count=1 ./internal/obs/
 
 # The run doctor's offline drift report over a real archive. Bootstraps a
 # 5-run baseline at R-MAT scale 14 (big enough that kernel seconds clear the

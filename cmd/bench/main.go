@@ -165,8 +165,8 @@ func main() {
 		check(err)
 		defer srv.Close()
 		logger.Info("serving live metrics",
-			"url", fmt.Sprintf("http://%s/metrics", srv.Addr()),
-			"prometheus", "/metrics/prom", "convergence", "/convergence", "flight", "/debug/flight")
+			"url", fmt.Sprintf("http://%s/metrics/prom", srv.Addr()),
+			"flight", "/debug/flight", "pprof", "/debug/pprof/")
 	}
 	// A panic below must not lose the telemetry gathered so far: write the
 	// flight-recorder black box and the partial trace/manifest through the

@@ -154,8 +154,8 @@ func main() {
 		}
 		defer srv.Close()
 		logger.Info("serving live metrics",
-			"url", fmt.Sprintf("http://%s/metrics", srv.Addr()),
-			"prometheus", "/metrics/prom", "convergence", "/convergence", "flight", "/debug/flight")
+			"url", fmt.Sprintf("http://%s/metrics/prom", srv.Addr()),
+			"flight", "/debug/flight", "pprof", "/debug/pprof/")
 	}
 
 	// SIGINT cancels the detection at the next phase or kernel boundary; the

@@ -176,7 +176,7 @@ func Bucket(ec *exec.Ctx, g *graph.Graph, match []int64, layout Layout) (*graph.
 // predictable branches at stage boundaries — nothing per edge.
 func BucketWith(ec *exec.Ctx, g *graph.Graph, match []int64, layout Layout, s *Scratch, dst *graph.Graph, mapBuf []int64) (*graph.Graph, []int64) {
 	rec := ec.Recorder()
-	sp := rec.Begin(obs.CatContract, "relabel", -1)
+	sp := rec.Begin(obs.KernelContractRelabel)
 	mapping, k := RelabelInto(ec, g, match, mapBuf)
 	sp.EndArgs("old", g.NumVertices(), "new", k)
 	return byMappingRun(ec, g, mapping, k, layout, s, dst), mapping
@@ -233,7 +233,7 @@ func ByLabelsWith(ec *exec.Ctx, g *graph.Graph, labels []int64, layout Layout, s
 	rec := ec.Recorder()
 	s := scratch.orNew()
 	n := int(g.NumVertices())
-	sp := rec.Begin(obs.CatContract, "densify", -1)
+	sp := rec.Begin(obs.KernelContractDensify)
 	// flags[l] = 1 for every used label, then its exclusive prefix sum: the
 	// dense id of label l. The parallel mark is a concurrent same-value
 	// store (several vertices share a label), so it goes through atomics for
@@ -292,7 +292,7 @@ func byMappingRun(ec *exec.Ctx, g *graph.Graph, mapping []int64, k int64, layout
 	// replacing atomics. Hub buckets may be split across spans; the Self
 	// fold guards on owning the bucket's first edge so each vertex's
 	// per-vertex work is folded exactly once.
-	spPart := rec.Begin(obs.CatContract, "partition", -1)
+	spPart := rec.Begin(obs.KernelContractPartition)
 	serial := ec.Serial(n)
 	pt := ec.Balanced(n, g.NumEdges())
 	if pt == nil && !serial {
@@ -308,7 +308,7 @@ func byMappingRun(ec *exec.Ctx, g *graph.Graph, mapping []int64, k int64, layout
 	// Count surviving cross edges per (span, new bucket) stripe; collapsed
 	// edges (both endpoints in one community) and old self-loops accumulate
 	// into the span's self-loop stripe in the same sweep.
-	spCount := rec.Begin(obs.CatContract, "count", -1)
+	spCount := rec.Begin(obs.KernelContractCount)
 	kk := int(k)
 	s.cntStripes = buf.Grow(s.cntStripes, spans*kk)
 	s.selfStripes = buf.Grow(s.selfStripes, spans*kk)
@@ -332,7 +332,7 @@ func byMappingRun(ec *exec.Ctx, g *graph.Graph, mapping []int64, k int64, layout
 	// exclusive per-span write offsets from the count stripes, and the new
 	// self-loop weights from the self stripes (overwriting — reused dst
 	// arrays never need pre-zeroing).
-	spOff := rec.Begin(obs.CatContract, "offsets", -1)
+	spOff := rec.Begin(obs.KernelContractOffsets)
 	s.counts = buf.Grow(s.counts, kk)
 	counts := s.counts
 	ec.StripeOffsets(cntS, spans, kk, counts)
@@ -393,7 +393,7 @@ func byMappingRun(ec *exec.Ctx, g *graph.Graph, mapping []int64, k int64, layout
 	// counted (same partition, same span index, so the same stripe),
 	// advancing its private absolute cursors cntS[j·k+c] through the
 	// per-span sub-range of each bucket: no synchronization at all.
-	spScat := rec.Begin(obs.CatContract, "scatter", -1)
+	spScat := rec.Begin(obs.KernelContractScatter)
 	if serial {
 		scatterSweepRange(g, ng, mapping, cntS[:kk], 0, n, g.Start[0], g.End[n-1])
 	} else {
@@ -410,11 +410,7 @@ func byMappingRun(ec *exec.Ctx, g *graph.Graph, mapping []int64, k int64, layout
 	// by now), under every scheduler. Each range owns a k-wide position
 	// array; the count stripes are dead after the scatter, so they are zeroed
 	// once and reused for it.
-	spDedup := rec.Begin(obs.CatContract, "dedup", -1)
-	var dedupT0 int64
-	if rec.Enabled() {
-		dedupT0 = obs.NowNS()
-	}
+	spDedup := rec.Begin(obs.KernelContractDedup)
 	hot := rec.Hot()
 	var live int64
 	if ec.Serial(kk) {
@@ -439,9 +435,6 @@ func byMappingRun(ec *exec.Ctx, g *graph.Graph, mapping []int64, k int64, layout
 		live = acc.Load()
 	}
 	ng.SetCounts(k, live)
-	if rec.Enabled() {
-		rec.ObserveLatency(obs.LatContractDedup, obs.NowNS()-dedupT0)
-	}
 	spDedup.EndArgs("in", total, "out", live)
 	rec.Add(obs.CtrContractEdgesOut, live)
 	rec.FoldHot()

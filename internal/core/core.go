@@ -406,7 +406,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 	p := ec.Threads()
 	rec := ec.Recorder()
 	// One run = one set of ledger rows. Reset (rather than requiring a fresh
-	// ledger) keeps a pointer published to the live expvar endpoint valid
+	// ledger) keeps a pointer published to the live metrics endpoint valid
 	// across bench iterations.
 	opt.Ledger.Reset()
 	s.final = nil
@@ -487,7 +487,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		res.FinalCoverage = cov
 		res.FinalModularity = mod
 		res.Total = time.Since(start)
-		rec.ObserveLatency(obs.LatDetect, res.Total.Nanoseconds())
+		rec.ObserveLatency(obs.KernelDetect, res.Total.Nanoseconds())
 		rec.EndAllocs()
 		return res, nil
 	}
@@ -526,16 +526,13 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 			res, _ := finish(TermCanceled, nil, cg, sizes)
 			return res, fmt.Errorf("core: canceled before prelabeling: %w", err)
 		}
-		rec.SetKernel("plp")
-		pSpan := rec.Begin(obs.CatKernel, "plp", -1)
-		t0 := time.Now()
+		pSpan := rec.Begin(obs.KernelPLP)
 		sweeps := opt.PLPMaxSweeps
 		if sweeps == 0 && opt.Engine == EngineEnsemble {
 			sweeps = DefaultEnsembleSweeps
 		}
 		pres := plp.PropagateWith(ec, g, plp.Options{MaxSweeps: sweeps, Threshold: opt.PLPThreshold}, &s.plp)
-		plpTime := time.Since(t0)
-		pSpan.EndArgs("sweeps", int64(pres.Sweeps), "vertices", n)
+		plpTime := pSpan.EndArgs("sweeps", int64(pres.Sweeps), "vertices", n)
 		// The entry partition (identity) for the stats row: its coverage is
 		// the input's self-loop fraction and its modularity needs the input
 		// degrees.
@@ -561,9 +558,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 			}
 		}
 
-		rec.SetKernel("contract")
-		cSpan := rec.Begin(obs.CatKernel, "contract", -1)
-		t1 := time.Now()
+		cSpan := rec.Begin(obs.KernelContract)
 		layout := contract.Contiguous
 		if opt.Contraction == ContractBucketNonContiguous {
 			layout = contract.NonContiguous
@@ -579,9 +574,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		if opt.DiscardLevels {
 			s.mapping = mapping
 		}
-		contractTime := time.Since(t1)
-		rec.ObserveLatency(obs.LatContract, contractTime.Nanoseconds())
-		cSpan.EndArgs("vertices", k, "edges", ng.NumEdges())
+		contractTime := cSpan.EndArgs("vertices", k, "edges", ng.NumEdges())
 		if opt.Validate {
 			if err := ng.Validate(); err != nil {
 				return nil, fmt.Errorf("core: prelabel contraction: %w", err)
@@ -666,9 +659,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 	// own).
 	nextCov := -1.0
 	if seed != nil {
-		rec.SetKernel("contract")
-		cSpan := rec.Begin(obs.CatKernel, "contract", -1)
-		t0 := time.Now()
+		cSpan := rec.Begin(obs.KernelContract)
 		var ng *graph.Graph
 		if opt.MaxPhases == 1 || opt.MinCoverage > 0 {
 			var st seedStats
@@ -712,13 +703,15 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		}
 		seedK = seed.k
 		sizes, sizesIdx = rollup(ec, s, &s.sizes, sizes, sizesIdx, seed.comm, int(seed.k))
-		contractTime := time.Since(t0)
 		var outEdges int64
 		if ng != nil {
 			outEdges = ng.NumEdges()
-			rec.ObserveLatency(obs.LatContract, contractTime.Nanoseconds())
+		} else {
+			// Measure-only: no seed graph was built, so no contract sample;
+			// the level that builds it takes one.
+			cSpan = cSpan.NoSample()
 		}
-		cSpan.EndArgs("vertices", seed.k, "edges", outEdges)
+		contractTime := cSpan.EndArgs("vertices", seed.k, "edges", outEdges)
 		maxBucket := g.MaxBucketLen()
 		res.Stats = append(res.Stats, PhaseStats{
 			Phase:        0,
@@ -777,18 +770,12 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 			// The seed stage measured the seed without contracting it and
 			// the stop rule did not hold: contract now. The time is the seed
 			// stage's, so it goes to phase 0.
-			rec.SetKernel("contract")
-			cSpan := rec.Begin(obs.CatKernel, "contract", -1)
-			t0 := time.Now()
+			cSpan := rec.Begin(obs.KernelContract)
 			cg = seedGraph(ec, g, seed, opt, s)
-			contractTime := time.Since(t0)
-			res.Stats[0].ContractTime += contractTime
-			rec.ObserveLatency(obs.LatContract, contractTime.Nanoseconds())
-			cSpan.EndArgs("vertices", seed.k, "edges", cg.NumEdges())
+			res.Stats[0].ContractTime += cSpan.EndArgs("vertices", seed.k, "edges", cg.NumEdges())
 		}
 
 		phSpan := rec.BeginPhase(phase, cg.NumVertices(), cg.NumEdges())
-		levelStart := time.Now()
 
 		// Primitive 0: the level schedule. One prefix sum over the bucket
 		// lengths yields the edge-balanced partition that every kernel sweep
@@ -799,7 +786,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		schedBuilt := false
 		if !ec.Serial(nv) && !ec.DynamicOnly() {
 			if ec.SetPartition(levelPart); ec.Partition() == levelPart {
-				ssp := rec.Begin(obs.CatKernel, "schedule", -1)
+				ssp := rec.Begin(obs.KernelSchedule)
 				ec.BuildBuckets(levelPart, nv, cg.Start, cg.End)
 				ssp.EndArgs("workers", int64(levelPart.Workers()), "vertices", int64(nv))
 				schedBuilt = true
@@ -812,9 +799,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		// folds the score fill, the MaxCommunitySize mask, and the
 		// positive-edge termination scan into a single sweep over the edge
 		// array; plain Scorers take the three separate passes.
-		rec.SetKernel("score")
-		scSpan := rec.Begin(obs.CatKernel, "score", -1)
-		t0 := time.Now()
+		scSpan := rec.Begin(obs.KernelScore)
 		// Degrees: rolled up through the previous contraction, or computed
 		// from the edges when no mapping produced them (the first level,
 		// after a refinement rebuild).
@@ -853,10 +838,8 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 			}
 			positive = scoring.HasPositive(ec, cg, scores)
 		}
-		scoreTime := time.Since(t0)
-		rec.ObserveLatency(obs.LatScore, scoreTime.Nanoseconds())
 		rec.FoldHot()
-		scSpan.EndArgs("edges", cg.NumEdges(), "positive", boolInt64(positive))
+		scoreTime := scSpan.EndArgs("edges", cg.NumEdges(), "positive", boolInt64(positive))
 		if !positive {
 			phSpan.End()
 			return finish(TermLocalMax, deg, cg, sizes)
@@ -875,13 +858,9 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		}
 
 		// Primitive 2: greedy heavy maximal matching.
-		rec.SetKernel("match")
-		mSpan := rec.Begin(obs.CatKernel, "match", -1)
-		t1 := time.Now()
+		mSpan := rec.Begin(obs.KernelMatch)
 		mres := matchFn(ec, cg, scores, &s.match)
-		matchTime := time.Since(t1)
-		rec.ObserveLatency(obs.LatMatch, matchTime.Nanoseconds())
-		mSpan.EndArgs("pairs", mres.Pairs, "passes", int64(mres.Passes))
+		matchTime := mSpan.EndArgs("pairs", mres.Pairs, "passes", int64(mres.Passes))
 		if opt.Validate {
 			if err := matching.Verify(cg, scores, mres.Match); err != nil {
 				return nil, fmt.Errorf("core: phase %d: %w", phase, err)
@@ -905,9 +884,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 
 		// Primitive 3: contraction, into the arena's ping-pong destination
 		// graph (phase i reads buffer i%2's predecessor and writes i%2).
-		rec.SetKernel("contract")
-		cSpan := rec.Begin(obs.CatKernel, "contract", -1)
-		t2 := time.Now()
+		cSpan := rec.Begin(obs.KernelContract)
 		var mapBuf []int64
 		if opt.DiscardLevels {
 			mapBuf = s.mapping
@@ -916,9 +893,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		if opt.DiscardLevels {
 			s.mapping = mapping
 		}
-		contractTime := time.Since(t2)
-		rec.ObserveLatency(obs.LatContract, contractTime.Nanoseconds())
-		cSpan.EndArgs("vertices", ng.NumVertices(), "edges", ng.NumEdges())
+		contractTime := cSpan.EndArgs("vertices", ng.NumVertices(), "edges", ng.NumEdges())
 		if opt.Validate {
 			if err := ng.Validate(); err != nil {
 				return nil, fmt.Errorf("core: phase %d: %w", phase, err)
@@ -1004,8 +979,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 			// Future-work integration (§II): let individual vertices migrate
 			// between the freshly merged communities on the original graph,
 			// then rebuild the community graph from the refined partition.
-			rec.SetKernel("refine")
-			rSpan := rec.Begin(obs.CatKernel, "refine", -1)
+			rSpan := rec.Begin(obs.KernelRefine)
 			rres, err := refine.RefineExec(ec, g, comm, cg.NumVertices(), refine.Options{})
 			if err != nil {
 				rSpan.End()
@@ -1031,8 +1005,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 			}
 			rSpan.EndArgs("moves", rres.Moves, "communities", cg.NumVertices())
 		}
-		rec.ObserveLatency(obs.LatLevel, time.Since(levelStart).Nanoseconds())
-		phSpan.End()
+		rec.ObserveLatency(obs.KernelLevel, phSpan.End().Nanoseconds())
 	}
 }
 

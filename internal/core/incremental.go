@@ -164,8 +164,8 @@ func DetectIncrementalWithContext(ctx context.Context, ov *graph.Overlay, prev *
 	c.ok = false
 
 	// The overlay spans attribute the fold's time in a traced run; with a
-	// nil recorder they cost nothing.
-	sp := opt.Recorder.Begin(obs.CatKernel, "overlay/apply", -1)
+	// nil recorder they cost one clock read at each end.
+	sp := opt.Recorder.Begin(obs.KernelOverlayApply)
 	err := ov.ApplyDelta(batch)
 	sp.End()
 	if err != nil {
@@ -174,7 +174,7 @@ func DetectIncrementalWithContext(ctx context.Context, ov *graph.Overlay, prev *
 	// The kernels consume the frozen bucketed representation, so the overlay
 	// is folded unconditionally; in-place compaction rewrites only the
 	// buckets the batch touched.
-	sp = opt.Recorder.Begin(obs.CatKernel, "overlay/compact", -1)
+	sp = opt.Recorder.Begin(obs.KernelOverlayCompact)
 	g, err := ov.Compact()
 	sp.End()
 	if err != nil {

@@ -158,7 +158,7 @@ func DetectSharded(ctx context.Context, c *graph.CSR, opt ShardOptions) (*ShardR
 	// Per-shard detection, one goroutine per shard, each on its own pooled
 	// execution context and scratch arena.
 	locals := make([]shardLocal, K)
-	sSpan := rec.Begin(obs.CatKernel, "shards", -1)
+	sSpan := rec.Begin(obs.KernelShards)
 	var wg sync.WaitGroup
 	for k := 0; k < K; k++ {
 		wg.Add(1)
@@ -197,7 +197,7 @@ func DetectSharded(ctx context.Context, c *graph.CSR, opt ShardOptions) (*ShardR
 	// normal termination. Level maps are kept so the dendrogram chains;
 	// refinement is forced off because it would decouple CommunityOf from
 	// the level composition.
-	tSpan := rec.Begin(obs.CatKernel, "stitch", -1)
+	tSpan := rec.Begin(obs.KernelStitch)
 	sopt := opt.Opt
 	sopt.Threads = threads
 	sopt.Engine = EngineMatching
@@ -276,7 +276,7 @@ func DetectSharded(ctx context.Context, c *graph.CSR, opt ShardOptions) (*ShardR
 	runtime.ReadMemStats(&ms)
 	obs.Flight().Record(obs.FlightMark, "shard", "heap-sample",
 		fmt.Sprintf("shards=%d heap_alloc=%d heap_sys=%d total_alloc=%d", K, ms.HeapAlloc, ms.HeapSys, ms.TotalAlloc), 0)
-	rec.ObserveLatency(obs.LatDetect, res.Total.Nanoseconds())
+	rec.ObserveLatency(obs.KernelDetect, res.Total.Nanoseconds())
 	return res, nil
 }
 

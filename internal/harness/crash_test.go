@@ -16,9 +16,9 @@ import (
 
 func TestRenderLatencyTable(t *testing.T) {
 	rec := obs.New()
-	rec.ObserveLatency(obs.LatDetect, 50_000_000)
-	rec.ObserveLatency(obs.LatLevel, 10_000_000)
-	rec.ObserveLatency(obs.LatLevel, 20_000_000)
+	rec.ObserveLatency(obs.KernelDetect, 50_000_000)
+	rec.ObserveLatency(obs.KernelLevel, 10_000_000)
+	rec.ObserveLatency(obs.KernelLevel, 20_000_000)
 	var buf bytes.Buffer
 	if err := RenderLatencyTable(&buf, rec.Latencies()); err != nil {
 		t.Fatal(err)
@@ -67,8 +67,8 @@ func TestFlushCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := obs.New()
-	rec.ObserveLatency(obs.LatDetect, 1<<22)
-	sp := rec.Begin(obs.CatKernel, "score", 0)
+	rec.ObserveLatency(obs.KernelDetect, 1<<22)
+	sp := rec.Begin(obs.KernelScore)
 	sp.End()
 	led := obs.NewLedger()
 	led.Record(obs.LevelStats{Level: 0, Vertices: 10, OutVertices: 6, Edges: 40, Metric: 0.2})
@@ -125,8 +125,9 @@ func TestFlushCrash(t *testing.T) {
 	if m.Kind != "partial" || m.Graph.Name != "unit" || len(m.Levels) != 1 {
 		t.Fatalf("manifest = %+v", m)
 	}
-	if len(m.Latencies) != 1 || m.Latencies[0].Class != "detect" {
-		t.Fatalf("manifest latencies = %+v, want the detect class", m.Latencies)
+	// The score span observes its own class when it closes.
+	if len(m.Latencies) != 2 || m.Latencies[0].Class != "detect" || m.Latencies[1].Class != "score" {
+		t.Fatalf("manifest latencies = %+v, want the detect and score classes", m.Latencies)
 	}
 	if len(m.Kernels) != 1 || m.Kernels[0].Kernel != "score" {
 		t.Fatalf("manifest kernels = %+v", m.Kernels)

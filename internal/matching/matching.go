@@ -221,7 +221,7 @@ func WorklistWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scrat
 
 	// Row store plus the initial worklist: every vertex with at least one
 	// positive edge, packed with the parallel prefix-sum-and-scatter.
-	rsp := rec.Begin(obs.CatMatch, "rows", -1)
+	rsp := rec.Begin(obs.KernelMatchRows)
 	buildRows(ec, g, scores, s, n)
 	keepFlags := s.keep
 	list := ec.PackIndexInto(n, keepFlags, s.slots, s.list)
@@ -237,11 +237,7 @@ func WorklistWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scrat
 		}
 		s.drain = append(s.drain, int64(len(list)))
 		lst := list // single-assignment alias for closure capture
-		sp := rec.Begin(obs.CatMatch, "pass", -1)
-		var passT0 int64
-		if rec.Enabled() {
-			passT0 = obs.NowNS()
-		}
+		sp := rec.Begin(obs.KernelMatchPass)
 		// Propose: refresh every active vertex's candidate. The pass bodies
 		// live in plain functions so the serial path evaluates no closure
 		// literal (a literal handed to ForDynamic escapes and heap-allocates
@@ -283,9 +279,6 @@ func WorklistWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scrat
 		buf = lst[:0]
 		list = packed
 		passes++
-		if rec.Enabled() {
-			rec.ObserveLatency(obs.LatMatchPass, obs.NowNS()-passT0)
-		}
 		sp.EndArgs("active", int64(len(lst)), "requeued", int64(len(packed)))
 		rec.Add(obs.CtrMatchActive, int64(len(lst)))
 		rec.Add(obs.CtrMatchRequeued, int64(len(packed)))
@@ -549,11 +542,7 @@ func EdgeSweepWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scra
 		}
 		pass := int64(passes)
 		eligible := false
-		sp := rec.Begin(obs.CatMatch, "pass", -1)
-		var passT0 int64
-		if rec.Enabled() {
-			passT0 = obs.NowNS()
-		}
+		sp := rec.Begin(obs.KernelMatchPass)
 		// Sweep 1: per-endpoint best via locks (the hot spot). As in the
 		// worklist kernel, the sweep bodies are plain functions so the
 		// serial path evaluates no escaping closure literal.
@@ -569,7 +558,8 @@ func EdgeSweepWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scra
 			eligible = flag != 0
 		}
 		if !eligible {
-			sp.End()
+			// The ineligible sweep matched nothing: it is no pass.
+			sp.NoSample().End()
 			break
 		}
 		// Sweep 2: match mutually best edges.
@@ -581,9 +571,6 @@ func EdgeSweepWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scra
 			})
 		}
 		passes++
-		if rec.Enabled() {
-			rec.ObserveLatency(obs.LatMatchPass, obs.NowNS()-passT0)
-		}
 		s.drain = append(s.drain, int64(n))
 		sp.EndArgs("active", int64(n), "pass", pass)
 		rec.Add(obs.CtrMatchActive, int64(n))

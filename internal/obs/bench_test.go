@@ -5,20 +5,20 @@ import (
 )
 
 // TestDisabledRecorderAllocs pins the disabled-path contract: threading a
-// nil recorder through span begins/ends, hot adds, and folds allocates
+// nil recorder through stage begins/ends, hot adds, and folds allocates
 // nothing. This is what lets the engine instrument unconditionally.
 func TestDisabledRecorderAllocs(t *testing.T) {
 	var r *Recorder
 	allocs := testing.AllocsPerRun(1000, func() {
 		ph := r.BeginPhase(0, 10, 20)
-		s := r.Begin(CatKernel, "score", -1)
+		s := r.Begin(KernelScore)
 		h := r.Hot()
 		h.Add(CtrMatchClaims, 1)
 		r.FoldHot()
 		s.End()
+		r.Begin(KernelMatchPass).NoSample().End()
 		ph.EndArgs("a", 1, "b", 2)
-		r.SetKernel("score")
-		r.ObserveLatency(LatDetect, 12345)
+		r.ObserveLatency(KernelDetect, 12345)
 		r.BeginAllocs()
 		r.EndAllocs()
 		var fl *FlightRecorder
@@ -37,13 +37,46 @@ func TestDisabledRecorderAllocs(t *testing.T) {
 	}
 }
 
+// TestEnabledStageAllocs pins the enabled stage path at zero allocations
+// once the recorder is warm: after a Reset the span buffer keeps its
+// capacity and every labeled stage's pprof label context is cached, so
+// opening and closing stages (label swap, span append, class observation,
+// flight mirror) allocates nothing.
+func TestEnabledStageAllocs(t *testing.T) {
+	r := New()
+	r.SetFlight(&FlightRecorder{})
+	run := func() {
+		ph := r.BeginPhase(0, 10, 20)
+		for k := Kernel(0); k < numKernels; k++ {
+			if stages[k].name != "" {
+				r.Begin(k).EndArgs("a", 1, "b", 2)
+			}
+		}
+		r.Begin(KernelContract).NoSample().End()
+		r.ObserveLatency(KernelLevel, ph.End().Nanoseconds())
+		r.ObserveLatency(KernelDetect, 12345)
+		r.ClearLabels()
+	}
+	for i := 0; i < 4; i++ {
+		run()
+	}
+	r.Reset()
+	allocs := testing.AllocsPerRun(100, func() {
+		run()
+		r.Reset()
+	})
+	if allocs != 0 {
+		t.Fatalf("enabled stage path allocates %v allocs/op after a warm Reset, want 0", allocs)
+	}
+}
+
 // BenchmarkDisabledSpan measures the no-op span path — should be a couple of
 // predictable branches, low single-digit nanoseconds.
 func BenchmarkDisabledSpan(b *testing.B) {
 	var r *Recorder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := r.Begin(CatKernel, "score", -1)
+		s := r.Begin(KernelScore)
 		s.End()
 	}
 }
@@ -64,7 +97,7 @@ func BenchmarkEnabledSpan(b *testing.B) {
 	r := New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s := r.Begin(CatKernel, "score", -1)
+		s := r.Begin(KernelScore)
 		s.End()
 		if len(r.spans) > 1<<16 {
 			r.Reset()
@@ -80,18 +113,5 @@ func BenchmarkEnabledHotAdd(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Add(CtrMatchClaims, 1)
-	}
-}
-
-// BenchmarkSetKernel measures the cached pprof label swap.
-func BenchmarkSetKernel(b *testing.B) {
-	r := New()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if i&1 == 0 {
-			r.SetKernel("score")
-		} else {
-			r.SetKernel("match")
-		}
 	}
 }

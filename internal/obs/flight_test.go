@@ -86,12 +86,13 @@ func TestFlightConcurrentWriters(t *testing.T) {
 func TestFlightDumpJSON(t *testing.T) {
 	Flight().Reset()
 	defer Flight().Reset()
-	r := SetLive(New())
-	defer SetLive(nil)
-	led := SetLiveLedger(NewLedger())
-	defer SetLiveLedger(nil)
+	r, led := New(), NewLedger()
+	liveRec.Store(r)
+	defer liveRec.Store(nil)
+	liveLedger.Store(led)
+	defer liveLedger.Store(nil)
 	r.Add(CtrMatchRounds, 3)
-	r.ObserveLatency(LatDetect, 1<<21)
+	r.ObserveLatency(KernelDetect, 1<<21)
 	led.Record(LevelStats{Level: 0, Vertices: 100, OutVertices: 60, Edges: 400, Metric: 0.3})
 	Flight().Record(FlightSpan, "kernel", "score", "", 42)
 

@@ -9,8 +9,7 @@ package obs
 // sample quantile by at most a factor of 1+1/latSub (6.25% with latSub=16) —
 // tight enough for p50/p90/p99 serving dashboards, cheap enough (one atomic
 // add per observation, no locks, no allocation) to record on every Detect,
-// level, and kernel pass. Histograms merge bucket-wise (Merge), so striped
-// per-worker instances fold into one without loss.
+// level, and kernel pass.
 //
 // A nil *LatencyHist (and a nil *LatencySet) is disabled: every method is a
 // nil-check no-op, preserving the package's zero-cost-when-off invariant.
@@ -87,43 +86,6 @@ func (h *LatencyHist) Observe(ns int64) {
 	for {
 		cur := h.maxNS.Load()
 		if ns <= cur || h.maxNS.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
-}
-
-// ObserveSince records the time elapsed since an obs.NowNS timestamp.
-func (h *LatencyHist) ObserveSince(startNS int64) {
-	if h == nil {
-		return
-	}
-	h.Observe(NowNS() - startNS)
-}
-
-// Count returns the number of recorded observations.
-func (h *LatencyHist) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Merge folds o's buckets into h (the striped-instance reduction). Neither
-// histogram needs to be quiescent; the merge is bucket-wise atomic.
-func (h *LatencyHist) Merge(o *LatencyHist) {
-	if h == nil || o == nil {
-		return
-	}
-	for i := range o.buckets {
-		if v := o.buckets[i].Load(); v != 0 {
-			h.buckets[i].Add(v)
-		}
-	}
-	h.count.Add(o.count.Load())
-	h.sumNS.Add(o.sumNS.Load())
-	for {
-		cur, om := h.maxNS.Load(), o.maxNS.Load()
-		if om <= cur || h.maxNS.CompareAndSwap(cur, om) {
 			return
 		}
 	}
@@ -230,80 +192,20 @@ func (h *LatencyHist) Snapshot(class string) *LatencyProfile {
 	return p
 }
 
-// Lat identifies one of the engine's fixed latency classes, addressed by
-// array index like Counter so hot paths never hash names.
-type Lat int
-
-const (
-	// LatDetect is one whole Detect run, end to end.
-	LatDetect Lat = iota
-	// LatLevel is one contraction level of the agglomeration loop
-	// (schedule + score + match + contract + optional refine).
-	LatLevel
-	// LatScore, LatMatch, LatContract are the per-level primitive times.
-	LatScore
-	LatMatch
-	LatContract
-	// LatMatchPass is one matching round (worklist or edge-sweep pass).
-	LatMatchPass
-	// LatPLPSweep is one label-propagation sweep.
-	LatPLPSweep
-	// LatContractDedup is the contraction kernel's sort+accumulate stage.
-	LatContractDedup
-
-	// NumLats is the size of a latency class block.
-	NumLats
-)
-
-var latNames = [NumLats]string{
-	"detect",
-	"level",
-	"score",
-	"match",
-	"contract",
-	"match_pass",
-	"plp_sweep",
-	"contract_dedup",
-}
-
-// String returns the class's stable export name.
-func (c Lat) String() string {
-	if c >= 0 && c < NumLats {
-		return latNames[c]
-	}
-	return "unknown_latency"
-}
-
 // LatencySet is the fixed block of per-class latency histograms a Recorder
-// carries. The zero value is ready; a nil *LatencySet no-ops.
+// carries, one per class-bearing stage of the stage table. The zero value is
+// ready; a nil *LatencySet no-ops.
 type LatencySet struct {
-	h [NumLats]LatencyHist
+	h [numClasses]LatencyHist
 }
 
-// Hist returns the class's histogram; nil for a nil set.
-func (s *LatencySet) Hist(c Lat) *LatencyHist {
-	if s == nil || c < 0 || c >= NumLats {
-		return nil
-	}
-	return &s.h[c]
-}
-
-// Observe records one duration (ns) under class c.
-func (s *LatencySet) Observe(c Lat, ns int64) {
-	if s == nil || c < 0 || c >= NumLats {
+// Observe records one duration (ns) under stage k's class; a stage without
+// a class no-ops.
+func (s *LatencySet) Observe(k Kernel, ns int64) {
+	if s == nil || k >= numClasses {
 		return
 	}
-	s.h[c].Observe(ns)
-}
-
-// Merge folds o's histograms into s class-wise.
-func (s *LatencySet) Merge(o *LatencySet) {
-	if s == nil || o == nil {
-		return
-	}
-	for c := range s.h {
-		s.h[c].Merge(&o.h[c])
-	}
+	s.h[k].Observe(ns)
 }
 
 // Reset clears every class.
@@ -322,8 +224,8 @@ func (s *LatencySet) Export() []LatencyProfile {
 		return nil
 	}
 	var out []LatencyProfile
-	for c := Lat(0); c < NumLats; c++ {
-		if p := s.h[c].Snapshot(c.String()); p != nil {
+	for c := range s.h {
+		if p := s.h[c].Snapshot(stages[c].class); p != nil {
 			out = append(out, *p)
 		}
 	}

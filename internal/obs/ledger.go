@@ -16,7 +16,7 @@ package obs
 // costs only predictable branches. All per-level derived work (positive-edge
 // counts, size histograms) is computed by the engine only when the ledger is
 // enabled. A Ledger must not be shared by concurrent detection runs; the
-// live expvar endpoint may snapshot it concurrently with a run.
+// live metrics endpoint may snapshot it concurrently with a run.
 
 import (
 	"fmt"
@@ -372,7 +372,7 @@ func (l *Ledger) NumLevels() int {
 }
 
 // LedgerProfile is the ledger's structured export, embedded in report JSON
-// and served by the live expvar endpoint.
+// and served in the live endpoint's /debug/flight dump.
 type LedgerProfile struct {
 	Levels   []LevelStats `json:"levels,omitempty"`
 	Warnings []Warning    `json:"warnings,omitempty"`

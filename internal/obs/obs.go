@@ -5,7 +5,8 @@
 // gives the Go reproduction the same visibility: span timelines per phase
 // and kernel, counters fed by the hot loops, bucket-occupancy histograms,
 // per-region worker imbalance, and pprof labels that segment CPU profiles by
-// pipeline stage.
+// pipeline stage. Every timed stage is one row of the stage table
+// (stage.go), opened with Begin and timed once by its span.
 //
 // The central type is Recorder. A nil *Recorder is the disabled recorder:
 // every method is a nil-check no-op (a predictable branch, no interface
@@ -19,8 +20,8 @@
 //
 // Three sinks consume a Recorder: Export (structured per-phase profile
 // attached to internal/report JSON), WriteTrace (Chrome trace_event JSON for
-// chrome://tracing or Perfetto), and the expvar-based live HTTP endpoint in
-// expvar.go.
+// chrome://tracing or Perfetto), and the live /metrics/prom exposition
+// served by Serve (serve.go).
 package obs
 
 import (
@@ -113,10 +114,11 @@ func (h *Hot) Add(c Counter, d int64) {
 	atomic.AddInt64(&h.v[c], d)
 }
 
-// span is one timeline interval. Times are nanoseconds since the recorder's
-// epoch; k1/v1 and k2/v2 are optional static-name numeric arguments.
+// span is one timeline interval of stage k. Times are nanoseconds since the
+// recorder's epoch; k1/v1 and k2/v2 are optional static-name numeric
+// arguments.
 type span struct {
-	cat, name  string
+	k          Kernel
 	phase      int32
 	start, dur int64
 	k1, k2     string
@@ -135,11 +137,10 @@ type regionStats struct {
 // Recorder collects one run's (or one sweep's) observability data. The zero
 // value is NOT ready: use New. A nil *Recorder is the disabled recorder —
 // every method no-ops. A Recorder must not be shared by concurrent detection
-// runs; the HTTP/expvar snapshot may read it concurrently with a run (all
+// runs; the live HTTP endpoint may read it concurrently with a run (all
 // shared state is mutex-guarded or flushed at region boundaries).
 type Recorder struct {
-	t0      time.Time
-	pprofOn bool
+	t0 int64 // NowNS epoch of the span times
 
 	mu      sync.Mutex
 	spans   []span
@@ -148,7 +149,8 @@ type Recorder struct {
 	regions map[string]*regionStats
 	phase   int32 // current phase, for live snapshots
 	phases  int32 // phases started
-	labels  map[string]context.Context
+	// labels caches each labeled stage's pprof label context.
+	labels [numKernels]context.Context
 
 	// hot is the chunk-flush block handed to hot loops; folded into ctr at
 	// region boundaries by the engine goroutine.
@@ -156,7 +158,7 @@ type Recorder struct {
 	// times is the worker-time scratch reused across regions.
 	times []int64
 	// lat holds the per-class latency histograms (atomic buckets, not under
-	// mu — ObserveLatency must stay lock-free).
+	// mu — observation must stay lock-free).
 	lat LatencySet
 	// allocBase* hold the cumulative heap counters sampled by BeginAllocs;
 	// EndAllocs folds the deltas into allocBytes/allocCount (under mu). The
@@ -177,21 +179,13 @@ type Recorder struct {
 // buckets, bin 1 = length 1, bin 2 = 2–3, ...); the last bin is an overflow.
 const histBins = 20
 
-// New returns an enabled recorder with pprof labeling on.
+// New returns an enabled recorder.
 func New() *Recorder {
-	return &Recorder{t0: time.Now(), pprofOn: true}
+	return &Recorder{t0: NowNS()}
 }
 
 // Enabled reports whether r records anything; false for the nil recorder.
 func (r *Recorder) Enabled() bool { return r != nil }
-
-// SetPprofLabels toggles per-kernel pprof labeling (on by default).
-func (r *Recorder) SetPprofLabels(on bool) {
-	if r == nil {
-		return
-	}
-	r.pprofOn = on
-}
 
 // Reset clears all recorded data, keeping buffer capacity, and restarts the
 // epoch. For reusing one recorder across harness sweep runs.
@@ -209,12 +203,12 @@ func (r *Recorder) Reset() {
 	for i := range r.hot.v {
 		atomic.StoreInt64(&r.hot.v[i], 0)
 	}
-	r.t0 = time.Now()
+	r.t0 = NowNS()
 	r.mu.Unlock()
 	r.lat.Reset()
 }
 
-func (r *Recorder) since() int64 { return time.Since(r.t0).Nanoseconds() }
+func (r *Recorder) since() int64 { return NowNS() - r.t0 }
 
 // Phases reports the number of phases started so far.
 func (r *Recorder) Phases() int {
@@ -285,22 +279,14 @@ func (r *Recorder) Allocs() AllocStats {
 	return AllocStats{Bytes: r.allocBytes, Count: r.allocCount}
 }
 
-// ObserveLatency records one duration (ns) under latency class c. Lock-free
-// (one atomic add per call) and nil-safe, so kernels may call it per pass.
-func (r *Recorder) ObserveLatency(c Lat, ns int64) {
+// ObserveLatency records one duration (ns) under stage k's latency class.
+// Lock-free and nil-safe. Only the span-less classes (KernelDetect,
+// KernelLevel) are observed this way; a span observes its own class on End.
+func (r *Recorder) ObserveLatency(k Kernel, ns int64) {
 	if r == nil {
 		return
 	}
-	r.lat.Observe(c, ns)
-}
-
-// LatencyHist returns class c's histogram for direct Observe/ObserveSince
-// use; nil when disabled.
-func (r *Recorder) LatencyHist(c Lat) *LatencyHist {
-	if r == nil {
-		return nil
-	}
-	return r.lat.Hist(c)
+	r.lat.Observe(k, ns)
 }
 
 // Latencies snapshots the non-empty latency classes.
@@ -311,37 +297,55 @@ func (r *Recorder) Latencies() []LatencyProfile {
 	return r.lat.Export()
 }
 
-// Span is a handle to an open timeline interval. The zero Span (returned by
-// the nil recorder) no-ops on End.
+// Span is a handle to an open stage interval. The nil recorder's Span still
+// carries its start time, so End returns the stage's duration either way.
 type Span struct {
-	r   *Recorder
-	idx int32
+	r        *Recorder
+	idx      int32
+	k        Kernel
+	noSample bool
+	start    int64 // NowNS at Begin
 }
 
-// Begin opens a span under category cat with the given name. phase < 0
-// selects the recorder's current phase (set by BeginPhase), which lets the
-// matching and contraction kernels label their sub-spans without threading
-// the phase index through their signatures.
-func (r *Recorder) Begin(cat, name string, phase int) Span {
+// Begin opens stage k's span under the recorder's current phase (set by
+// BeginPhase) and, for a labeled stage, sets the goroutine's {kernel: name}
+// pprof label — par workers spawned inside the stage inherit it, so CPU
+// profiles segment by pipeline stage. The clock is read once here and once
+// at End.
+func (r *Recorder) Begin(k Kernel) Span {
+	now := NowNS()
 	if r == nil {
-		return Span{}
+		return Span{k: k, start: now}
 	}
 	r.mu.Lock()
-	ph := int32(phase)
-	if phase < 0 {
-		ph = r.phase
-	}
+	ctx := r.labelLocked(k)
 	idx := len(r.spans)
-	r.spans = append(r.spans, span{cat: cat, name: name, phase: ph, start: r.since()})
+	r.spans = append(r.spans, span{k: k, phase: r.phase, start: now - r.t0})
 	r.mu.Unlock()
-	return Span{r, int32(idx)}
+	if ctx != nil {
+		pprof.SetGoroutineLabels(ctx)
+	}
+	return Span{r: r, idx: int32(idx), k: k, start: now}
 }
 
-// BeginPhase opens a phase span and makes phase the recorder's current phase
-// for nested Begin(-1) calls and live snapshots.
+// labelLocked returns stage k's cached pprof label context, nil for an
+// unlabeled stage. Caching keeps the steady state allocation-free.
+func (r *Recorder) labelLocked(k Kernel) context.Context {
+	if !stages[k].label {
+		return nil
+	}
+	if r.labels[k] == nil {
+		r.labels[k] = pprof.WithLabels(context.Background(), pprof.Labels("kernel", stages[k].name))
+	}
+	return r.labels[k]
+}
+
+// BeginPhase opens a phase span (KernelPhase) and makes phase the recorder's
+// current phase for nested Begin calls and live snapshots.
 func (r *Recorder) BeginPhase(phase int, vertices, edges int64) Span {
+	now := NowNS()
 	if r == nil {
-		return Span{}
+		return Span{k: KernelPhase, start: now}
 	}
 	r.mu.Lock()
 	r.phase = int32(phase)
@@ -350,49 +354,52 @@ func (r *Recorder) BeginPhase(phase int, vertices, edges int64) Span {
 	}
 	idx := len(r.spans)
 	r.spans = append(r.spans, span{
-		cat: CatPhase, name: "phase", phase: int32(phase), start: r.since(),
+		k: KernelPhase, phase: int32(phase), start: now - r.t0,
 		k1: "vertices", v1: vertices, k2: "edges", v2: edges,
 	})
 	r.mu.Unlock()
-	return Span{r, int32(idx)}
+	return Span{r: r, idx: int32(idx), k: KernelPhase, start: now}
 }
 
-// End closes the span.
-func (s Span) End() {
-	if s.r == nil {
-		return
+// NoSample returns s marked to close without a latency sample: for the
+// intervals a stage's class does not count (the edge-sweep matching's final,
+// ineligible pass; the incremental seed stage's measure-only path).
+func (s Span) NoSample() Span {
+	s.noSample = true
+	return s
+}
+
+// End closes the span and returns its duration.
+func (s Span) End() time.Duration { return s.end(false, "", 0, "", 0) }
+
+// EndArgs closes the span, attaches two named numeric arguments (shown in
+// the trace viewer and the JSON profile), and returns its duration.
+func (s Span) EndArgs(k1 string, v1 int64, k2 string, v2 int64) time.Duration {
+	return s.end(true, k1, v1, k2, v2)
+}
+
+// end closes the span: it records the duration, observes the stage's latency
+// class from it (unless NoSample), and mirrors the span into the flight ring.
+func (s Span) end(args bool, k1 string, v1 int64, k2 string, v2 int64) time.Duration {
+	d := NowNS() - s.start
+	r := s.r
+	if r == nil {
+		return time.Duration(d)
 	}
-	s.r.mu.Lock()
-	sp := &s.r.spans[s.idx]
-	sp.dur = s.r.since() - sp.start
-	cat, name, dur := sp.cat, sp.name, sp.dur
-	s.r.mu.Unlock()
-	s.r.flight.Record(FlightSpan, cat, name, "", dur)
-}
-
-// EndArgs closes the span and attaches two named numeric arguments (shown in
-// the trace viewer and the JSON profile).
-func (s Span) EndArgs(k1 string, v1 int64, k2 string, v2 int64) {
-	if s.r == nil {
-		return
+	r.mu.Lock()
+	sp := &r.spans[s.idx]
+	sp.dur = d
+	if args {
+		sp.k1, sp.v1, sp.k2, sp.v2 = k1, v1, k2, v2
 	}
-	s.r.mu.Lock()
-	sp := &s.r.spans[s.idx]
-	sp.dur = s.r.since() - sp.start
-	sp.k1, sp.v1, sp.k2, sp.v2 = k1, v1, k2, v2
-	cat, name, dur := sp.cat, sp.name, sp.dur
-	s.r.mu.Unlock()
-	s.r.flight.Record(FlightSpan, cat, name, "", dur)
+	r.mu.Unlock()
+	if !s.noSample {
+		r.lat.Observe(s.k, d)
+	}
+	st := &stages[s.k]
+	r.flight.Record(FlightSpan, st.cat, st.name, "", d)
+	return time.Duration(d)
 }
-
-// Span categories. CatKernel names are the engine's primitives; the
-// per-kernel breakdown aggregates spans with this category by name.
-const (
-	CatPhase    = "phase"
-	CatKernel   = "kernel"
-	CatMatch    = "match"
-	CatContract = "contract"
-)
 
 // Add accumulates d into counter c. Safe to call from the engine goroutine
 // between parallel sections (pass/region boundaries); hot loops use Hot
@@ -518,32 +525,11 @@ func (r *Recorder) FoldWorkerTimes(region string, times []int64) {
 	r.mu.Unlock()
 }
 
-// SetKernel attaches a {kernel: name} pprof label set to the calling
-// goroutine; par workers spawned inside the kernel inherit it, so CPU
-// profiles segment by pipeline stage. Label contexts are cached per name, so
-// the steady state allocates nothing.
-func (r *Recorder) SetKernel(name string) {
-	if r == nil || !r.pprofOn {
-		return
-	}
-	r.mu.Lock()
-	ctx, ok := r.labels[name]
-	if !ok {
-		ctx = pprof.WithLabels(context.Background(), pprof.Labels("kernel", name))
-		if r.labels == nil {
-			r.labels = make(map[string]context.Context)
-		}
-		r.labels[name] = ctx
-	}
-	r.mu.Unlock()
-	pprof.SetGoroutineLabels(ctx)
-}
-
 // ClearLabels removes the goroutine's pprof labels; the engine calls it when
 // a run finishes so the caller's goroutine does not keep the last kernel's
 // label.
 func (r *Recorder) ClearLabels() {
-	if r == nil || !r.pprofOn {
+	if r == nil {
 		return
 	}
 	pprof.SetGoroutineLabels(context.Background())
@@ -632,25 +618,21 @@ func (r *Recorder) KernelSeconds() []KernelSeconds {
 }
 
 func (r *Recorder) kernelSecondsLocked() []KernelSeconds {
-	byName := map[string]*KernelSeconds{}
-	var order []string
+	var at [numKernels]int // 1 + the stage's index in out; 0 until seen
+	out := make([]KernelSeconds, 0, numKernels)
 	for i := range r.spans {
 		sp := &r.spans[i]
-		if sp.cat != CatKernel {
+		st := &stages[sp.k]
+		if st.cat != CatKernel {
 			continue
 		}
-		ks := byName[sp.name]
-		if ks == nil {
-			ks = &KernelSeconds{Kernel: sp.name}
-			byName[sp.name] = ks
-			order = append(order, sp.name)
+		if at[sp.k] == 0 {
+			out = append(out, KernelSeconds{Kernel: st.name})
+			at[sp.k] = len(out)
 		}
+		ks := &out[at[sp.k]-1]
 		ks.Seconds += ns2s(sp.dur)
 		ks.Spans++
-	}
-	out := make([]KernelSeconds, 0, len(order))
-	for _, n := range order {
-		out = append(out, *byName[n])
 	}
 	return out
 }
@@ -712,8 +694,8 @@ func (r *Recorder) Export() *Profile {
 	for i := range r.spans {
 		sp := &r.spans[i]
 		p.Spans = append(p.Spans, SpanProfile{
-			Cat:      sp.cat,
-			Name:     sp.name,
+			Cat:      stages[sp.k].cat,
+			Name:     stages[sp.k].name,
 			Phase:    int(sp.phase),
 			StartSec: ns2s(sp.start),
 			DurSec:   ns2s(sp.dur),

@@ -3,9 +3,11 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -19,9 +21,11 @@ func TestNilRecorderNoOps(t *testing.T) {
 	if r.Enabled() {
 		t.Fatal("nil recorder reports enabled")
 	}
-	s := r.Begin(CatKernel, "score", 0)
-	s.End()
-	s.EndArgs("a", 1, "b", 2)
+	s := r.Begin(KernelScore)
+	if s.End() < 0 || s.EndArgs("a", 1, "b", 2) < 0 {
+		t.Fatal("nil recorder span returned a negative duration")
+	}
+	s.NoSample().End()
 	ps := r.BeginPhase(0, 10, 20)
 	ps.End()
 	r.Add(CtrMatchRounds, 5)
@@ -37,10 +41,9 @@ func TestNilRecorderNoOps(t *testing.T) {
 		t.Fatal("nil recorder returned worker times")
 	}
 	r.FoldWorkerTimes("x", []int64{1})
-	r.SetKernel("score")
+	r.ObserveLatency(KernelDetect, 1)
 	r.ClearLabels()
 	r.Reset()
-	r.SetPprofLabels(true)
 	if r.Export() != nil || r.KernelSeconds() != nil {
 		t.Fatal("nil recorder exported data")
 	}
@@ -89,10 +92,10 @@ func TestCountersAndHotFold(t *testing.T) {
 func TestSpansAndKernelSeconds(t *testing.T) {
 	r := New()
 	ph := r.BeginPhase(0, 100, 400)
-	s := r.Begin(CatKernel, "score", -1)
+	s := r.Begin(KernelScore)
 	time.Sleep(2 * time.Millisecond)
-	s.End()
-	m := r.Begin(CatKernel, "match", -1)
+	scoreDur := s.End()
+	m := r.Begin(KernelMatch)
 	m.EndArgs("pairs", 42, "passes", 3)
 	ph.End()
 
@@ -102,6 +105,13 @@ func TestSpansAndKernelSeconds(t *testing.T) {
 	}
 	if ks[0].Seconds <= 0 {
 		t.Fatalf("score seconds not positive: %v", ks[0].Seconds)
+	}
+	// One clock: the duration End returned is the span's and the class's.
+	if ks[0].Seconds != ns2s(scoreDur.Nanoseconds()) {
+		t.Fatalf("score span %vs, End returned %v", ks[0].Seconds, scoreDur)
+	}
+	if lat := r.Latencies(); len(lat) != 2 || lat[0].Class != "score" || lat[0].SumSec != ns2s(scoreDur.Nanoseconds()) {
+		t.Fatalf("latencies = %+v, want score (= %v) then match", lat, scoreDur)
 	}
 
 	p := r.Export()
@@ -118,7 +128,7 @@ func TestSpansAndKernelSeconds(t *testing.T) {
 	if p.Spans[2].Args["pairs"] != 42 {
 		t.Fatalf("match args = %v", p.Spans[2].Args)
 	}
-	// Spans beginning with phase -1 inherit the current phase.
+	// Spans inherit the current phase.
 	for _, sp := range p.Spans {
 		if sp.Phase != 0 {
 			t.Fatalf("span phase = %d, want 0", sp.Phase)
@@ -192,7 +202,7 @@ func TestForWorkerTimesRecords(t *testing.T) {
 
 func TestResetClears(t *testing.T) {
 	r := New()
-	r.Begin(CatKernel, "score", 0).End()
+	r.Begin(KernelScore).End()
 	r.Add(CtrMatchRounds, 1)
 	r.Hot().Add(CtrMatchClaims, 4)
 	r.ObserveBuckets([]int64{5})
@@ -212,8 +222,8 @@ func TestMetricsHandler(t *testing.T) {
 	r := New()
 	r.BeginPhase(1, 50, 200).End()
 	r.Add(CtrMatchRounds, 4)
-	SetLive(r)
-	defer SetLive(nil)
+	liveRec.Store(r)
+	defer liveRec.Store(nil)
 
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -222,7 +232,7 @@ func TestMetricsHandler(t *testing.T) {
 	// effect): the index and the named profiles it dispatches must serve.
 	// The CPU endpoint is exercised with ?seconds= elsewhere; fetching it
 	// here would block for its default 30s window.
-	for _, path := range []string{"/metrics", "/debug/vars", "/healthz",
+	for _, path := range []string{"/metrics/prom", "/debug/flight", "/healthz",
 		"/debug/pprof/", "/debug/pprof/cmdline", "/debug/pprof/heap"} {
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
@@ -233,30 +243,17 @@ func TestMetricsHandler(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-
-	resp, err := srv.Client().Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var p Profile
-	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
-		t.Fatalf("metrics not valid JSON: %v", err)
-	}
-	if p.Phases != 2 || p.Counters["match_rounds"] != 4 {
-		t.Fatalf("snapshot = %+v", p)
-	}
-
-	// Detached endpoint serves an empty object, not a panic.
-	SetLive(nil)
-	resp2, err := srv.Client().Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var empty map[string]any
-	if err := json.NewDecoder(resp2.Body).Decode(&empty); err != nil {
-		t.Fatalf("detached metrics not valid JSON: %v", err)
+	// The JSON sinks are gone: the live state is served by /metrics/prom
+	// and /debug/flight only.
+	for _, path := range []string{"/metrics", "/convergence", "/debug/vars"} {
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s: status %d, want 404", path, resp.StatusCode)
+		}
 	}
 }
 
@@ -269,8 +266,8 @@ func TestServeBindsAndServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	defer SetLive(nil)
-	defer SetLiveLedger(nil)
+	defer liveRec.Store(nil)
+	defer liveLedger.Store(nil)
 	base := "http://" + srv.Addr().String()
 	resp, err := http.Get(base + "/healthz")
 	if err != nil {
@@ -280,19 +277,32 @@ func TestServeBindsAndServes(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("healthz status %d", resp.StatusCode)
 	}
-	// The live ledger serves its rows on /convergence.
-	resp, err = http.Get(base + "/convergence")
+	// The served ledger shows in the exposition and in the flight dump's
+	// convergence rows.
+	resp, err = http.Get(base + "/metrics/prom")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lp LedgerProfile
-	err = json.NewDecoder(resp.Body).Decode(&lp)
+	prom, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
-		t.Fatalf("convergence not valid JSON: %v", err)
+		t.Fatal(err)
 	}
-	if len(lp.Levels) != 1 || lp.Levels[0].MergedVertices != 6 {
-		t.Fatalf("convergence snapshot = %+v", lp)
+	if !strings.Contains(string(prom), "\ncommunity_convergence_levels 1\n") {
+		t.Fatalf("/metrics/prom missing the served ledger:\n%s", prom)
+	}
+	resp, err = http.Get(base + "/debug/flight")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var d FlightDump
+	err = json.NewDecoder(resp.Body).Decode(&d)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("flight dump not valid JSON: %v", err)
+	}
+	if d.Converge == nil || len(d.Converge.Levels) != 1 || d.Converge.Levels[0].MergedVertices != 6 {
+		t.Fatalf("flight convergence = %+v, want the served ledger's one row", d.Converge)
 	}
 }
 
@@ -301,8 +311,6 @@ func TestMetricsServerCloseReleasesPort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer SetLive(nil)
-	defer SetLiveLedger(nil)
 	addr := srv.Addr().String()
 	if err := srv.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -333,5 +341,34 @@ func TestCounterNames(t *testing.T) {
 	}
 	if Counter(-1).String() != "unknown_counter" || NumCounters.String() != "unknown_counter" {
 		t.Fatal("out-of-range counters must name as unknown")
+	}
+}
+
+// TestStageTable pins the stage table's shape: every span stage has a unique
+// (category, name) pair, the class-bearing stages are exactly the first
+// numClasses with unique class names, and only kernel-category stages set
+// the kernel pprof label.
+func TestStageTable(t *testing.T) {
+	spans, classes := map[string]bool{}, map[string]bool{}
+	for k := Kernel(0); k < numKernels; k++ {
+		st := stages[k]
+		if (st.class != "") != (k < numClasses) || (st.class != "" && classes[st.class]) {
+			t.Fatalf("stage %d: class %q (numClasses %d)", k, st.class, numClasses)
+		}
+		classes[st.class] = true
+		if st.name == "" {
+			if k != KernelDetect && k != KernelLevel {
+				t.Fatalf("stage %d has no span", k)
+			}
+			continue
+		}
+		if key := st.cat + "/" + st.name; st.cat == "" || spans[key] {
+			t.Fatalf("stage %d: span %q missing a category or duplicated", k, key)
+		} else {
+			spans[key] = true
+		}
+		if st.label && st.cat != CatKernel {
+			t.Fatalf("stage %d: labeled stage outside the kernel category", k)
+		}
 	}
 }

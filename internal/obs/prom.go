@@ -23,11 +23,10 @@ import (
 	"sync"
 )
 
-// promSource is one externally registered single-value series.
+// promSource is one externally registered counter series.
 type promSource struct {
 	name  string
 	help  string
-	typ   string // "counter" or "gauge"
 	value func() int64
 }
 
@@ -36,29 +35,20 @@ var (
 	promSources []promSource
 )
 
-// registerProm adds a series, replacing any previous registration under the
-// same name (packages register from init; tests may re-register).
-func registerProm(name, help, typ string, value func() int64) {
+// RegisterPromCounter exposes fn as a monotone counter series on
+// /metrics/prom, replacing any previous registration under the same name
+// (packages register from init; tests may re-register). fn must be safe to
+// call from any goroutine.
+func RegisterPromCounter(name, help string, fn func() int64) {
 	promMu.Lock()
 	defer promMu.Unlock()
 	for i := range promSources {
 		if promSources[i].name == name {
-			promSources[i] = promSource{name, help, typ, value}
+			promSources[i] = promSource{name, help, fn}
 			return
 		}
 	}
-	promSources = append(promSources, promSource{name, help, typ, value})
-}
-
-// RegisterPromCounter exposes fn as a monotone counter series on
-// /metrics/prom. fn must be safe to call from any goroutine.
-func RegisterPromCounter(name, help string, fn func() int64) {
-	registerProm(name, help, "counter", fn)
-}
-
-// RegisterPromGauge exposes fn as a gauge series on /metrics/prom.
-func RegisterPromGauge(name, help string, fn func() int64) {
-	registerProm(name, help, "gauge", fn)
+	promSources = append(promSources, promSource{name, help, fn})
 }
 
 // promSourcesSnapshot returns the registered series sorted by name.
@@ -218,7 +208,7 @@ func WritePrometheus(w io.Writer, r *Recorder, l *Ledger, rt *RuntimeStats) erro
 	p.sample("community_go_gc_pause_seconds_total", "", float64(rt.GCPauseSec))
 
 	for _, s := range promSourcesSnapshot() {
-		p.header(s.name, s.help, s.typ)
+		p.header(s.name, s.help, "counter")
 		p.sample(s.name, "", float64(s.value()))
 	}
 

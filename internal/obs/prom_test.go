@@ -48,12 +48,12 @@ func goldenRecorder() *Recorder {
 	r.Add(CtrMatchClaims, 123)
 	r.Add(CtrContractEdgesIn, 1000)
 	r.Add(CtrContractEdgesOut, 250)
-	r.ObserveLatency(LatDetect, 50_000_000) // 50ms
-	r.ObserveLatency(LatLevel, 10_000_000)
-	r.ObserveLatency(LatLevel, 20_000_000)
-	r.ObserveLatency(LatScore, 2_000_000)
-	r.ObserveLatency(LatMatch, 3_000_000)
-	r.ObserveLatency(LatContract, 5_000_000)
+	r.ObserveLatency(KernelDetect, 50_000_000) // 50ms
+	r.ObserveLatency(KernelLevel, 10_000_000)
+	r.ObserveLatency(KernelLevel, 20_000_000)
+	r.ObserveLatency(KernelScore, 2_000_000)
+	r.ObserveLatency(KernelMatch, 3_000_000)
+	r.ObserveLatency(KernelContract, 5_000_000)
 	return r
 }
 
@@ -239,18 +239,5 @@ func TestRegisterPromReplaces(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "community_test_replace_total 2\n") {
 		t.Fatal("replacement did not take the latest value")
-	}
-}
-
-// TestSetLivePublishTwice is the double-Publish regression test: expvar
-// panics on duplicate names, so SetLive/SetLiveLedger must register exactly
-// once no matter how many recorders come and go (harness sweeps swap them
-// per run, and Serve calls both on every start).
-func TestSetLivePublishTwice(t *testing.T) {
-	defer SetLive(nil)
-	defer SetLiveLedger(nil)
-	for i := 0; i < 3; i++ {
-		SetLive(New())
-		SetLiveLedger(NewLedger())
 	}
 }

@@ -29,8 +29,6 @@ func TestLivePrometheusScrape(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	defer obs.SetLive(nil)
-	defer obs.SetLiveLedger(nil)
 
 	g := gen.CliqueChain(16, 8)
 	if _, err := core.DetectContext(context.Background(), g, core.Options{Threads: 2, Recorder: rec, Ledger: led}); err != nil {
@@ -74,8 +72,8 @@ func TestLivePrometheusScrape(t *testing.T) {
 	if rec.Counter(obs.CtrMatchRounds) == 0 {
 		t.Fatal("no matching rounds recorded")
 	}
-	if n := rec.LatencyHist(obs.LatDetect).Count(); n != 1 {
-		t.Fatalf("detect latency count = %d, want 1", n)
+	if lats := rec.Latencies(); len(lats) == 0 || lats[0].Class != "detect" || lats[0].Count != 1 {
+		t.Fatalf("latencies = %+v, want detect first with one observation", lats)
 	}
 
 	// The flight endpoint serves a parseable dump of the same run.

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // WriteTrace renders the recorder's span timeline as Chrome trace_event JSON
@@ -50,14 +49,15 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 			bw.WriteString(",\n")
 		}
 		first = false
-		name := sp.name
-		if sp.cat == CatPhase {
+		st := &stages[sp.k]
+		name := st.name
+		if st.cat == CatPhase {
 			name = fmt.Sprintf("phase %d", sp.phase)
 		}
 		fmt.Fprintf(bw,
 			`{"name":%q,"cat":%q,"ph":"X","ts":%.3f,"dur":%.3f,"pid":1,"tid":%d,"args":{"phase":%d`,
-			name, sp.cat, float64(sp.start)/1e3, float64(sp.dur)/1e3,
-			traceTID(sp.cat), sp.phase)
+			name, st.cat, float64(sp.start)/1e3, float64(sp.dur)/1e3,
+			traceTID(st.cat), sp.phase)
 		if sp.k1 != "" {
 			fmt.Fprintf(bw, ",%q:%d", sp.k1, sp.v1)
 		}
@@ -74,14 +74,14 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 
 // traceTID maps a span category to a stable trace-viewer track.
 func traceTID(cat string) int {
-	switch {
-	case cat == CatPhase:
+	switch cat {
+	case CatPhase:
 		return 1
-	case cat == CatKernel:
+	case CatKernel:
 		return 2
-	case cat == CatMatch || strings.HasPrefix(cat, "match"):
+	case CatMatch:
 		return 3
-	case cat == CatContract || strings.HasPrefix(cat, "contract"):
+	case CatContract:
 		return 4
 	}
 	return 5

@@ -29,11 +29,11 @@ func traceRecorder() *Recorder {
 	r := New()
 	for phase := 0; phase < 2; phase++ {
 		ph := r.BeginPhase(phase, 100, 400)
-		k := r.Begin(CatKernel, "score", phase)
+		k := r.Begin(KernelScore)
 		k.End()
-		m := r.Begin(CatMatch, "propose", phase)
+		m := r.Begin(KernelMatchPass)
 		m.EndArgs("pairs", 7, "passes", 2)
-		c := r.Begin(CatContract, "dedup", phase)
+		c := r.Begin(KernelContractDedup)
 		c.End()
 		ph.End()
 	}
@@ -85,7 +85,7 @@ func TestWriteTraceValidJSON(t *testing.T) {
 	// The EndArgs values survive into args.
 	var foundArgs bool
 	for _, ev := range doc.TraceEvents {
-		if ev.Name == "propose" && ev.Args["pairs"] == float64(7) && ev.Args["passes"] == float64(2) {
+		if ev.Name == "pass" && ev.Args["pairs"] == float64(7) && ev.Args["passes"] == float64(2) {
 			foundArgs = true
 		}
 	}

@@ -209,11 +209,7 @@ func PropagateWith(ec *exec.Ctx, g *graph.Graph, opt Options, scratch *Scratch) 
 		}
 		s.active = append(s.active, int64(len(list)))
 		lst := list // single-assignment alias for closure capture
-		sp := rec.Begin(obs.CatKernel, "plp/sweep", -1)
-		var sweepT0 int64
-		if rec.Enabled() {
-			sweepT0 = obs.NowNS()
-		}
+		sp := rec.Begin(obs.KernelPLPSweep)
 
 		// Phase A: compute. Plain-function bodies keep the serial path
 		// closure-free; the balanced path hands each range a private
@@ -271,9 +267,6 @@ func PropagateWith(ec *exec.Ctx, g *graph.Graph, opt Options, scratch *Scratch) 
 		dbuf = lst[:0]
 		list = packed
 		sweep++
-		if rec.Enabled() {
-			rec.ObserveLatency(obs.LatPLPSweep, obs.NowNS()-sweepT0)
-		}
 		sp.EndArgs("active", int64(len(lst)), "changed", changed)
 		// No explicit fixpoint break: when nothing changed and no ascent was
 		// blocked, no vertex is marked and the packed worklist is empty, so
