@@ -303,7 +303,8 @@ func main() {
 			fmt.Printf("wrote JSON report to %s\n", *jsonPath)
 		}
 		if *ledgerPath != "" {
-			m := report.ManifestFromRun(run)
+			m := report.NewManifest("run", run.Graph, opt, rec, led)
+			m.Summary = &run.Summary
 			// The doctor assesses against the archive as it stands, BEFORE
 			// this run's line is appended — so the appended manifest already
 			// carries its own verdict.

@@ -86,11 +86,21 @@ func runSharded(ctx context.Context, sr shardedRun, opt core.Options, rec *obs.R
 	fmt.Printf("quality: modularity %.4f coverage %.4f\n", res.FinalModularity, res.FinalCoverage)
 
 	if sr.ledgerPath != "" {
-		m := shardedManifest(sr, opt, rec, led, res,
-			report.GraphInfo{
-				Name:     runName(sr.inPath, sr.genName),
-				Vertices: csr.NumVertices(), Edges: inputEdges, Weight: totW,
-			}, elapsed)
+		m := report.NewManifest("run", report.GraphInfo{
+			Name:     runName(sr.inPath, sr.genName),
+			Vertices: csr.NumVertices(), Edges: inputEdges, Weight: totW,
+		}, opt, rec, led)
+		// The fan-out is part of the doctor's baseline key, so sharded runs
+		// are compared only with sharded runs.
+		m.Options.Shards = sr.shards
+		m.Summary = &report.Summary{
+			Communities: res.NumCommunities,
+			Coverage:    res.FinalCoverage,
+			Modularity:  res.FinalModularity,
+			Termination: string(res.Stitch.Termination),
+			TotalSec:    elapsed.Seconds(),
+			EdgesPerSec: float64(inputEdges) / elapsed.Seconds(),
+		}
 		if sr.doctorOn {
 			printVerdict(harness.RunDoctor(m, harness.DoctorConfig{
 				LedgerPath: sr.ledgerPath, Profiler: prof, Ledger: led,
@@ -129,42 +139,6 @@ func runSharded(ctx context.Context, sr shardedRun, opt core.Options, rec *obs.R
 		}
 		fmt.Printf("wrote Chrome trace to %s (load in chrome://tracing or ui.perfetto.dev)\n", sr.traceOut)
 	}
-}
-
-// shardedManifest assembles the manifest for a sharded run. The single-image
-// path goes Run -> ManifestFromRun, but a ShardResult is not a *core.Result,
-// so the sharded path builds the manifest directly: same Kind/shape, with
-// Options.Shards carrying the fan-out so the doctor baselines sharded runs
-// under their own key.
-func shardedManifest(sr shardedRun, opt core.Options, rec *obs.Recorder, led *obs.Ledger,
-	res *core.ShardResult, gi report.GraphInfo, elapsed time.Duration) *report.Manifest {
-	ro := report.OptionsOf(opt)
-	ro.Shards = sr.shards
-	m := &report.Manifest{
-		Kind:    "run",
-		Time:    time.Now().UTC(),
-		Host:    report.CollectMeta(),
-		Graph:   gi,
-		Options: ro,
-		Summary: &report.Summary{
-			Communities: res.NumCommunities,
-			Coverage:    res.FinalCoverage,
-			Modularity:  res.FinalModularity,
-			Termination: string(res.Stitch.Termination),
-			TotalSec:    elapsed.Seconds(),
-			EdgesPerSec: float64(gi.Edges) / elapsed.Seconds(),
-		},
-		Kernels:   rec.KernelSeconds(),
-		Latencies: rec.Latencies(),
-	}
-	if a := rec.Allocs(); a.Bytes != 0 || a.Count != 0 {
-		m.Allocs = &a
-	}
-	if p := led.Export(); p != nil {
-		m.Levels = p.Levels
-		m.Warnings = p.Warnings
-	}
-	return m
 }
 
 // loadShardCSR opens the detection input as a CSR view. An mmapcsr file maps

@@ -131,9 +131,9 @@ func sameBuckets(t *testing.T, label string, want, got *graph.Graph, exact bool)
 // kernel entry point and layout, a one-thread contraction must hold exactly
 // the edges and self-loops of a map-based fold of the input, and every other
 // run — threads {1,2,4}, fresh or through a reused arena, with a locally
-// built schedule, an installed level partition, or dynamic-only scheduling
-// — must reproduce its buckets slot for slot (and, in the contiguous
-// layout, its bucket offsets).
+// built schedule or an installed level partition — must reproduce its
+// buckets slot for slot (and, in the contiguous layout, its bucket
+// offsets).
 func TestContractionDeterministicAndExact(t *testing.T) {
 	for _, c := range contractCases(t) {
 		want := map[[2]int64]int64{}
@@ -173,15 +173,12 @@ func TestContractionDeterministicAndExact(t *testing.T) {
 			var s Scratch
 			dst := &graph.Graph{}
 			for _, p := range []int{1, 2, 4} {
-				for _, sched := range []string{"local", "installed", "dynamic"} {
+				for _, sched := range []string{"local", "installed"} {
 					ec := exec.New(nil, p, nil)
 					var pt par.Partition
-					switch sched {
-					case "installed":
+					if sched == "installed" {
 						ec.BuildBuckets(&pt, int(c.g.NumVertices()), c.g.Start, c.g.End)
 						ec.SetPartition(&pt)
-					case "dynamic":
-						ec.SetDynamicOnly(true)
 					}
 					l := fmt.Sprintf("%s p=%d %s", label, p, sched)
 					sameBuckets(t, l+" fresh", ref, c.run(ec, layout, nil, nil), layout == Contiguous)

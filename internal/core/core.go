@@ -133,37 +133,6 @@ func (k ContractKernel) String() string {
 	return fmt.Sprintf("ContractKernel(%d)", int(k))
 }
 
-// Scheduler selects how the engine schedules parallel kernel sweeps.
-type Scheduler int
-
-const (
-	// SchedAuto, the default, prefix-sums the bucket lengths of each
-	// hierarchy level once and installs the resulting edge-balanced
-	// partition on the execution context: edge-parallel sweeps (scoring,
-	// contraction's count/scatter) walk edge-exact spans that split hub
-	// buckets across workers, vertex-state sweeps (matching, refinement,
-	// dedup) get degree-balanced vertex-aligned ranges, and anything below
-	// the parallel threshold stays serial.
-	SchedAuto Scheduler = iota
-	// SchedDynamic disables static balanced scheduling (an ablation and
-	// measurement baseline): sweeps fall back to dynamic equal-count
-	// chunking wherever the kernel admits it. Contraction's histogram
-	// stripes require a static schedule and keep a locally built span
-	// partition either way.
-	SchedDynamic
-)
-
-// String returns the scheduler's name for logs and benchmark labels.
-func (s Scheduler) String() string {
-	switch s {
-	case SchedAuto:
-		return "auto"
-	case SchedDynamic:
-		return "dynamic"
-	}
-	return fmt.Sprintf("Scheduler(%d)", int(s))
-}
-
 // Options configures a detection run. The zero value asks for modularity
 // maximization with the paper's improved kernels on all available threads,
 // running to a local maximum.
@@ -175,10 +144,6 @@ type Options struct {
 	// Matching and Contraction select the kernels.
 	Matching    MatchKernel
 	Contraction ContractKernel
-	// Scheduler selects how parallel sweeps are scheduled across workers;
-	// the zero value (SchedAuto) builds an edge-balanced schedule per
-	// hierarchy level, SchedDynamic keeps the dynamic-chunking baseline.
-	Scheduler Scheduler
 	// Engine selects the detection pipeline: the matching agglomeration
 	// (default), pure label propagation, or the PLP-coarsened ensemble.
 	Engine Engine
@@ -390,13 +355,9 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 	}
 	matchFn, _ := matchFunc(opt.Matching)
 	contractFn, _ := contractFunc(opt.Contraction)
-	// The level schedule (Options.Scheduler): detect installs a partition on
-	// ec at the top of every phase and must leave neither it nor the
-	// dynamic-only flag behind for the next user of the context.
-	if opt.Scheduler == SchedDynamic {
-		ec.SetDynamicOnly(true)
-		defer ec.SetDynamicOnly(false)
-	}
+	// The level schedule: detect installs a partition on ec at the top of
+	// every phase and must not leave it behind for the next user of the
+	// context.
 	defer ec.SetPartition(nil)
 	levelPart := &s.part
 	// p is the worker count for the helpers outside the exec-threaded layers
@@ -780,11 +741,11 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		// Primitive 0: the level schedule. One prefix sum over the bucket
 		// lengths yields the edge-balanced partition that every kernel sweep
 		// over cg adopts through Balanced; kernels keep their dynamic (or
-		// locally built) fallbacks for serial runs, immutable contexts, and
-		// SchedDynamic, where no partition is installed.
+		// locally built) fallbacks for serial runs and immutable contexts,
+		// where no partition is installed.
 		nv := int(cg.NumVertices())
 		schedBuilt := false
-		if !ec.Serial(nv) && !ec.DynamicOnly() {
+		if !ec.Serial(nv) {
 			if ec.SetPartition(levelPart); ec.Partition() == levelPart {
 				ssp := rec.Begin(obs.KernelSchedule)
 				ec.BuildBuckets(levelPart, nv, cg.Start, cg.End)

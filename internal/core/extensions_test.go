@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/metrics"
 )
 
@@ -157,31 +158,43 @@ func TestDetectDeterministicAcrossThreadCounts(t *testing.T) {
 	// produce different maximal matchings" (§IV-B). Our worklist matches
 	// only mutually-best edges under a total order, which is a
 	// deterministic function of (graph, scores) regardless of worker count
-	// or interleaving — so whole runs are reproducible. Pin that.
-	g, _, err := gen.LJSim(2, gen.DefaultLJSim(3000, 19))
+	// or interleaving, and PLP's synchronous two-phase sweeps fix their tie
+	// and odd-sweep rules — so whole runs of every engine are reproducible.
+	// Pin that on a planted-community graph and a skewed one.
+	lj, _, err := gen.LJSim(2, gen.DefaultLJSim(3000, 19))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := DetectContext(context.Background(), g, Options{Threads: 1})
+	rmat, err := gen.RMATGraph(2, gen.DefaultRMAT(12, 19))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []int{2, 3, 8} {
-		for rep := 0; rep < 2; rep++ {
-			got, err := DetectContext(context.Background(), g, Options{Threads: p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got.NumCommunities != want.NumCommunities {
-				t.Fatalf("p=%d rep=%d: %d communities, want %d",
-					p, rep, got.NumCommunities, want.NumCommunities)
-			}
-			for v := range want.CommunityOf {
-				if got.CommunityOf[v] != want.CommunityOf[v] {
-					t.Fatalf("p=%d rep=%d: vertex %d in community %d, want %d",
-						p, rep, v, got.CommunityOf[v], want.CommunityOf[v])
+	for _, gc := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"ljsim-3000", lj}, {"rmat-12", rmat}} {
+		for _, engine := range []Engine{EngineMatching, EnginePLP, EngineEnsemble} {
+			t.Run(gc.name+"/"+engine.String(), func(t *testing.T) {
+				want, err := DetectContext(context.Background(), gc.g, Options{Threads: 1, Engine: engine})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
+				for _, p := range []int{2, 3, 4, 7} {
+					got, err := DetectContext(context.Background(), gc.g, Options{Threads: p, Engine: engine})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.NumCommunities != want.NumCommunities {
+						t.Fatalf("p=%d: %d communities, want %d", p, got.NumCommunities, want.NumCommunities)
+					}
+					for v := range want.CommunityOf {
+						if got.CommunityOf[v] != want.CommunityOf[v] {
+							t.Fatalf("p=%d: vertex %d in community %d, want %d",
+								p, v, got.CommunityOf[v], want.CommunityOf[v])
+						}
+					}
+				}
+			})
 		}
 	}
 }

@@ -53,8 +53,8 @@ type seedPartition struct {
 
 // schedule builds, once per run, the edge-balanced schedule over the input
 // g that the seed sweep and the seed contraction share, into pt, and
-// installs it on ec unless ec is dynamic-only (the loop rebuilds its own
-// per level). It returns nil on a serial context.
+// installs it on ec (the loop rebuilds its own per level). It returns nil
+// on a serial context.
 func (sp *seedPartition) schedule(ec *exec.Ctx, g *graph.Graph, pt *par.Partition) *par.Partition {
 	n := int(g.NumVertices())
 	if ec.Serial(n) {
@@ -62,9 +62,7 @@ func (sp *seedPartition) schedule(ec *exec.Ctx, g *graph.Graph, pt *par.Partitio
 	}
 	if !sp.scheduled {
 		ec.BuildBuckets(pt, n, g.Start, g.End)
-		if !ec.DynamicOnly() {
-			ec.SetPartition(pt)
-		}
+		ec.SetPartition(pt)
 		sp.scheduled = true
 	}
 	return pt

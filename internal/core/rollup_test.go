@@ -62,23 +62,21 @@ func TestRolledDegreesEqualRecomputedPerLevel(t *testing.T) {
 
 // TestRolledDegreesThroughEngine runs the engine with Options.Validate,
 // which recomputes every rolled-up level's degrees from the edges, across
-// engines, thread counts and schedulers, and checks the final modularity
-// (evaluated on the last rolled degrees) against an independent recompute.
+// engines and thread counts, and checks the final modularity (evaluated on
+// the last rolled degrees) against an independent recompute.
 func TestRolledDegreesThroughEngine(t *testing.T) {
 	for name, g := range rollupGraphs(t) {
 		for _, engine := range []Engine{EngineMatching, EngineEnsemble} {
 			for _, p := range []int{1, 2, 4} {
-				for _, sched := range []Scheduler{SchedAuto, SchedDynamic} {
-					opt := Options{Threads: p, Engine: engine, Scheduler: sched, Validate: true}
-					res, err := detectExec(context.Background(), g, opt, NewScratch())
-					if err != nil {
-						t.Fatalf("%s engine %d p=%d sched %d: %v", name, engine, p, sched, err)
-					}
-					want := metrics.Modularity(p, g, res.CommunityOf, res.NumCommunities)
-					if math.Abs(res.FinalModularity-want) > 1e-9 {
-						t.Fatalf("%s engine %d p=%d sched %d: modularity %v, recomputed %v",
-							name, engine, p, sched, res.FinalModularity, want)
-					}
+				opt := Options{Threads: p, Engine: engine, Validate: true}
+				res, err := detectExec(context.Background(), g, opt, NewScratch())
+				if err != nil {
+					t.Fatalf("%s engine %d p=%d: %v", name, engine, p, err)
+				}
+				want := metrics.Modularity(p, g, res.CommunityOf, res.NumCommunities)
+				if math.Abs(res.FinalModularity-want) > 1e-9 {
+					t.Fatalf("%s engine %d p=%d: modularity %v, recomputed %v",
+						name, engine, p, res.FinalModularity, want)
 				}
 			}
 		}

@@ -13,10 +13,10 @@
 //   - a context.Context checked at phase and kernel boundaries, so a detection
 //     can be aborted by SIGINT or deadline and return its partial hierarchy.
 //
-// A Ctx is value-derivable: WithThreads/WithContext/WithRecorder return copies
-// sharing the same pool, so a harness can acquire one team at the maximum
-// width and run narrower sweeps on it. Like the pool it wraps, a Ctx is
-// single-submitter: one loop at a time, issued from one goroutine.
+// A Ctx is value-derivable: WithThreads returns a copy sharing the same pool,
+// so a harness can acquire one team at the maximum width and run narrower
+// sweeps on it. Like the pool it wraps, a Ctx is single-submitter: one loop
+// at a time, issued from one goroutine.
 package exec
 
 import (
@@ -48,11 +48,6 @@ func init() {
 		"Fresh persistent worker teams spawned (free-list misses and explicit News).", teamsSpawned.Load)
 }
 
-// PoolStats reports the context-pool counters (tests and diagnostics).
-func PoolStats() (acquires, releases, spawned int64) {
-	return ctxAcquires.Load(), ctxReleases.Load(), teamsSpawned.Load()
-}
-
 // Ctx is the execution context for one detection (or any kernel invocation):
 // worker count, worker team, recorder, and cancellation. The zero value is not
 // usable; obtain one from Background, New, or Acquire.
@@ -67,10 +62,6 @@ type Ctx struct {
 	// shared process-wide and therefore reject SetPartition.
 	part      *par.Partition
 	immutable bool
-	// dynOnly disables static balanced scheduling: Balanced always reports
-	// nil and kernels that build their own schedules consult DynamicOnly to
-	// keep their dynamic-chunking paths. An ablation/measurement switch.
-	dynOnly bool
 }
 
 // maxBackground bounds the cached pool-less contexts handed out by Background.
@@ -184,7 +175,6 @@ func (c *Ctx) Release() {
 	c.ctx = nil
 	c.rec = nil
 	c.part = nil
-	c.dynOnly = false
 	freeMu.Lock()
 	if len(freeCtxs) < maxFree {
 		freeCtxs = append(freeCtxs, c)
@@ -222,27 +212,6 @@ func (c *Ctx) WithThreads(t int) *Ctx {
 		d.pool = par.NewPool(t)
 		teamsSpawned.Add(1)
 	}
-	return &d
-}
-
-// WithContext returns a copy of c carrying ctx for cancellation, sharing the
-// team and recorder.
-func (c *Ctx) WithContext(ctx context.Context) *Ctx {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	d := *c
-	d.ctx = ctx
-	d.immutable = false
-	return &d
-}
-
-// WithRecorder returns a copy of c reporting into rec (nil disables
-// recording), sharing the team and context.
-func (c *Ctx) WithRecorder(rec *obs.Recorder) *Ctx {
-	d := *c
-	d.rec = rec
-	d.immutable = false
 	return &d
 }
 
@@ -363,22 +332,6 @@ func (c *Ctx) SetPartition(pt *par.Partition) {
 // Partition returns the installed level partition, nil when absent.
 func (c *Ctx) Partition() *par.Partition { return c.part }
 
-// SetDynamicOnly disables (on=true) or restores (on=false) static balanced
-// scheduling on this context: while set, Balanced reports nil and kernels
-// that build private schedules fall back to dynamic chunking wherever the
-// sweep admits it. Contraction's histogram stripes and dedup position
-// arrays require a static schedule and are unaffected. Like SetPartition,
-// a no-op on the shared Background contexts; Release resets the flag.
-func (c *Ctx) SetDynamicOnly(on bool) {
-	if c.immutable {
-		return
-	}
-	c.dynOnly = on
-}
-
-// DynamicOnly reports whether static balanced scheduling is disabled.
-func (c *Ctx) DynamicOnly() bool { return c.dynOnly }
-
 // Balanced returns the installed partition when it matches a sweep over n
 // bucketed items carrying `edges` total edges and was built for a parallel
 // worker count; otherwise nil and the caller should fall back to dynamic
@@ -387,9 +340,6 @@ func (c *Ctx) DynamicOnly() bool { return c.dynOnly }
 // never misdirect a sweep.
 func (c *Ctx) Balanced(n int, edges int64) *par.Partition {
 	pt := c.part
-	if c.dynOnly {
-		return nil
-	}
 	if pt == nil || pt.Workers() < 2 || pt.Items() != n ||
 		pt.TotalWeight() != edges+int64(n) {
 		return nil

@@ -74,9 +74,12 @@ func TestWithThreadsSharesTeam(t *testing.T) {
 }
 
 func TestWithContextAndRecorder(t *testing.T) {
+	// A context built with a recorder and a cancellable context carries
+	// both, and cancelling it leaves the cached Background untouched.
 	rec := obs.New()
 	ctx, cancel := context.WithCancel(context.Background())
-	c := Background(1).WithContext(ctx).WithRecorder(rec)
+	c := New(ctx, 1, rec)
+	defer c.Close()
 	if c.Recorder() != rec {
 		t.Fatal("recorder not attached")
 	}
@@ -87,8 +90,9 @@ func TestWithContextAndRecorder(t *testing.T) {
 	if c.Err() == nil {
 		t.Fatal("cancellation not visible")
 	}
-	if Background(1).Err() != nil {
-		t.Fatal("derivation mutated the cached Background context")
+	bg := Background(1)
+	if bg.Err() != nil || bg.Recorder() != nil {
+		t.Fatal("cancellation mutated the cached Background context")
 	}
 }
 
@@ -170,7 +174,8 @@ func TestSetPartitionNoOpOnBackground(t *testing.T) {
 		t.Fatal("cached Background context accepted a partition")
 	}
 	// A derived view is private and may carry one.
-	v := c.WithRecorder(nil)
+	v := c.WithThreads(2)
+	defer v.Close()
 	v.SetPartition(&pt)
 	if v.Partition() != &pt {
 		t.Fatal("derived view rejected the partition")

@@ -12,7 +12,6 @@ package harness
 import (
 	"log/slog"
 	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -71,18 +70,7 @@ func FlushCrash(kind string, a CrashArtifacts) {
 	}
 
 	if a.LedgerPath != "" {
-		m := &report.Manifest{
-			Kind:      kind,
-			Time:      time.Now().UTC(),
-			Host:      report.CollectMeta(),
-			Graph:     a.Graph,
-			Options:   report.OptionsOf(a.Options),
-			Kernels:   a.Rec.KernelSeconds(),
-			Latencies: a.Rec.Latencies(),
-		}
-		if p := a.Led.Export(); p != nil {
-			m.Levels, m.Warnings = p.Levels, p.Warnings
-		}
+		m := report.NewManifest(kind, a.Graph, a.Options, a.Rec, a.Led)
 		if err := report.AppendManifest(a.LedgerPath, m); err != nil {
 			log.Error("crash: partial manifest failed", "error", err)
 		}

@@ -93,20 +93,15 @@ func differentialCases(t *testing.T) []diffCase {
 }
 
 // schedule is one way to run a kernel: a thread count and whether the
-// engine's level partition is installed (the row build adopts it), left
-// out (the row build makes its own spans), or disabled (dynamic-only, the
-// SchedDynamic ablation).
+// engine's level partition is installed (the row build adopts it) or left
+// out (the row build makes its own spans).
 type schedule struct {
 	threads int
 	install bool
-	dynamic bool
 }
 
 func (sc schedule) String() string {
-	switch {
-	case sc.dynamic:
-		return fmt.Sprintf("p%d/dynamic", sc.threads)
-	case sc.install:
+	if sc.install {
 		return fmt.Sprintf("p%d/auto-installed", sc.threads)
 	}
 	return fmt.Sprintf("p%d/auto", sc.threads)
@@ -115,8 +110,7 @@ func (sc schedule) String() string {
 func schedules() []schedule {
 	out := []schedule{{threads: 1}}
 	for _, p := range []int{2, 4} {
-		out = append(out, schedule{threads: p}, schedule{threads: p, install: true},
-			schedule{threads: p, dynamic: true})
+		out = append(out, schedule{threads: p}, schedule{threads: p, install: true})
 	}
 	return out
 }
@@ -127,7 +121,6 @@ func ctxFor(t *testing.T, ctx context.Context, sc schedule, g *graph.Graph) *exe
 	t.Helper()
 	ec := exec.New(ctx, sc.threads, nil)
 	t.Cleanup(ec.Close)
-	ec.SetDynamicOnly(sc.dynamic)
 	if sc.install {
 		pt := &par.Partition{}
 		ec.BuildBuckets(pt, int(g.NumVertices()), g.Start, g.End)

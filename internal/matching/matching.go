@@ -240,12 +240,12 @@ func WorklistWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scrat
 		sp := rec.Begin(obs.KernelMatchPass)
 		// Propose: refresh every active vertex's candidate. The pass bodies
 		// live in plain functions so the serial path evaluates no closure
-		// literal (a literal handed to ForDynamic escapes and heap-allocates
+		// literal (a literal handed to ForRanges escapes and heap-allocates
 		// even when the loop then runs on one worker).
-		balanced := !ec.Serial(len(lst)) && !ec.DynamicOnly()
-		if ec.Serial(len(lst)) {
+		serial := ec.Serial(len(lst))
+		if serial {
 			worklistPropose(s, lst, 0, len(lst))
-		} else if balanced {
+		} else {
 			// One degree-balanced schedule serves both phases of the pass,
 			// so a worker revisits in the claim the vertices it proposed for
 			// with their candidate entries still warm.
@@ -253,23 +253,15 @@ func WorklistWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scrat
 			ec.ForRanges("match/propose", &s.part, func(lo, hi int) {
 				worklistPropose(s, lst, lo, hi)
 			})
-		} else {
-			ec.ForDynamic(len(lst), 0, func(lo, hi int) {
-				worklistPropose(s, lst, lo, hi)
-			})
 		}
 		// Claim mutual candidates; compact the worklist. The keep flags live
 		// in reused scratch, so every entry is written (0 on the drop paths)
 		// rather than relying on a fresh zeroed allocation.
 		keep := keepFlags[:len(lst)]
-		if ec.Serial(len(lst)) {
+		if serial {
 			worklistClaim(s, lst, keep, hot, 0, len(lst))
-		} else if balanced {
-			ec.ForRanges("match/claim", &s.part, func(lo, hi int) {
-				worklistClaim(s, lst, keep, hot, lo, hi)
-			})
 		} else {
-			ec.ForDynamic(len(lst), 0, func(lo, hi int) {
+			ec.ForRanges("match/claim", &s.part, func(lo, hi int) {
 				worklistClaim(s, lst, keep, hot, lo, hi)
 			})
 		}

@@ -98,7 +98,7 @@ type LevelStats struct {
 	Changed int64 `json:"changed,omitempty"`
 	// SchedImbalance is the built per-level schedule's item-aligned
 	// imbalance (max worker share over even share, 1 = perfect); 0 when the
-	// level ran serial or dynamic. SchedBound is the analytic aligned lower
+	// level ran serial or on an immutable context. SchedBound is the analytic aligned lower
 	// bound max(1, (MaxBucketLen+1)·p/(Edges+Vertices)) — a whole-bucket
 	// schedule cannot beat it, so imbalance far above it flags a scheduling
 	// bug rather than graph skew.

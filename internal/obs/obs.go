@@ -538,7 +538,7 @@ func (r *Recorder) ClearLabels() {
 // --- structured export ----------------------------------------------------
 
 // Profile is the recorder's structured export: the per-phase JSON event log
-// that extends internal/report, and the source for live snapshots.
+// that extends internal/report.
 type Profile struct {
 	DurationSec float64          `json:"duration_sec"`
 	Phases      int              `json:"phases"`

@@ -209,18 +209,13 @@ func Do(fns ...func()) {
 	wg.Wait()
 }
 
-// Pack copies the elements of src whose keep flag is nonzero into a fresh
-// slice, preserving order, using p workers: a prefix sum over the flags
-// computes each survivor's output slot, then a scatter pass copies. This is
-// the stream-compaction primitive behind the matching worklist (§IV-B),
-// where each pass retains only the still-unmatched vertices.
-func Pack[T any](p int, src []T, keep []int64) []T {
-	return PackIntoWith(nil, p, src, keep, nil, nil)
-}
-
-// PackInto is Pack with caller-provided scratch: slots is the prefix-sum
-// workspace (grown if shorter than src) and dst receives the survivors
-// (reused if its capacity suffices). Either may be nil for fresh
+// PackInto copies the elements of src whose keep flag is nonzero into dst,
+// preserving order, using p workers: a prefix sum over the flags computes
+// each survivor's output slot, then a scatter pass copies. This is the
+// stream-compaction primitive behind the matching worklist (§IV-B), where
+// each pass retains only the still-unmatched vertices. slots is the
+// prefix-sum workspace (grown if shorter than src) and dst receives the
+// survivors (reused if its capacity suffices). Either may be nil for fresh
 // allocations. It returns the packed slice, which aliases dst's storage
 // when that was reused. src and dst must not overlap.
 func PackInto[T any](p int, src []T, keep, slots []int64, dst []T) []T {

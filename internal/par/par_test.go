@@ -93,19 +93,6 @@ func TestSumInt64MatchesSequential(t *testing.T) {
 	}
 }
 
-func TestSumFloat64(t *testing.T) {
-	xs := make([]float64, 10000)
-	for i := range xs {
-		xs[i] = 0.5
-	}
-	if got := SumFloat64(8, xs); got != 5000 {
-		t.Fatalf("SumFloat64 = %v, want 5000", got)
-	}
-	if got := SumFloat64(3, nil); got != 0 {
-		t.Fatalf("SumFloat64(nil) = %v, want 0", got)
-	}
-}
-
 func TestMaxInt64(t *testing.T) {
 	xs := []int64{3, 9, 2, 9, 1}
 	v, i := MaxInt64(4, xs)
@@ -130,14 +117,6 @@ func TestMaxInt64ArgmaxIndependentOfWorkers(t *testing.T) {
 		if v != wantV || i != wantI {
 			t.Fatalf("p=%d: (%d,%d) != (%d,%d)", p, v, i, wantV, wantI)
 		}
-	}
-}
-
-func TestCountInt64(t *testing.T) {
-	xs := []int64{1, -2, 3, -4, 5}
-	got := CountInt64(2, xs, func(x int64) bool { return x > 0 })
-	if got != 3 {
-		t.Fatalf("CountInt64 = %d, want 3", got)
 	}
 }
 
@@ -176,29 +155,6 @@ func TestExclusiveSumInt64LargeMatchesSequential(t *testing.T) {
 			if xs[i] != want[i] {
 				t.Fatalf("p=%d: xs[%d] = %d, want %d", p, i, xs[i], want[i])
 			}
-		}
-	}
-}
-
-func TestExclusiveSumInt32(t *testing.T) {
-	r := NewRNG(1)
-	n := 50000
-	orig := make([]int32, n)
-	for i := range orig {
-		orig[i] = int32(r.Intn(7))
-	}
-	want := make([]int32, n)
-	copy(want, orig)
-	wantTotal := ExclusiveSumInt32(1, want)
-	xs := make([]int32, n)
-	copy(xs, orig)
-	total := ExclusiveSumInt32(8, xs)
-	if total != wantTotal {
-		t.Fatalf("total %d != %d", total, wantTotal)
-	}
-	for i := range xs {
-		if xs[i] != want[i] {
-			t.Fatalf("xs[%d] = %d, want %d", i, xs[i], want[i])
 		}
 	}
 }
@@ -432,7 +388,7 @@ func TestPack(t *testing.T) {
 	src := []int64{10, 20, 30, 40, 50}
 	keep := []int64{1, 0, 1, 0, 1}
 	for _, p := range []int{1, 2, 4} {
-		got := Pack(p, src, keep)
+		got := PackInto(p, src, keep, nil, nil)
 		want := []int64{10, 30, 50}
 		if len(got) != len(want) {
 			t.Fatalf("p=%d: got %v", p, got)
@@ -443,10 +399,10 @@ func TestPack(t *testing.T) {
 			}
 		}
 	}
-	if out := Pack(2, []int64{}, []int64{}); out != nil {
+	if out := PackInto(2, []int64{}, []int64{}, nil, nil); out != nil {
 		t.Fatal("empty pack should be nil")
 	}
-	if out := Pack(2, src, []int64{0, 0, 0, 0, 0}); len(out) != 0 {
+	if out := PackInto(2, src, []int64{0, 0, 0, 0, 0}, nil, nil); len(out) != 0 {
 		t.Fatalf("all-drop pack returned %v", out)
 	}
 }
@@ -457,7 +413,7 @@ func TestPackMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Pack(1, []int64{1, 2}, []int64{1})
+	PackInto(1, []int64{1, 2}, []int64{1}, nil, nil)
 }
 
 func TestPackLargeMatchesSequential(t *testing.T) {
@@ -471,8 +427,8 @@ func TestPackLargeMatchesSequential(t *testing.T) {
 			keep[i] = 1
 		}
 	}
-	want := Pack(1, src, keep)
-	got := Pack(8, src, keep)
+	want := PackInto(1, src, keep, nil, nil)
+	got := PackInto(8, src, keep, nil, nil)
 	if len(want) != len(got) {
 		t.Fatalf("length %d != %d", len(got), len(want))
 	}

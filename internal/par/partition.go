@@ -54,13 +54,14 @@ func (pt *Partition) Workers() int { return pt.workers }
 // graph it is about to sweep.
 func (pt *Partition) TotalWeight() int64 { return pt.total }
 
-// HasSpans reports whether the build produced edge-exact spans.
-func (pt *Partition) HasSpans() bool { return len(pt.spans) == pt.workers && pt.workers > 0 }
+// hasSpans reports whether the build produced edge-exact spans.
+func (pt *Partition) hasSpans() bool { return len(pt.spans) == pt.workers && pt.workers > 0 }
 
 // Range returns worker w's item-aligned share [lo, hi).
 func (pt *Partition) Range(w int) (lo, hi int) { return pt.bounds[w], pt.bounds[w+1] }
 
-// Span returns worker w's edge-exact share. Only valid when HasSpans.
+// Span returns worker w's edge-exact share. Only valid when the build
+// produced spans.
 func (pt *Partition) Span(w int) Span { return pt.spans[w] }
 
 // AlignedImbalance reports the item-aligned schedule's load imbalance: the

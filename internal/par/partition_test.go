@@ -123,7 +123,7 @@ func TestPartitionSpansTileEdgesExactly(t *testing.T) {
 		for _, p := range []int{1, 2, 3, 5, 13, 64} {
 			var pt Partition
 			pt.BuildBuckets(nil, p, n, start, end)
-			if !pt.HasSpans() {
+			if !pt.hasSpans() {
 				t.Fatalf("%s p=%d: no spans after BuildBuckets", name, p)
 			}
 			w := pt.Workers()
@@ -211,7 +211,7 @@ func TestPartitionIndexedAlignedOnly(t *testing.T) {
 	for _, p := range []int{1, 2, 5, 16} {
 		var pt Partition
 		pt.BuildIndexed(nil, p, list, start, end)
-		if pt.HasSpans() {
+		if pt.hasSpans() {
 			t.Fatalf("p=%d: indexed build produced spans", p)
 		}
 		if pt.Items() != len(list) {
@@ -271,8 +271,8 @@ func TestPartitionRebuildAndReset(t *testing.T) {
 		start, end := randBuckets(r, lens)
 		p := 1 + r.Intn(8)
 		pt.BuildBuckets(nil, p, n, start, end)
-		if pt.Items() != n || !pt.HasSpans() {
-			t.Fatalf("trial %d: rebuild broken: items=%d spans=%v", trial, pt.Items(), pt.HasSpans())
+		if pt.Items() != n || !pt.hasSpans() {
+			t.Fatalf("trial %d: rebuild broken: items=%d spans=%v", trial, pt.Items(), pt.hasSpans())
 		}
 		var total int64
 		for x := 0; x < n; x++ {
@@ -283,7 +283,7 @@ func TestPartitionRebuildAndReset(t *testing.T) {
 		}
 	}
 	pt.Reset()
-	if pt.Items() != 0 || pt.Workers() != 0 || pt.HasSpans() {
+	if pt.Items() != 0 || pt.Workers() != 0 || pt.hasSpans() {
 		t.Fatalf("Reset left partition live: %+v", pt)
 	}
 }

@@ -34,42 +34,6 @@ func (pl *Pool) SumInt64(p int, xs []int64) int64 {
 	return s
 }
 
-// SumFloat64 returns the sum of xs computed with p workers. The combine
-// order is deterministic for a fixed p (per-worker partials summed in
-// worker order), so repeated runs with the same p agree bit-for-bit.
-func SumFloat64(p int, xs []float64) float64 {
-	return (*Pool)(nil).SumFloat64(p, xs)
-}
-
-// SumFloat64 is the free SumFloat64 running on the team; a nil pool spawns.
-func (pl *Pool) SumFloat64(p int, xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	p = normalize(p, n)
-	if p == 1 {
-		var s float64
-		for _, x := range xs {
-			s += x
-		}
-		return s
-	}
-	partial := make([]float64, p)
-	pl.ForWorker(p, n, func(w, lo, hi int) {
-		var s float64
-		for _, x := range xs[lo:hi] {
-			s += x
-		}
-		partial[w] = s
-	})
-	var s float64
-	for _, x := range partial {
-		s += x
-	}
-	return s
-}
-
 // MaxInt64 returns the maximum element of xs and its first index, computed
 // with p workers. It panics on an empty slice.
 func MaxInt64(p int, xs []int64) (max int64, argmax int) {
@@ -102,29 +66,4 @@ func MaxInt64(p int, xs []int64) (max int64, argmax int) {
 		}
 	}
 	return best.v, best.i
-}
-
-// CountInt64 returns the number of elements in xs for which pred holds,
-// computed with p workers.
-func CountInt64(p int, xs []int64, pred func(int64) bool) int64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	p = normalize(p, n)
-	partial := make([]int64, p)
-	ForWorker(p, n, func(w, lo, hi int) {
-		var c int64
-		for _, x := range xs[lo:hi] {
-			if pred(x) {
-				c++
-			}
-		}
-		partial[w] = c
-	})
-	var c int64
-	for _, x := range partial {
-		c += x
-	}
-	return c
 }

@@ -57,46 +57,3 @@ func (pl *Pool) ExclusiveSumInt64(p int, xs []int64) int64 {
 	})
 	return total
 }
-
-// ExclusiveSumInt32 is ExclusiveSumInt64 for int32 slices; the total is
-// returned as int64 so it cannot overflow for slices over 2^31 elements of
-// small counts.
-func ExclusiveSumInt32(p int, xs []int32) int64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	p = normalize(p, n)
-	if p == 1 || n < 4096 {
-		var run int64
-		for i := range xs {
-			v := int64(xs[i])
-			xs[i] = int32(run)
-			run += v
-		}
-		return run
-	}
-	blockSum := make([]int64, p)
-	ForWorker(p, n, func(w, lo, hi int) {
-		var s int64
-		for _, x := range xs[lo:hi] {
-			s += int64(x)
-		}
-		blockSum[w] = s
-	})
-	var total int64
-	for w := 0; w < p; w++ {
-		s := blockSum[w]
-		blockSum[w] = total
-		total += s
-	}
-	ForWorker(p, n, func(w, lo, hi int) {
-		run := blockSum[w]
-		for i := lo; i < hi; i++ {
-			v := int64(xs[i])
-			xs[i] = int32(run)
-			run += v
-		}
-	})
-	return total
-}

@@ -212,14 +212,14 @@ func PropagateWith(ec *exec.Ctx, g *graph.Graph, opt Options, scratch *Scratch) 
 		sp := rec.Begin(obs.KernelPLPSweep)
 
 		// Phase A: compute. Plain-function bodies keep the serial path
-		// closure-free; the balanced path hands each range a private
+		// closure-free; the parallel path hands each range a private
 		// histogram stripe claimed off an atomic cursor (ranges ≤ workers,
 		// and stripe identity cannot affect the outcome — stripes are
 		// scratch restored to zero vertex by vertex).
-		balanced := !ec.Serial(len(lst)) && !ec.DynamicOnly()
-		if ec.Serial(len(lst)) {
+		serial := ec.Serial(len(lst))
+		if serial {
 			computeRange(c, labels, s.pending, spa[:n], lst, 0, len(lst))
-		} else if balanced {
+		} else {
 			rowStart, rowEnd := c.RowBounds()
 			ec.BuildIndexed(&s.part, lst, rowStart, rowEnd)
 			var cursor int64
@@ -228,33 +228,21 @@ func PropagateWith(ec *exec.Ctx, g *graph.Graph, opt Options, scratch *Scratch) 
 				j := int(atomic.AddInt64(&cursor, 1)) - 1
 				computeRange(c, labels, s.pending, spa[j*nn:(j+1)*nn], lst, lo, hi)
 			})
-		} else {
-			// Dynamic-chunking ablation path: chunk counts exceed the stripe
-			// budget, so fall back to a per-chunk map (the refine kernel's
-			// discipline).
-			ec.ForDynamic(len(lst), 0, func(lo, hi int) {
-				computeRangeMap(c, labels, s.pending, lst, lo, hi)
-			})
 		}
 
 		// Phase B: commit and scatter activation marks (see the package
 		// comment for the consistency argument).
 		var changed int64
-		if ec.Serial(len(lst)) {
+		if serial {
 			changed = commitRange(c, labels, s.pending, marks, sweep, lst, 0, len(lst))
 		} else {
 			// Declared here so the serial path, whose counters no closure
 			// captures, stays allocation-free.
 			var sum atomic.Int64
 			sw := sweep
-			body := func(lo, hi int) {
+			ec.ForRanges("plp/commit", &s.part, func(lo, hi int) {
 				sum.Add(commitRange(c, labels, s.pending, marks, sw, lst, lo, hi))
-			}
-			if balanced {
-				ec.ForRanges("plp/commit", &s.part, body)
-			} else {
-				ec.ForDynamic(len(lst), 0, body)
-			}
+			})
 			changed = sum.Load()
 		}
 		s.changed = append(s.changed, changed)
@@ -310,29 +298,6 @@ func computeRange(c *graph.CSR, labels, pending, w []int64, list []int64, lo, hi
 			w[labels[u]] = 0
 		}
 		w[cur] = 0
-		pending[v] = best
-	}
-}
-
-// computeRangeMap is computeRange with a per-call map instead of a stripe,
-// for the dynamic-chunking path where chunks outnumber stripes.
-func computeRangeMap(c *graph.CSR, labels, pending []int64, list []int64, lo, hi int) {
-	w := make(map[int64]int64)
-	for i := lo; i < hi; i++ {
-		v := list[i]
-		cur := labels[v]
-		adj, wgt := c.Neighbors(v)
-		clear(w)
-		w[cur] = c.Self[v]
-		best, bestW := cur, w[cur]
-		for j, u := range adj {
-			l := labels[u]
-			nw := w[l] + wgt[j]
-			w[l] = nw
-			if nw > bestW || (nw == bestW && l < best) {
-				best, bestW = l, nw
-			}
-		}
 		pending[v] = best
 	}
 }

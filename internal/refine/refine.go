@@ -92,14 +92,14 @@ func RefineExec(ec *exec.Ctx, g *graph.Graph, comm []int64, k int64, opt Options
 		vol[cur[v]] += deg[v]
 	}
 
-	// Each sweep visits every CSR entry, so on skewed graphs dynamic
-	// equal-count chunks put whole hubs on one worker. Degrees are fixed
+	// Each sweep visits every CSR entry, so on skewed graphs equal-count
+	// chunks would put whole hubs on one worker. Degrees are fixed
 	// across sweeps: build one degree-balanced partition up front and hand
 	// every sweep the same vertex-aligned ranges. Ranges, not spans — the
 	// neighbor scan is per-vertex state, so a vertex must not be split.
 	var pt par.Partition
-	balanced := !ec.Serial(int(n)) && !ec.DynamicOnly()
-	if balanced {
+	serial := ec.Serial(int(n))
+	if !serial {
 		rowStart, rowEnd := csr.RowBounds()
 		ec.BuildBuckets(&pt, int(n), rowStart, rowEnd)
 	}
@@ -148,10 +148,10 @@ func RefineExec(ec *exec.Ctx, g *graph.Graph, comm []int64, k int64, opt Options
 			break // keep the best partition found so far
 		}
 		moves = 0
-		if balanced {
-			ec.ForRanges("refine/sweep", &pt, sweepBody)
+		if serial {
+			sweepBody(0, int(n))
 		} else {
-			ec.ForDynamic(int(n), 0, sweepBody)
+			ec.ForRanges("refine/sweep", &pt, sweepBody)
 		}
 		res.Sweeps++
 		res.Moves += moves

@@ -22,11 +22,10 @@ import (
 
 // Run is one detection run, flattened for JSON.
 type Run struct {
-	Graph    GraphInfo `json:"graph"`
-	Options  Options   `json:"options"`
-	Phases   []Phase   `json:"phases"`
-	Summary  Summary   `json:"summary"`
-	Recorded time.Time `json:"recorded,omitempty"`
+	Graph   GraphInfo `json:"graph"`
+	Options Options   `json:"options"`
+	Phases  []Phase   `json:"phases"`
+	Summary Summary   `json:"summary"`
 	// Meta describes the machine and build that produced the run, so
 	// archived runs stay comparable across hosts and revisions.
 	Meta *Meta `json:"meta,omitempty"`
@@ -231,15 +230,6 @@ func (r *Run) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// ReadJSON parses a run written by WriteJSON.
-func ReadJSON(r io.Reader) (*Run, error) {
-	var run Run
-	if err := json.NewDecoder(r).Decode(&run); err != nil {
-		return nil, err
-	}
-	return &run, nil
-}
-
 // Manifest is one self-contained run record for the results/ archive: enough
 // environment (host, git revision via the stamped build info), configuration
 // (full engine options), and outcome (summary, per-level convergence rows,
@@ -269,43 +259,28 @@ type Manifest struct {
 	Verdict *obs.Verdict `json:"verdict,omitempty"`
 }
 
-// ManifestFromRun assembles a completed run's manifest.
-func ManifestFromRun(run *Run) *Manifest {
-	sum := run.Summary
-	return &Manifest{
-		Kind:      "run",
+// NewManifest assembles a manifest of the given kind ("run", or "partial"
+// from a crash path) stamped with the current time and host. The kernel
+// seconds, latency snapshots and heap footprint (when sampled) come from
+// rec, the convergence rows and warnings from led; either may be nil.
+// Callers fill in Summary.
+func NewManifest(kind string, graph GraphInfo, opt core.Options, rec *obs.Recorder, led *obs.Ledger) *Manifest {
+	m := &Manifest{
+		Kind:      kind,
 		Time:      time.Now().UTC(),
-		Host:      run.Meta,
-		Graph:     run.Graph,
-		Options:   run.Options,
-		Summary:   &sum,
-		Levels:    run.Levels,
-		Warnings:  run.Warnings,
-		Kernels:   kernelsOf(run.Obs),
-		Latencies: latenciesOf(run.Obs),
-		Allocs:    allocsOf(run.Obs),
+		Host:      CollectMeta(),
+		Graph:     graph,
+		Options:   OptionsOf(opt),
+		Kernels:   rec.KernelSeconds(),
+		Latencies: rec.Latencies(),
 	}
-}
-
-func kernelsOf(p *obs.Profile) []obs.KernelSeconds {
-	if p == nil {
-		return nil
+	if a := rec.Allocs(); a.Bytes != 0 || a.Count != 0 {
+		m.Allocs = &a
 	}
-	return p.Kernels
-}
-
-func latenciesOf(p *obs.Profile) []obs.LatencyProfile {
-	if p == nil {
-		return nil
+	if p := led.Export(); p != nil {
+		m.Levels, m.Warnings = p.Levels, p.Warnings
 	}
-	return p.Latencies
-}
-
-func allocsOf(p *obs.Profile) *obs.AllocStats {
-	if p == nil {
-		return nil
-	}
-	return p.Allocs
+	return m
 }
 
 // AppendManifest writes m as one compact JSON line at the end of path,

@@ -54,8 +54,8 @@ func TestFromResultAndRoundTrip(t *testing.T) {
 	if !strings.Contains(buf.String(), `"termination"`) {
 		t.Fatalf("JSON missing fields: %s", buf.String()[:200])
 	}
-	back, err := ReadJSON(&buf)
-	if err != nil {
+	back := &Run{}
+	if err := json.Unmarshal(buf.Bytes(), back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Summary.Communities != run.Summary.Communities ||
@@ -100,12 +100,6 @@ func TestCollectMeta(t *testing.T) {
 	}
 }
 
-func TestReadJSONRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{nope")); err == nil {
-		t.Fatal("accepted bad JSON")
-	}
-}
-
 func TestFromResultCustomScorerName(t *testing.T) {
 	g := gen.CliqueChain(3, 4)
 	opt := core.Options{Threads: 1, Scorer: namedScorer{}}
@@ -137,20 +131,36 @@ func TestManifestAppendAndRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := FromResult("lj-sim-600", g, opt, res)
-	run.Meta = CollectMeta()
-	run.Obs = rec.Export()
 	run.AttachLedger(led)
 	if len(run.Levels) == 0 || len(run.Levels) != led.NumLevels() {
 		t.Fatalf("run carries %d levels, ledger has %d", len(run.Levels), led.NumLevels())
 	}
 
 	path := filepath.Join(t.TempDir(), "results", "ledger.jsonl")
-	m := ManifestFromRun(run)
-	if m.Kind != "run" || m.Summary == nil || len(m.Levels) != len(run.Levels) {
+	m := NewManifest("run", run.Graph, opt, rec, led)
+	m.Summary = &run.Summary
+	if m.Kind != "run" || m.Host == nil || len(m.Levels) != len(run.Levels) {
 		t.Fatalf("manifest %+v", m)
 	}
-	if len(m.Kernels) == 0 {
-		t.Fatal("manifest missing kernel seconds")
+	if len(m.Kernels) == 0 || len(m.Latencies) == 0 || m.Allocs == nil {
+		t.Fatalf("manifest missing recorder fields: %d kernels, %d latency classes, allocs %v",
+			len(m.Kernels), len(m.Latencies), m.Allocs)
+	}
+	// The doctor reads archived lines, so the manifest's JSON keys are a
+	// file format: pin the set a completed, recorded run writes.
+	var keys map[string]json.RawMessage
+	line, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(line, &keys); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"kind", "time", "host", "graph", "options", "summary",
+		"levels", "kernel_seconds", "latencies", "allocs"} {
+		if _, ok := keys[k]; !ok {
+			t.Errorf("manifest JSON lacks key %q: %s", k, line)
+		}
 	}
 	// Two appends accumulate two parseable lines (and MkdirAll creates the
 	// results/ directory on first use).

@@ -677,16 +677,143 @@ func f(w io.Writer) {
 	}
 }
 
-// repoGoFiles lists the root package's Go files and every Go file under cmd
-// and internal, skipping the directory skip, and test files unless tests is
-// set.
-func repoGoFiles(t *testing.T, skip string, tests bool) []string {
+// substrateDirs are the execution substrate packages. Every export there is
+// API surface the kernels build on, so one that nothing outside its own file
+// names is dead weight rather than a reusable primitive.
+var substrateDirs = []string{filepath.Join("internal", "par"), filepath.Join("internal", "exec")}
+
+// TestSubstrateExportsHaveCallers parses the non-test Go files of the root
+// package, cmd (cmd/perf included), internal and examples, and fails on any
+// exported top-level function or method declared in a non-test file of
+// substrateDirs that no other non-test file names. The match is by
+// identifier name only, so a dead method sharing its name with a live
+// function or method elsewhere (Ctx.ZeroInt64 and Pool.ZeroInt64, say) is
+// not caught.
+func TestSubstrateExportsHaveCallers(t *testing.T) {
+	files := repoGoFiles(t, "", false, "examples")
+	var defs []string
+	for _, f := range files {
+		if slices.Contains(substrateDirs, filepath.Dir(f)) {
+			defs = append(defs, f)
+		}
+	}
+	if len(defs) == 0 {
+		t.Fatal("no substrate sources found")
+	}
+	srcs := make(map[string]any, len(files))
+	for _, f := range files {
+		srcs[f] = nil
+	}
+	bad, err := uncalledExports(defs, srcs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bad {
+		t.Errorf("%s: exported substrate function with no caller outside its file (delete it, or unexport it if its own file needs it)", b)
+	}
+}
+
+// TestUncalledExportsFlagsViolations proves the check can fail: exports
+// named only in their own file, only by a test, or only in a comment
+// elsewhere, and a dead method, are reported; an export called from another
+// file, a method value taken elsewhere, and unexported helpers are not.
+func TestUncalledExportsFlagsViolations(t *testing.T) {
+	srcs := map[string]any{
+		"p/p.go": `package p
+func Used() {}
+func SelfOnly() { SelfOnly() }
+func ByTest() {}
+func Commented() {}
+func helper() {}
+type T struct{}
+func (T) Method() {}
+func (*T) Dead() {}
+`,
+		"q/q.go": `package q
+func f(t p.T) {
+	p.Used()
+	g := t.Method
+	_ = g
+	// p.Commented() in a comment
+}
+`,
+		"q/q_test.go": `package q
+func TestX() { p.ByTest() }
+`,
+	}
+	nonTest := map[string]any{"p/p.go": srcs["p/p.go"], "q/q.go": srcs["q/q.go"]}
+	bad, err := uncalledExports([]string{"p/p.go"}, nonTest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(bad, " "); got != "p/p.go:3 SelfOnly p/p.go:4 ByTest p/p.go:5 Commented p/p.go:9 Dead" {
+		t.Fatalf("flagged %q, want SelfOnly, ByTest, Commented and Dead", got)
+	}
+}
+
+// uncalledExports parses every file of srcs (from its value when non-nil)
+// and returns "file:line name" for each exported top-level function or
+// method declared in one of defs whose name no other file of srcs uses as an
+// identifier. A declaration's own name is not a use.
+func uncalledExports(defs []string, srcs map[string]any) ([]string, error) {
+	fset := token.NewFileSet()
+	users := map[string]map[string]bool{} // name -> files using it
+	var decls []*ast.FuncDecl
+	declFile := map[*ast.FuncDecl]string{}
+	files := make([]string, 0, len(srcs))
+	for f := range srcs {
+		files = append(files, f)
+	}
+	slices.Sort(files)
+	for _, file := range files {
+		f, err := parser.ParseFile(fset, file, srcs[file], parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		own := map[*ast.Ident]bool{}
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				own[fd.Name] = true
+				if slices.Contains(defs, file) && fd.Name.IsExported() {
+					decls = append(decls, fd)
+					declFile[fd] = file
+				}
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !own[id] {
+				if users[id.Name] == nil {
+					users[id.Name] = map[string]bool{}
+				}
+				users[id.Name][file] = true
+			}
+			return true
+		})
+	}
+	var bad []string
+	for _, fd := range decls {
+		file := declFile[fd]
+		called := false
+		for user := range users[fd.Name.Name] {
+			called = called || user != file
+		}
+		if !called {
+			bad = append(bad, fmt.Sprintf("%s:%d %s", file, fset.Position(fd.Pos()).Line, fd.Name.Name))
+		}
+	}
+	return bad, nil
+}
+
+// repoGoFiles lists the root package's Go files and every Go file under cmd,
+// internal and the extra roots, skipping the directory skip, and test files
+// unless tests is set.
+func repoGoFiles(t *testing.T, skip string, tests bool, extra ...string) []string {
 	t.Helper()
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, root := range []string{"cmd", "internal"} {
+	for _, root := range append([]string{"cmd", "internal"}, extra...) {
 		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 			if err != nil {
 				return err
