@@ -90,7 +90,8 @@ telemetry-smoke:
 # The run doctor's offline drift report over a real archive. Bootstraps a
 # 5-run baseline at R-MAT scale 14 (big enough that kernel seconds clear the
 # doctor's 0.02s absolute floor) into $(DOCTOR_LEDGER) on first use, runs one
-# fresh head detection, and gates on cmd/doctor: non-zero exit when the head
+# fresh head detection whose -json manifest replaces the head file (a
+# one-run archive), and gates on cmd/doctor: non-zero exit when the head
 # regressed past the thresholds. DOCTOR_INJECT multiplies the head's timings
 # before assessment — the self-test hook doctor-smoke uses to prove the gate
 # actually fires (DOCTOR_INJECT=3 must fail).
@@ -103,8 +104,7 @@ doctor:
 		echo "doctor: bootstrapping 5-run baseline into $(DOCTOR_LEDGER)"; \
 		for i in 1 2 3 4 5; do $(DOCTOR_RUN) -ledger $(DOCTOR_LEDGER) >/dev/null || exit 1; done; \
 	fi
-	rm -f results/doctor_head.jsonl
-	$(DOCTOR_RUN) -ledger results/doctor_head.jsonl -doctor=false >/dev/null
+	$(DOCTOR_RUN) -json results/doctor_head.jsonl >/dev/null
 	$(GO) run ./cmd/doctor -baseline $(DOCTOR_LEDGER) -inject $(DOCTOR_INJECT) results/doctor_head.jsonl
 
 # CI's doctor gate self-test: a clean pass must exit zero and an injected 3x

@@ -289,9 +289,6 @@ type bencher struct {
 	// set by runPhases before detection so a panic flush can label partial rows.
 	ledgerGraph report.GraphInfo
 	ledgerOpt   core.Options
-	// ledgerSummary is the finished run's outcome; nil until the -phases
-	// detection completes, so a partial crash manifest stays summary-less.
-	ledgerSummary *report.Summary
 
 	rmatG, ljG, webG *graph.Graph
 	smallRecs        []harness.Record
@@ -416,20 +413,12 @@ func (b *bencher) runPhases() {
 	b.ledgerOpt = opt
 	res, err := core.DetectContext(b.ctx, g, opt)
 	check(err)
-	b.ledgerSummary = &report.Summary{
-		Communities: res.NumCommunities,
-		Coverage:    res.FinalCoverage,
-		Modularity:  res.FinalModularity,
-		Termination: string(res.Termination),
-		TotalSec:    res.Total.Seconds(),
-		EdgesPerSec: float64(g.NumEdges()) / res.Total.Seconds(),
-	}
 	check(harness.RenderPhaseTable(os.Stdout, res.Stats))
 	if b.convergence {
 		check(harness.RenderConvergenceTable(os.Stdout, b.led.Levels(), b.led.Warnings()))
 	}
 	if b.ledgerPath != "" {
-		b.flushLedger("run")
+		b.flushLedger(report.Summarize(g, b.maxThreads, res))
 	}
 	var score, match, contractT time.Duration
 	for _, st := range res.Stats {
@@ -445,17 +434,13 @@ func (b *bencher) runPhases() {
 	b.printProfile(res)
 }
 
-// flushLedger appends the instrumented run's manifest (kind "run" normally,
-// "partial" from the panic path) to -ledger.
-func (b *bencher) flushLedger(kind string) {
-	if b.ledgerPath == "" {
-		return
-	}
-	m := report.NewManifest(kind, b.ledgerGraph, b.ledgerOpt, b.rec, b.led)
-	if kind == "run" {
-		m.Summary = b.ledgerSummary
-	}
-	if kind == "run" && b.doctorOn {
+// flushLedger appends the finished instrumented run's manifest, with its
+// summary sum, to -ledger. The panic path writes its partial manifest
+// through harness.FlushCrash instead.
+func (b *bencher) flushLedger(sum *report.Summary) {
+	m := report.NewManifest("run", b.ledgerGraph, b.ledgerOpt, b.rec, b.led)
+	m.Summary = sum
+	if b.doctorOn {
 		harness.RunDoctor(m, harness.DoctorConfig{
 			LedgerPath: b.ledgerPath, Profiler: b.prof, Ledger: b.led,
 		})

@@ -2,25 +2,22 @@ package main
 
 // The -shards path: open the graph as a CSR view (zero-copy when the input
 // is an mmapcsr file), run core.DetectSharded, and render the per-shard and
-// stitch summaries. It deliberately shares loadGraph and the observability
-// flags with the single-image path but not its result plumbing — a
-// ShardResult is not a *core.Result, and the extensions that need one
-// (-updates, -refine, -compare, -json) are rejected in main. -ledger works:
-// the sharded path assembles its manifest directly from the ShardResult,
-// with Options.Shards set so the doctor baselines sharded runs apart from
-// single-image ones, and gets the same end-of-run verdict.
+// stitch summaries. It shares loadGraph, the observability flags and the
+// artifact tail (-stats, -convergence, -json, -ledger, -out, -trace.out)
+// with the single-image path but not its result plumbing — a ShardResult is
+// not a *core.Result, and the extensions that need one (-updates, -refine,
+// -compare) are rejected in main. The sharded manifest is assembled from the
+// ShardResult, with Options.Shards set so the doctor baselines sharded runs
+// apart from single-image ones.
 
 import (
 	"context"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/graphio"
-	"repro/internal/harness"
-	"repro/internal/obs"
 	"repro/internal/report"
 )
 
@@ -31,17 +28,13 @@ type shardedRun struct {
 	n                       int64
 	seed                    uint64
 	threads, shards         int
-	outPath, traceOut       string
-	ledgerPath              string
-	doctorOn                bool
-	stats, convergence      bool
 	verbose                 bool
 }
 
-func runSharded(ctx context.Context, sr shardedRun, opt core.Options, rec *obs.Recorder, led *obs.Ledger, prof *obs.Profiler) {
+func runSharded(ctx context.Context, sr shardedRun, opt core.Options, art *artifacts) error {
 	csr, inputEdges, totW, source, cleanup, err := loadShardCSR(sr)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer cleanup()
 	fmt.Printf("graph: |V|=%d |E|=%d total weight=%d (%s)\n",
@@ -50,7 +43,7 @@ func runSharded(ctx context.Context, sr shardedRun, opt core.Options, rec *obs.R
 	start := time.Now()
 	res, err := core.DetectSharded(ctx, csr, core.ShardOptions{Shards: sr.shards, Opt: opt})
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	elapsed := time.Since(start)
 
@@ -64,20 +57,8 @@ func runSharded(ctx context.Context, sr shardedRun, opt core.Options, rec *obs.R
 			res.QuotientVertices, res.QuotientEdges, res.CutEdges,
 			res.NumCommunities, len(res.Stitch.Stats))
 	}
-	if sr.stats {
-		if err := harness.RenderPhaseTable(os.Stderr, res.Stitch.Stats); err != nil {
-			fatal(err)
-		}
-		if lats := rec.Latencies(); len(lats) > 0 {
-			if err := harness.RenderLatencyTable(os.Stderr, lats); err != nil {
-				fatal(err)
-			}
-		}
-	}
-	if sr.convergence {
-		if err := harness.RenderConvergenceTable(os.Stderr, led.Levels(), led.Warnings()); err != nil {
-			fatal(err)
-		}
+	if err := art.tables(res.Stitch.Stats); err != nil {
+		return err
 	}
 
 	fmt.Printf("sharded detection: %d communities in %v (%d shards, %d cut edges, stitch terminated by %s)\n",
@@ -85,11 +66,11 @@ func runSharded(ctx context.Context, sr shardedRun, opt core.Options, rec *obs.R
 	fmt.Printf("rate: %.3g input edges/second\n", float64(inputEdges)/elapsed.Seconds())
 	fmt.Printf("quality: modularity %.4f coverage %.4f\n", res.FinalModularity, res.FinalCoverage)
 
-	if sr.ledgerPath != "" {
+	return art.write(func() *report.Manifest {
 		m := report.NewManifest("run", report.GraphInfo{
 			Name:     runName(sr.inPath, sr.genName),
 			Vertices: csr.NumVertices(), Edges: inputEdges, Weight: totW,
-		}, opt, rec, led)
+		}, opt, opt.Recorder, opt.Ledger)
 		// The fan-out is part of the doctor's baseline key, so sharded runs
 		// are compared only with sharded runs.
 		m.Options.Shards = sr.shards
@@ -101,44 +82,8 @@ func runSharded(ctx context.Context, sr shardedRun, opt core.Options, rec *obs.R
 			TotalSec:    elapsed.Seconds(),
 			EdgesPerSec: float64(inputEdges) / elapsed.Seconds(),
 		}
-		if sr.doctorOn {
-			printVerdict(harness.RunDoctor(m, harness.DoctorConfig{
-				LedgerPath: sr.ledgerPath, Profiler: prof, Ledger: led,
-			}))
-		}
-		if err := report.AppendManifest(sr.ledgerPath, m); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("appended run manifest to %s\n", sr.ledgerPath)
-	}
-
-	if sr.outPath != "" {
-		f, err := os.Create(sr.outPath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := graphio.WriteCommunities(f, res.CommunityOf); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d assignments (%d communities) to %s\n",
-			len(res.CommunityOf), res.NumCommunities, sr.outPath)
-	}
-	if sr.traceOut != "" {
-		f, err := os.Create(sr.traceOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := rec.WriteTrace(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote Chrome trace to %s (load in chrome://tracing or ui.perfetto.dev)\n", sr.traceOut)
-	}
+		return m
+	}, res.CommunityOf, res.NumCommunities)
 }
 
 // loadShardCSR opens the detection input as a CSR view. An mmapcsr file maps

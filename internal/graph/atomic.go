@@ -14,6 +14,21 @@ func atomicLoad(addr *int64) int64 {
 	return atomic.LoadInt64(addr)
 }
 
+// atomicAddCapped adds delta (≥ 0) to *addr unless the sum would pass
+// limit, and reports whether it added. The builder totals its per-chunk
+// weight sums with it, so the shared total itself never overflows.
+func atomicAddCapped(addr *atomic.Int64, delta, limit int64) bool {
+	for {
+		old := addr.Load()
+		if delta > limit-old {
+			return false
+		}
+		if addr.CompareAndSwap(old, old+delta) {
+			return true
+		}
+	}
+}
+
 // atomicMin lowers *addr to val if val is smaller and reports whether it
 // changed anything. Used by the label-propagation components kernel.
 func atomicMin(addr *int64, val int64) bool {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/par"
 )
@@ -10,7 +11,8 @@ import (
 // input may contain edges in either orientation, repeated edges (their
 // weights accumulate, as the paper does for R-MAT output), self-loops
 // (folded into the Self array), and zero- or negative-weight entries are
-// rejected. Build leaves the input slice in an unspecified order.
+// rejected, as is input whose weights sum past MaxTotalWeight
+// (ErrWeightOverflow). Build leaves the input slice in an unspecified order.
 //
 // The pipeline is the parallel analogue of the paper's construction: orient
 // every triple by the parity hash, order the triple array by (first,
@@ -28,25 +30,42 @@ func Build(p int, numVertices int64, edges []Edge) (*Graph, error) {
 		return g, nil
 	}
 
-	// Pass 1: validate and orient. Self-loops keep U == V and are folded
-	// into g.Self during the scatter below.
+	// Pass 1: validate, orient and total the weights. Self-loops keep
+	// U == V and are folded into g.Self during the scatter below. Every
+	// duplicate and self-loop sum is part of the total, so bounding the
+	// total (overflow-safe, per chunk and then across chunks) keeps the
+	// accumulation below from wrapping.
 	var bad int64
+	var total atomic.Int64
+	var over atomic.Bool
 	par.For(p, len(edges), func(lo, hi int) {
+		var sum int64
 		for i := lo; i < hi; i++ {
 			e := edges[i]
 			if e.U < 0 || e.U >= numVertices || e.V < 0 || e.V >= numVertices || e.W <= 0 {
 				atomicAdd(&bad, 1)
 				continue
 			}
+			if e.W > MaxTotalWeight-sum {
+				over.Store(true)
+				return
+			}
+			sum += e.W
 			if e.U != e.V {
 				f, s := StoredOrder(e.U, e.V)
 				edges[i] = Edge{f, s, e.W}
 			}
 		}
+		if !atomicAddCapped(&total, sum, MaxTotalWeight) {
+			over.Store(true)
+		}
 	})
 	if bad != 0 {
 		return nil, fmt.Errorf("graph: %d edges with endpoints outside [0,%d) or non-positive weight: %w",
 			bad, numVertices, ErrVertexRange)
+	}
+	if over.Load() {
+		return nil, fmt.Errorf("graph: edge weights sum past %d: %w", int64(MaxTotalWeight), ErrWeightOverflow)
 	}
 
 	// Pass 2: order by (U, V). Self-loops (U == V) land adjacent to the

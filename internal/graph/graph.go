@@ -17,6 +17,7 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"math"
 	"repro/internal/buf"
 
 	"repro/internal/par"
@@ -337,3 +338,12 @@ func (g *Graph) Validate() error {
 
 // ErrVertexRange reports an edge endpoint outside [0, n).
 var ErrVertexRange = errors.New("graph: edge endpoint out of vertex range")
+
+// MaxTotalWeight bounds a graph's total weight Σ W + Σ Self. Within it
+// every edge weight, self-loop and weighted degree (at most twice the
+// total) fits in an int64. Build and the overlay enforce it.
+const MaxTotalWeight = math.MaxInt64 / 2
+
+// ErrWeightOverflow reports input whose total weight would pass
+// MaxTotalWeight.
+var ErrWeightOverflow = errors.New("graph: total edge weight overflows")

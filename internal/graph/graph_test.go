@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"errors"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -159,6 +161,45 @@ func TestBuildRejectsBadEdges(t *testing.T) {
 	} {
 		if _, err := Build(2, 5, bad); err == nil {
 			t.Fatalf("Build accepted bad edges %v", bad)
+		}
+	}
+}
+
+// TestBuildRejectsWeightOverflow checks that Build bounds the summed input
+// weight at MaxTotalWeight: duplicate edges and self-loops used to
+// accumulate with no check and wrap negative. The spread case keeps every
+// chunk under the bound at 4 workers, so only the cross-chunk total trips.
+func TestBuildRejectsWeightOverflow(t *testing.T) {
+	spread := make([]Edge, 4096)
+	for i := range spread {
+		spread[i] = Edge{int64(i % 64), int64(64 + i%64), MaxTotalWeight / 4000}
+	}
+	for _, tc := range []struct {
+		name  string
+		edges []Edge
+		ok    bool
+	}{
+		{"duplicate edges", []Edge{{0, 1, math.MaxInt64}, {0, 1, math.MaxInt64}}, false},
+		{"self-loops", []Edge{{2, 2, math.MaxInt64}, {2, 2, math.MaxInt64}}, false},
+		{"one edge past the bound", []Edge{{0, 1, MaxTotalWeight + 1}}, false},
+		{"edge and self-loop past the bound", []Edge{{0, 1, MaxTotalWeight}, {2, 2, 1}}, false},
+		{"spread across chunks", spread, false},
+		{"exactly the bound", []Edge{{0, 1, MaxTotalWeight - 3}, {1, 0, 1}, {2, 2, 2}}, true},
+	} {
+		for _, p := range []int{1, 4} {
+			g, err := Build(p, 128, slices.Clone(tc.edges))
+			if !tc.ok {
+				if !errors.Is(err, ErrWeightOverflow) {
+					t.Errorf("%s, p=%d: err = %v, want ErrWeightOverflow", tc.name, p, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s, p=%d: %v", tc.name, p, err)
+			}
+			if err := g.Validate(); err != nil || g.TotalWeight(p) != MaxTotalWeight {
+				t.Fatalf("%s, p=%d: total %d (validate: %v)", tc.name, p, g.TotalWeight(p), err)
+			}
 		}
 	}
 }

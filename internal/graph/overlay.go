@@ -3,7 +3,6 @@ package graph
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -163,10 +162,6 @@ const (
 	// applyGrain is the number of updates per ApplyDelta worker: smaller
 	// batches apply on the caller.
 	applyGrain = 512
-	// maxTotalWeight bounds the merged total weight. With Σ W + Σ Self at
-	// most MaxInt64/2, every edge weight, self-loop and weighted degree
-	// (at most twice the total) fits in an int64.
-	maxTotalWeight = math.MaxInt64 / 2
 )
 
 // patchRow is one vertex's adjacency patch: neighbor ids sorted ascending,
@@ -453,17 +448,17 @@ func (o *Overlay) ApplyDelta(d *Delta) error {
 }
 
 // checkWeight rejects a batch whose insert weights could push the merged
-// total weight past maxTotalWeight. Deletes are not credited, so the
+// total weight past MaxTotalWeight. Deletes are not credited, so the
 // bound holds at every point of the batch.
 func (o *Overlay) checkWeight(d *Delta) error {
-	room := maxTotalWeight - o.totW
+	room := MaxTotalWeight - o.totW
 	for i, up := range d.Updates {
 		if up.Op != OpInsert {
 			continue
 		}
 		if up.W > room {
-			return fmt.Errorf("graph: delta update %d inserts weight %d, which could push the total edge weight %d past %d",
-				i, up.W, o.totW, int64(maxTotalWeight))
+			return fmt.Errorf("graph: delta update %d inserts weight %d, which could push the total edge weight %d past %d: %w",
+				i, up.W, o.totW, int64(MaxTotalWeight), ErrWeightOverflow)
 		}
 		room -= up.W
 	}

@@ -47,6 +47,7 @@ func FuzzReadMETIS(f *testing.F) {
 	f.Add("2 1 001\n2 7\n1 7\n")
 	f.Add("% c\n2 1 011 2\n5 5 2 9\n1 1 1 9\n")
 	f.Add("2 99\n2\n1\n")
+	f.Add("2 1 110 9223372036854775807\n1 2\n1 1\n")
 	f.Fuzz(func(t *testing.T, in string) {
 		g, err := ReadMETIS(strings.NewReader(in), 1)
 		if err != nil {

@@ -237,19 +237,42 @@ func ReadBinary(r io.Reader, p int) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The self-loop array is added after Build, so it answers to the same
+	// total-weight bound Build checks for the edges: room is what the
+	// bound leaves once the self-loops and the positive edge weights are
+	// taken out (Build rejects the others).
+	room := int64(graph.MaxTotalWeight)
+	for x, w := range self {
+		if w < 0 {
+			return nil, fmt.Errorf("graphio: negative self-loop weight at vertex %d", x)
+		}
+		if w > room {
+			return nil, fmt.Errorf("graphio: self-loop weights sum past %d at vertex %d: %w",
+				int64(graph.MaxTotalWeight), x, graph.ErrWeightOverflow)
+		}
+		room -= w
+	}
 	edges := make([]graph.Edge, m)
+	over := false
 	for i := int64(0); i < m; i++ {
-		edges[i] = graph.Edge{U: triples[3*i], V: triples[3*i+1], W: triples[3*i+2]}
+		w := triples[3*i+2]
+		edges[i] = graph.Edge{U: triples[3*i], V: triples[3*i+1], W: w}
+		if w > room {
+			over = true
+		} else if w > 0 {
+			room -= w
+		}
 	}
 	g, err := graph.Build(p, n, edges)
 	if err != nil {
 		return nil, err
 	}
-	for x := int64(0); x < n; x++ {
-		if self[x] < 0 {
-			return nil, fmt.Errorf("graphio: negative self-loop weight at vertex %d", x)
-		}
-		g.Self[x] += self[x]
+	if over {
+		return nil, fmt.Errorf("graphio: edge and self-loop weights sum past %d: %w",
+			int64(graph.MaxTotalWeight), graph.ErrWeightOverflow)
+	}
+	for x, w := range self {
+		g.Self[x] += w
 	}
 	return g, nil
 }

@@ -3,8 +3,10 @@ package graphio
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 
@@ -135,6 +137,65 @@ func TestBinaryHostileHeaderCounts(t *testing.T) {
 	}
 	if _, err := ReadBinary(bytes.NewReader(buf.Bytes()), 1); err == nil {
 		t.Fatal("accepted a hostile header with no body")
+	}
+}
+
+// binaryFile encodes a binary-format graph from raw self-loop weights and
+// (u, v, w) triples, so a test can write what WriteBinary never would.
+func binaryFile(t *testing.T, self []int64, triples ...int64) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, part := range []any{[]uint64{binaryMagic, uint64(len(self)), uint64(len(triples) / 3)}, self, triples} {
+		if err := binary.Write(&buf, binary.LittleEndian, part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// TestReadersRejectWeightOverflow feeds each reader weights whose sum
+// passes graph.MaxTotalWeight. The edge-list case used to load as a graph
+// with Self[2] = -2 and total weight -4 that Validate rejected.
+func TestReadersRejectWeightOverflow(t *testing.T) {
+	const big, bound = math.MaxInt64, graph.MaxTotalWeight
+	edgeList := func(in string) func() (*graph.Graph, error) {
+		return func() (*graph.Graph, error) { return ReadEdgeList(strings.NewReader(in), 2, 0) }
+	}
+	metis := func(in string) func() (*graph.Graph, error) {
+		return func() (*graph.Graph, error) { return ReadMETIS(strings.NewReader(in), 2) }
+	}
+	bin := func(self []int64, triples ...int64) func() (*graph.Graph, error) {
+		data := binaryFile(t, self, triples...)
+		return func() (*graph.Graph, error) { return ReadBinary(bytes.NewReader(data), 2) }
+	}
+	for _, tc := range []struct {
+		name string
+		read func() (*graph.Graph, error)
+		ok   bool
+	}{
+		{"edgelist duplicates and self-loops",
+			edgeList(fmt.Sprintf("0 1 %d\n0 1 %d\n2 2 %d\n2 2 %d\n", big, big, big, big)), false},
+		{"edgelist at the bound", edgeList(fmt.Sprintf("0 1 %d\n2 2 1\n", bound-1)), true},
+		{"metis edge past the bound", metis(fmt.Sprintf("2 1 001\n2 %d\n1 %d\n", big, big)), false},
+		{"metis at the bound", metis(fmt.Sprintf("2 1 001\n2 %d\n1 %d\n", bound, bound)), true},
+		{"binary duplicate edges", bin([]int64{0, 0}, 0, 1, big, 0, 1, big), false},
+		{"binary self-loop array", bin([]int64{big, big}), false},
+		{"binary edges plus self-loops", bin([]int64{1, 0}, 0, 1, bound), false},
+		{"binary at the bound", bin([]int64{1, 0}, 0, 1, bound-1), true},
+	} {
+		g, err := tc.read()
+		if !tc.ok {
+			if !errors.Is(err, graph.ErrWeightOverflow) {
+				t.Errorf("%s: err = %v, want graph.ErrWeightOverflow", tc.name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if err := g.Validate(); err != nil || g.TotalWeight(2) != bound {
+			t.Fatalf("%s: total %d (validate: %v)", tc.name, g.TotalWeight(2), err)
+		}
 	}
 }
 

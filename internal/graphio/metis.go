@@ -93,10 +93,12 @@ func ReadMETIS(r io.Reader, p int) (*graph.Graph, error) {
 		if hasVertexSizes {
 			i++ // vertex size, unused
 		}
-		i += int(ncon) // vertex weights, unused
-		if i > len(fields) {
+		// ncon is the header's, so compare before converting: a huge one
+		// would wrap the field index negative as an int.
+		if ncon > int64(len(fields)-i) {
 			return nil, fmt.Errorf("graphio: vertex %d line too short for format %d", u+1, format)
 		}
+		i += int(ncon) // vertex weights, unused
 		for i < len(fields) {
 			v, err := strconv.ParseInt(fields[i], 10, 64)
 			if err != nil || v < 1 || v > n {

@@ -65,6 +65,9 @@ func TestReadMETISErrors(t *testing.T) {
 		"2 1 001\n2 0\n1 0\n", // zero weight
 		"2 2\n2\n1\n",         // edge count mismatch
 		"2 1 1 0 0 0\n2\n1\n", // header too long
+		// ncon = MaxInt64 with vertex sizes set once wrapped the field index
+		// negative and panicked.
+		"2 1 110 9223372036854775807\n1 2\n1 1\n",
 	} {
 		if _, err := ReadMETIS(strings.NewReader(in), 1); err == nil {
 			t.Errorf("accepted %q", in)

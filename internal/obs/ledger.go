@@ -371,8 +371,8 @@ func (l *Ledger) NumLevels() int {
 	return len(l.levels)
 }
 
-// LedgerProfile is the ledger's structured export, embedded in report JSON
-// and served in the live endpoint's /debug/flight dump.
+// LedgerProfile is the ledger's structured export, copied into the run
+// manifest and served in the live endpoint's /debug/flight dump.
 type LedgerProfile struct {
 	Levels   []LevelStats `json:"levels,omitempty"`
 	Warnings []Warning    `json:"warnings,omitempty"`

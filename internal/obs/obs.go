@@ -15,13 +15,15 @@
 // package's alloc/overhead benchmarks. Hot loops never call the recorder per
 // event; they accumulate into worker-private stripes or chunk-local counters
 // and flush at region boundaries (see Hot and WorkerTimes), mirroring the
-// par.MergeStripes discipline the contraction kernel uses for its
+// (*par.Pool).MergeStripes discipline the contraction kernel uses for its
 // histograms.
 //
-// Three sinks consume a Recorder: Export (structured per-phase profile
-// attached to internal/report JSON), WriteTrace (Chrome trace_event JSON for
-// chrome://tracing or Perfetto), and the live /metrics/prom exposition
-// served by Serve (serve.go).
+// Three sinks consume a Recorder: the run manifest (internal/report), which
+// archives its kernel seconds, latency classes and heap footprint;
+// WriteTrace (Chrome trace_event JSON for chrome://tracing or Perfetto); and
+// the live /metrics/prom exposition served by Serve (serve.go). Export
+// snapshots everything recorded, counters, regions and spans included, for
+// in-process readers such as cmd/bench -phases.
 package obs
 
 import (
@@ -537,20 +539,17 @@ func (r *Recorder) ClearLabels() {
 
 // --- structured export ----------------------------------------------------
 
-// Profile is the recorder's structured export: the per-phase JSON event log
-// that extends internal/report.
+// Profile is the recorder's in-memory snapshot: per-kernel seconds,
+// counters, the bucket-occupancy histogram, worker-imbalance regions,
+// latency classes and the span timeline. Nothing serializes it; the phase
+// count and heap footprint are read with Phases and Allocs.
 type Profile struct {
-	DurationSec float64          `json:"duration_sec"`
-	Phases      int              `json:"phases"`
-	Kernels     []KernelSeconds  `json:"kernels,omitempty"`
-	Counters    map[string]int64 `json:"counters,omitempty"`
-	BucketHist  []HistBin        `json:"bucket_hist,omitempty"`
-	Regions     []RegionProfile  `json:"regions,omitempty"`
-	Latencies   []LatencyProfile `json:"latencies,omitempty"`
-	Spans       []SpanProfile    `json:"spans,omitempty"`
-	// Allocs is the run-scoped heap footprint (BeginAllocs/EndAllocs
-	// bracket), absent when the engine never sampled it.
-	Allocs *AllocStats `json:"allocs,omitempty"`
+	Kernels    []KernelSeconds
+	Counters   map[string]int64
+	BucketHist []HistBin
+	Regions    []RegionProfile
+	Latencies  []LatencyProfile
+	Spans      []SpanProfile
 }
 
 // KernelSeconds is total time in one kernel across phases.
@@ -645,11 +644,7 @@ func (r *Recorder) Export() *Profile {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	p := &Profile{
-		DurationSec: ns2s(r.since()),
-		Phases:      int(r.phases),
-		Kernels:     r.kernelSecondsLocked(),
-	}
+	p := &Profile{Kernels: r.kernelSecondsLocked()}
 	for c := Counter(0); c < NumCounters; c++ {
 		if r.ctr[c] != 0 {
 			if p.Counters == nil {
@@ -686,9 +681,6 @@ func (r *Recorder) Export() *Profile {
 			rp.Imbalance = float64(st.maxNS) * float64(st.workers) / float64(st.busyNS)
 		}
 		p.Regions = append(p.Regions, rp)
-	}
-	if r.allocBytes != 0 || r.allocCount != 0 {
-		p.Allocs = &AllocStats{Bytes: r.allocBytes, Count: r.allocCount}
 	}
 	p.Latencies = r.lat.Export()
 	for i := range r.spans {

@@ -114,10 +114,10 @@ func TestSpansAndKernelSeconds(t *testing.T) {
 		t.Fatalf("latencies = %+v, want score (= %v) then match", lat, scoreDur)
 	}
 
-	p := r.Export()
-	if p.Phases != 1 {
-		t.Fatalf("Phases = %d, want 1", p.Phases)
+	if r.Phases() != 1 {
+		t.Fatalf("Phases = %d, want 1", r.Phases())
 	}
+	p := r.Export()
 	if len(p.Spans) != 3 {
 		t.Fatalf("Spans = %d, want 3", len(p.Spans))
 	}

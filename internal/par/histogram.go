@@ -48,12 +48,7 @@ func (pl *Pool) ZeroInt64(p int, xs []int64) {
 // consecutive stripes of length k (worker w's counter for bucket c at
 // stripes[w*k+c]) and dst[c] receives Σ_w stripes[w*k+c]. The reduction is
 // parallel over buckets, so no two workers write the same dst entry. dst
-// entries are overwritten, not accumulated.
-func MergeStripes(p int, stripes []int64, workers, k int, dst []int64) {
-	(*Pool)(nil).MergeStripes(p, stripes, workers, k, dst)
-}
-
-// MergeStripes is the free MergeStripes running on the team; a nil pool
+// entries are overwritten, not accumulated. It runs on the team; a nil pool
 // spawns.
 func (pl *Pool) MergeStripes(p int, stripes []int64, workers, k int, dst []int64) {
 	if len(stripes) < workers*k {

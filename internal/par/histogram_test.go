@@ -23,7 +23,7 @@ func TestMergeStripes(t *testing.T) {
 		for i := range dst {
 			dst[i] = -999 // must be overwritten, not accumulated
 		}
-		MergeStripes(tc.p, stripes, tc.workers, tc.k, dst)
+		(*Pool)(nil).MergeStripes(tc.p, stripes, tc.workers, tc.k, dst)
 		for c := range want {
 			if dst[c] != want[c] {
 				t.Fatalf("workers=%d k=%d p=%d: dst[%d] = %d, want %d",
@@ -125,7 +125,7 @@ func TestPackIntoReusesBuffers(t *testing.T) {
 	}
 	slots := make([]int64, 1000)
 	dst := make([]int64, 1000)
-	out := PackInto(4, src, keep, slots, dst)
+	out := PackIntoWith(nil, 4, src, keep, slots, dst)
 	if len(out) != len(want) {
 		t.Fatalf("packed %d survivors, want %d", len(out), len(want))
 	}
@@ -138,7 +138,7 @@ func TestPackIntoReusesBuffers(t *testing.T) {
 		}
 	}
 	// Dirty scratch must not leak into a second pack.
-	out2 := PackInto(4, src, keep, slots, out[:cap(out)])
+	out2 := PackIntoWith(nil, 4, src, keep, slots, out[:cap(out)])
 	for i := range want {
 		if out2[i] != want[i] {
 			t.Fatalf("second pack: out[%d] = %d, want %d", i, out2[i], want[i])
@@ -156,7 +156,7 @@ func TestPackIndexInto(t *testing.T) {
 			want = append(want, int64(i))
 		}
 	}
-	got := PackIndexInto(4, n, keep, nil, nil)
+	got := (*Pool)(nil).PackIndexInto(4, n, keep, nil, nil)
 	if len(got) != len(want) {
 		t.Fatalf("packed %d indices, want %d", len(got), len(want))
 	}
@@ -166,7 +166,7 @@ func TestPackIndexInto(t *testing.T) {
 		}
 	}
 	// Empty selection.
-	if out := PackIndexInto(2, n, make([]int64, n), nil, nil); len(out) != 0 {
+	if out := (*Pool)(nil).PackIndexInto(2, n, make([]int64, n), nil, nil); len(out) != 0 {
 		t.Fatalf("empty keep packed %d indices", len(out))
 	}
 }

@@ -209,22 +209,17 @@ func Do(fns ...func()) {
 	wg.Wait()
 }
 
-// PackInto copies the elements of src whose keep flag is nonzero into dst,
-// preserving order, using p workers: a prefix sum over the flags computes
-// each survivor's output slot, then a scatter pass copies. This is the
-// stream-compaction primitive behind the matching worklist (§IV-B), where
-// each pass retains only the still-unmatched vertices. slots is the
-// prefix-sum workspace (grown if shorter than src) and dst receives the
-// survivors (reused if its capacity suffices). Either may be nil for fresh
-// allocations. It returns the packed slice, which aliases dst's storage
-// when that was reused. src and dst must not overlap.
-func PackInto[T any](p int, src []T, keep, slots []int64, dst []T) []T {
-	return PackIntoWith(nil, p, src, keep, slots, dst)
-}
-
-// PackIntoWith is PackInto running on a worker team; a nil pool spawns. It
-// is a free function rather than a *Pool method only because methods cannot
-// be generic.
+// PackIntoWith copies the elements of src whose keep flag is nonzero into
+// dst, preserving order, using p workers of the team pl (a nil pool
+// spawns): a prefix sum over the flags computes each survivor's output
+// slot, then a scatter pass copies. This is the stream-compaction primitive
+// behind the matching worklist (§IV-B), where each pass retains only the
+// still-unmatched vertices. slots is the prefix-sum workspace (grown if
+// shorter than src) and dst receives the survivors (reused if its capacity
+// suffices). Either may be nil for fresh allocations. It returns the packed
+// slice, which aliases dst's storage when that was reused. src and dst must
+// not overlap. It is a free function rather than a *Pool method only
+// because methods cannot be generic.
 func PackIntoWith[T any](pl *Pool, p int, src []T, keep, slots []int64, dst []T) []T {
 	n := len(src)
 	if n != len(keep) {
@@ -283,16 +278,11 @@ func PackIntoWith[T any](pl *Pool, p int, src []T, keep, slots []int64, dst []T)
 }
 
 // PackIndexInto writes the indices i in [0, n) with keep[i] != 0 into dst in
-// increasing order, using the same prefix-sum-and-scatter pattern as Pack
-// but without materializing an identity source slice. slots and dst follow
-// PackInto's scratch conventions. The matching worklist uses it to build the
-// initial active-vertex list in parallel.
-func PackIndexInto(p, n int, keep, slots, dst []int64) []int64 {
-	return (*Pool)(nil).PackIndexInto(p, n, keep, slots, dst)
-}
-
-// PackIndexInto is the free PackIndexInto running on the team; a nil pool
-// spawns.
+// increasing order, using the same prefix-sum-and-scatter pattern as
+// PackIntoWith but without materializing an identity source slice, on the
+// team (a nil pool spawns). slots and dst follow PackIntoWith's scratch
+// conventions. The matching worklist uses it to build the initial
+// active-vertex list in parallel.
 func (pl *Pool) PackIndexInto(p, n int, keep, slots, dst []int64) []int64 {
 	if n > len(keep) {
 		panic("par: PackIndexInto flag slice too short")

@@ -388,7 +388,7 @@ func TestPack(t *testing.T) {
 	src := []int64{10, 20, 30, 40, 50}
 	keep := []int64{1, 0, 1, 0, 1}
 	for _, p := range []int{1, 2, 4} {
-		got := PackInto(p, src, keep, nil, nil)
+		got := PackIntoWith(nil, p, src, keep, nil, nil)
 		want := []int64{10, 30, 50}
 		if len(got) != len(want) {
 			t.Fatalf("p=%d: got %v", p, got)
@@ -399,10 +399,10 @@ func TestPack(t *testing.T) {
 			}
 		}
 	}
-	if out := PackInto(2, []int64{}, []int64{}, nil, nil); out != nil {
+	if out := PackIntoWith(nil, 2, []int64{}, []int64{}, nil, nil); out != nil {
 		t.Fatal("empty pack should be nil")
 	}
-	if out := PackInto(2, src, []int64{0, 0, 0, 0, 0}, nil, nil); len(out) != 0 {
+	if out := PackIntoWith(nil, 2, src, []int64{0, 0, 0, 0, 0}, nil, nil); len(out) != 0 {
 		t.Fatalf("all-drop pack returned %v", out)
 	}
 }
@@ -413,7 +413,7 @@ func TestPackMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	PackInto(1, []int64{1, 2}, []int64{1}, nil, nil)
+	PackIntoWith(nil, 1, []int64{1, 2}, []int64{1}, nil, nil)
 }
 
 func TestPackLargeMatchesSequential(t *testing.T) {
@@ -427,8 +427,8 @@ func TestPackLargeMatchesSequential(t *testing.T) {
 			keep[i] = 1
 		}
 	}
-	want := PackInto(1, src, keep, nil, nil)
-	got := PackInto(8, src, keep, nil, nil)
+	want := PackIntoWith(nil, 1, src, keep, nil, nil)
+	got := PackIntoWith(nil, 8, src, keep, nil, nil)
 	if len(want) != len(got) {
 		t.Fatalf("length %d != %d", len(got), len(want))
 	}

@@ -174,12 +174,12 @@ func TestPoolHelpersMatchFree(t *testing.T) {
 		stripes[i] = int64(i % 7)
 	}
 	wantDst := make([]int64, k)
-	MergeStripes(1, stripes, workers, k, wantDst)
+	(*Pool)(nil).MergeStripes(1, stripes, workers, k, wantDst)
 	gotDst := make([]int64, k)
 	pl.MergeStripes(4, stripes, workers, k, gotDst)
 	for c := 0; c < k; c++ {
 		if gotDst[c] != wantDst[c] {
-			t.Fatalf("MergeStripes[%d]: pool %d, free %d", c, gotDst[c], wantDst[c])
+			t.Fatalf("MergeStripes[%d]: pool %d, nil pool %d", c, gotDst[c], wantDst[c])
 		}
 	}
 
@@ -189,14 +189,14 @@ func TestPoolHelpersMatchFree(t *testing.T) {
 			keep[i] = 1
 		}
 	}
-	want := PackIndexInto(1, len(keep), keep, nil, nil)
+	want := (*Pool)(nil).PackIndexInto(1, len(keep), keep, nil, nil)
 	got := pl.PackIndexInto(4, len(keep), keep, nil, nil)
 	if len(got) != len(want) {
-		t.Fatalf("PackIndexInto lengths: pool %d, free %d", len(got), len(want))
+		t.Fatalf("PackIndexInto lengths: pool %d, nil pool %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] {
-			t.Fatalf("PackIndexInto[%d]: pool %d, free %d", i, got[i], want[i])
+			t.Fatalf("PackIndexInto[%d]: pool %d, nil pool %d", i, got[i], want[i])
 		}
 	}
 }

@@ -1,6 +1,6 @@
-// Package report serializes detection runs as JSON so experiments can be
-// archived and post-processed (plotting Figure 1/2/3-style series, diffing
-// quality across code versions) without scraping log text.
+// Package report writes each detection run as one JSON manifest line so
+// experiments can be archived and post-processed (plotting Figure 1/2/3-style
+// series, diffing quality across code versions) without scraping log text.
 package report
 
 import (
@@ -19,36 +19,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 )
-
-// Run is one detection run, flattened for JSON.
-type Run struct {
-	Graph   GraphInfo `json:"graph"`
-	Options Options   `json:"options"`
-	Phases  []Phase   `json:"phases"`
-	Summary Summary   `json:"summary"`
-	// Meta describes the machine and build that produced the run, so
-	// archived runs stay comparable across hosts and revisions.
-	Meta *Meta `json:"meta,omitempty"`
-	// Obs carries the kernel-level observability profile when the run was
-	// recorded with an obs.Recorder: per-kernel seconds, matching and
-	// contraction counters, the bucket-occupancy histogram, worker-imbalance
-	// regions, and the span timeline.
-	Obs *obs.Profile `json:"obs,omitempty"`
-	// Levels and Warnings carry the convergence ledger when the run was
-	// recorded with an obs.Ledger: one row per contraction level plus any
-	// flagged anomalies.
-	Levels   []obs.LevelStats `json:"levels,omitempty"`
-	Warnings []obs.Warning    `json:"warnings,omitempty"`
-}
-
-// AttachLedger copies the ledger's rows and warnings into the run; a nil or
-// empty ledger leaves the run unchanged.
-func (r *Run) AttachLedger(l *obs.Ledger) {
-	if p := l.Export(); p != nil {
-		r.Levels = p.Levels
-		r.Warnings = p.Warnings
-	}
-}
 
 // GraphInfo identifies the workload. It doubles as the harness's Table II
 // row type (harness.GraphInfo aliases it), keeping one definition of the
@@ -153,20 +123,6 @@ func OptionsOf(opt core.Options) Options {
 	return o
 }
 
-// Phase mirrors core.PhaseStats with times in seconds.
-type Phase struct {
-	Phase        int     `json:"phase"`
-	Vertices     int64   `json:"vertices"`
-	Edges        int64   `json:"edges"`
-	Coverage     float64 `json:"coverage"`
-	Modularity   float64 `json:"modularity"`
-	MatchedPairs int64   `json:"matched_pairs"`
-	MatchPasses  int     `json:"match_passes"`
-	ScoreSec     float64 `json:"score_sec"`
-	MatchSec     float64 `json:"match_sec"`
-	ContractSec  float64 `json:"contract_sec"`
-}
-
 // Summary mirrors the final result.
 type Summary struct {
 	Communities int64   `json:"communities"`
@@ -175,40 +131,19 @@ type Summary struct {
 	Termination string  `json:"termination"`
 	TotalSec    float64 `json:"total_sec"`
 	EdgesPerSec float64 `json:"edges_per_sec"`
-	// Quality duplicates the metrics summary for convenience.
+	// The quality fields come from metrics.Evaluate on the final partition.
+	// Sharded runs have no in-memory graph to evaluate and leave them zero.
 	MeanConductance float64 `json:"mean_conductance"`
 	MinSize         int64   `json:"min_size"`
 	MedianSize      int64   `json:"median_size"`
 	MaxSize         int64   `json:"max_size"`
 }
 
-// FromResult assembles a Run from a finished detection.
-func FromResult(name string, g *graph.Graph, opt core.Options, res *core.Result) *Run {
-	run := &Run{
-		Graph: GraphInfo{
-			Name:     name,
-			Vertices: g.NumVertices(),
-			Edges:    g.NumEdges(),
-			Weight:   g.TotalWeight(opt.Threads),
-		},
-		Options: OptionsOf(opt),
-	}
-	for _, st := range res.Stats {
-		run.Phases = append(run.Phases, Phase{
-			Phase:        st.Phase,
-			Vertices:     st.Vertices,
-			Edges:        st.Edges,
-			Coverage:     st.Coverage,
-			Modularity:   st.Modularity,
-			MatchedPairs: st.MatchedPairs,
-			MatchPasses:  st.MatchPasses,
-			ScoreSec:     st.ScoreTime.Seconds(),
-			MatchSec:     st.MatchTime.Seconds(),
-			ContractSec:  st.ContractTime.Seconds(),
-		})
-	}
-	sum := metrics.Evaluate(opt.Threads, g, res.CommunityOf, res.NumCommunities)
-	run.Summary = Summary{
+// Summarize builds a finished detection's summary, evaluating the final
+// partition on g with threads workers for the quality fields.
+func Summarize(g *graph.Graph, threads int, res *core.Result) *Summary {
+	sum := metrics.Evaluate(threads, g, res.CommunityOf, res.NumCommunities)
+	return &Summary{
 		Communities:     res.NumCommunities,
 		Coverage:        res.FinalCoverage,
 		Modularity:      res.FinalModularity,
@@ -220,14 +155,6 @@ func FromResult(name string, g *graph.Graph, opt core.Options, res *core.Result)
 		MedianSize:      sum.MedianSize,
 		MaxSize:         sum.MaxSize,
 	}
-	return run
-}
-
-// WriteJSON writes the run as indented JSON.
-func (r *Run) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 // Manifest is one self-contained run record for the results/ archive: enough
@@ -263,7 +190,7 @@ type Manifest struct {
 // from a crash path) stamped with the current time and host. The kernel
 // seconds, latency snapshots and heap footprint (when sampled) come from
 // rec, the convergence rows and warnings from led; either may be nil.
-// Callers fill in Summary.
+// Callers fill in Summary (see Summarize).
 func NewManifest(kind string, graph GraphInfo, opt core.Options, rec *obs.Recorder, led *obs.Ledger) *Manifest {
 	m := &Manifest{
 		Kind:      kind,
@@ -287,6 +214,19 @@ func NewManifest(kind string, graph GraphInfo, opt core.Options, rec *obs.Record
 // creating the file (and its directory) if needed. The O_APPEND single-write
 // discipline keeps concurrent runs from interleaving within a line.
 func AppendManifest(path string, m *Manifest) error {
+	return writeManifest(path, m, os.O_APPEND)
+}
+
+// WriteManifest replaces path's contents with m's line — the same bytes
+// AppendManifest would append — so the file is a one-run archive that
+// ReadManifestFile reads back.
+func WriteManifest(path string, m *Manifest) error {
+	return writeManifest(path, m, os.O_TRUNC)
+}
+
+// writeManifest writes m's compact JSON line to path in one write, opening
+// the file (and creating its directory) with mode, O_APPEND or O_TRUNC.
+func writeManifest(path string, m *Manifest, mode int) error {
 	if dir := filepath.Dir(path); dir != "." && dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
@@ -297,7 +237,7 @@ func AppendManifest(path string, m *Manifest) error {
 		return err
 	}
 	line = append(line, '\n')
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|mode, 0o644)
 	if err != nil {
 		return err
 	}

@@ -16,7 +16,7 @@ import (
 	"repro/internal/scoring"
 )
 
-func TestFromResultAndRoundTrip(t *testing.T) {
+func TestSummarizeAndManifestRoundTrip(t *testing.T) {
 	g, _, err := gen.LJSim(2, gen.DefaultLJSim(800, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -27,57 +27,57 @@ func TestFromResultAndRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := FromResult("lj-sim-800", g, opt, res)
-	run.Meta = CollectMeta()
-	run.Obs = rec.Export()
-	if run.Graph.Name != "lj-sim-800" || run.Graph.Vertices != 800 {
-		t.Fatalf("graph info %+v", run.Graph)
+	m := NewManifest("run", Info("lj-sim-800", g), opt, rec, nil)
+	m.Summary = Summarize(g, opt.Threads, res)
+	if m.Graph.Name != "lj-sim-800" || m.Graph.Vertices != 800 {
+		t.Fatalf("graph info %+v", m.Graph)
 	}
-	if run.Options.Scorer != "modularity" || run.Options.Matching != "worklist" {
-		t.Fatalf("options %+v", run.Options)
+	if m.Options.Scorer != "modularity" || m.Options.Matching != "worklist" {
+		t.Fatalf("options %+v", m.Options)
 	}
-	if len(run.Phases) != len(res.Stats) {
-		t.Fatalf("%d phases recorded for %d stats", len(run.Phases), len(res.Stats))
+	if rec.Phases() != len(res.Stats) {
+		t.Fatalf("recorder counted %d phases for %d stats", rec.Phases(), len(res.Stats))
 	}
-	if run.Summary.Communities != res.NumCommunities ||
-		math.Abs(run.Summary.Modularity-res.FinalModularity) > 1e-12 {
-		t.Fatalf("summary %+v", run.Summary)
+	if m.Summary.Communities != res.NumCommunities ||
+		math.Abs(m.Summary.Modularity-res.FinalModularity) > 1e-12 {
+		t.Fatalf("summary %+v", m.Summary)
 	}
-	if run.Summary.TotalSec <= 0 || run.Summary.EdgesPerSec <= 0 {
-		t.Fatalf("timings %+v", run.Summary)
+	if m.Summary.TotalSec <= 0 || m.Summary.EdgesPerSec <= 0 {
+		t.Fatalf("timings %+v", m.Summary)
+	}
+	if m.Summary.MinSize < 1 || m.Summary.MaxSize < m.Summary.MedianSize || m.Summary.MedianSize < m.Summary.MinSize {
+		t.Fatalf("size quality %+v", m.Summary)
 	}
 
-	var buf bytes.Buffer
-	if err := run.WriteJSON(&buf); err != nil {
+	line, err := json.Marshal(m)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"termination"`) {
-		t.Fatalf("JSON missing fields: %s", buf.String()[:200])
+	if !strings.Contains(string(line), `"termination"`) {
+		t.Fatalf("JSON missing fields: %s", line[:200])
 	}
-	back := &Run{}
-	if err := json.Unmarshal(buf.Bytes(), back); err != nil {
+	back := &Manifest{}
+	if err := json.Unmarshal(line, back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Summary.Communities != run.Summary.Communities ||
-		back.Graph.Edges != run.Graph.Edges ||
-		len(back.Phases) != len(run.Phases) {
+	if back.Summary == nil || *back.Summary != *m.Summary || back.Graph != m.Graph {
 		t.Fatal("round trip changed the run")
 	}
-	if back.Meta == nil || back.Meta.GoVersion == "" || back.Meta.NumCPU < 1 {
-		t.Fatalf("meta did not survive the round trip: %+v", back.Meta)
+	if back.Host == nil || back.Host.GoVersion == "" || back.Host.NumCPU < 1 {
+		t.Fatalf("host did not survive the round trip: %+v", back.Host)
 	}
-	if back.Obs == nil || back.Obs.Phases != len(res.Stats) || len(back.Obs.Kernels) == 0 {
-		t.Fatalf("obs profile did not survive the round trip: %+v", back.Obs)
+	if len(back.Kernels) == 0 {
+		t.Fatalf("kernel seconds did not survive the round trip: %+v", back.Kernels)
 	}
 	// The recorded kernel spans must roughly agree with the engine's own
 	// per-phase timings (same intervals, measured a frame apart).
 	var kernelSec float64
-	for _, k := range back.Obs.Kernels {
+	for _, k := range back.Kernels {
 		kernelSec += k.Seconds
 	}
 	var statSec float64
-	for _, ph := range run.Phases {
-		statSec += ph.ScoreSec + ph.MatchSec + ph.ContractSec
+	for _, st := range res.Stats {
+		statSec += (st.ScoreTime + st.MatchTime + st.ContractTime).Seconds()
 	}
 	if kernelSec < statSec*0.5 || kernelSec > statSec*2+0.01 {
 		t.Fatalf("kernel span seconds %v disagree with phase stats %v", kernelSec, statSec)
@@ -100,16 +100,10 @@ func TestCollectMeta(t *testing.T) {
 	}
 }
 
-func TestFromResultCustomScorerName(t *testing.T) {
-	g := gen.CliqueChain(3, 4)
-	opt := core.Options{Threads: 1, Scorer: namedScorer{}}
-	res, err := core.DetectContext(context.Background(), g, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := FromResult("chain", g, opt, res)
-	if run.Options.Scorer != "custom" {
-		t.Fatalf("scorer name %q", run.Options.Scorer)
+func TestManifestCustomScorerName(t *testing.T) {
+	m := NewManifest("run", Info("chain", gen.CliqueChain(3, 4)), core.Options{Threads: 1, Scorer: namedScorer{}}, nil, nil)
+	if m.Options.Scorer != "custom" {
+		t.Fatalf("scorer name %q", m.Options.Scorer)
 	}
 }
 
@@ -130,17 +124,11 @@ func TestManifestAppendAndRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := FromResult("lj-sim-600", g, opt, res)
-	run.AttachLedger(led)
-	if len(run.Levels) == 0 || len(run.Levels) != led.NumLevels() {
-		t.Fatalf("run carries %d levels, ledger has %d", len(run.Levels), led.NumLevels())
-	}
-
 	path := filepath.Join(t.TempDir(), "results", "ledger.jsonl")
-	m := NewManifest("run", run.Graph, opt, rec, led)
-	m.Summary = &run.Summary
-	if m.Kind != "run" || m.Host == nil || len(m.Levels) != len(run.Levels) {
-		t.Fatalf("manifest %+v", m)
+	m := NewManifest("run", Info("lj-sim-600", g), opt, rec, led)
+	m.Summary = Summarize(g, opt.Threads, res)
+	if m.Kind != "run" || m.Host == nil || len(m.Levels) == 0 || len(m.Levels) != led.NumLevels() {
+		t.Fatalf("manifest carries %d levels, ledger has %d: %+v", len(m.Levels), led.NumLevels(), m)
 	}
 	if len(m.Kernels) == 0 || len(m.Latencies) == 0 || m.Allocs == nil {
 		t.Fatalf("manifest missing recorder fields: %d kernels, %d latency classes, allocs %v",
@@ -186,8 +174,8 @@ func TestManifestAppendAndRead(t *testing.T) {
 		if got.Graph.Vertices != 600 || got.Summary.Communities != res.NumCommunities {
 			t.Fatalf("manifest round trip changed the run: %+v", got)
 		}
-		if len(got.Levels) != len(run.Levels) {
-			t.Fatalf("manifest lost levels: %d vs %d", len(got.Levels), len(run.Levels))
+		if len(got.Levels) != len(m.Levels) {
+			t.Fatalf("manifest lost levels: %d vs %d", len(got.Levels), len(m.Levels))
 		}
 	}
 	// Each line is standalone JSON: jq/grep-ability is the point.
@@ -257,10 +245,36 @@ func TestReadManifestsTornLine(t *testing.T) {
 	}
 }
 
-func TestAttachLedgerNil(t *testing.T) {
-	var run Run
-	run.AttachLedger(nil)
-	if run.Levels != nil || run.Warnings != nil {
-		t.Fatal("nil ledger attached data")
+// TestWriteManifestIsOneRunArchive pins WriteManifest to AppendManifest's
+// bytes: the file it leaves is exactly the line an append would add, and a
+// second write replaces the first rather than accumulating.
+func TestWriteManifestIsOneRunArchive(t *testing.T) {
+	dir := t.TempDir()
+	a := &Manifest{Kind: "run", Graph: GraphInfo{Name: "a", Vertices: 10, Edges: 20}, Summary: &Summary{Communities: 3}}
+	b := &Manifest{Kind: "run", Graph: GraphInfo{Name: "b", Vertices: 5, Edges: 4}}
+	one, ledger := filepath.Join(dir, "run.json"), filepath.Join(dir, "ledger.jsonl")
+	if err := WriteManifest(one, b); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteManifest(one, a); err != nil {
+		t.Fatal(err)
+	}
+	if err := AppendManifest(ledger, a); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(ledger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("written file %q differs from appended line %q", got, want)
+	}
+	ms, skipped, err := ReadManifestFile(one)
+	if err != nil || skipped != 0 || len(ms) != 1 || ms[0].Graph.Name != "a" || ms[0].Summary.Communities != 3 {
+		t.Fatalf("read back %d manifests (%d skipped, err %v), want the one run a", len(ms), skipped, err)
 	}
 }

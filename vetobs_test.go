@@ -685,10 +685,13 @@ var substrateDirs = []string{filepath.Join("internal", "par"), filepath.Join("in
 // TestSubstrateExportsHaveCallers parses the non-test Go files of the root
 // package, cmd (cmd/perf included), internal and examples, and fails on any
 // exported top-level function or method declared in a non-test file of
-// substrateDirs that no other non-test file names. The match is by
-// identifier name only, so a dead method sharing its name with a live
-// function or method elsewhere (Ctx.ZeroInt64 and Pool.ZeroInt64, say) is
-// not caught.
+// substrateDirs that no other non-test file calls. A free function counts as
+// called only through a pkg.Name selector naming its package, or unqualified
+// from another file of its own package, so a dead free function is caught
+// even when another package's function or a method shares its name (the
+// free par.PackInto beside exec.PackInto, say). Methods are matched by name
+// only, so a dead method sharing its name with a live method elsewhere
+// (Ctx.ZeroInt64 and Pool.ZeroInt64, say) is not caught.
 func TestSubstrateExportsHaveCallers(t *testing.T) {
 	files := repoGoFiles(t, "", false, "examples")
 	var defs []string
@@ -715,8 +718,10 @@ func TestSubstrateExportsHaveCallers(t *testing.T) {
 
 // TestUncalledExportsFlagsViolations proves the check can fail: exports
 // named only in their own file, only by a test, or only in a comment
-// elsewhere, and a dead method, are reported; an export called from another
-// file, a method value taken elsewhere, and unexported helpers are not.
+// elsewhere, a dead method, and a dead free function whose name a live
+// method shares, are reported; an export called from another package, one
+// called unqualified from another file of its own package, a method value
+// taken elsewhere, and unexported helpers are not.
 func TestUncalledExportsFlagsViolations(t *testing.T) {
 	srcs := map[string]any{
 		"p/p.go": `package p
@@ -728,12 +733,19 @@ func helper() {}
 type T struct{}
 func (T) Method() {}
 func (*T) Dead() {}
+func Twin() {}
+func (*T) Twin() {}
+func Sibling() {}
+`,
+		"p/p2.go": `package p
+func g() { Sibling() }
 `,
 		"q/q.go": `package q
 func f(t p.T) {
 	p.Used()
 	g := t.Method
 	_ = g
+	t.Twin()
 	// p.Commented() in a comment
 }
 `,
@@ -741,25 +753,37 @@ func f(t p.T) {
 func TestX() { p.ByTest() }
 `,
 	}
-	nonTest := map[string]any{"p/p.go": srcs["p/p.go"], "q/q.go": srcs["q/q.go"]}
+	nonTest := map[string]any{"p/p.go": srcs["p/p.go"], "p/p2.go": srcs["p/p2.go"], "q/q.go": srcs["q/q.go"]}
 	bad, err := uncalledExports([]string{"p/p.go"}, nonTest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(bad, " "); got != "p/p.go:3 SelfOnly p/p.go:4 ByTest p/p.go:5 Commented p/p.go:9 Dead" {
-		t.Fatalf("flagged %q, want SelfOnly, ByTest, Commented and Dead", got)
+	if got := strings.Join(bad, " "); got != "p/p.go:3 SelfOnly p/p.go:4 ByTest p/p.go:5 Commented p/p.go:9 Dead p/p.go:10 Twin" {
+		t.Fatalf("flagged %q, want SelfOnly, ByTest, Commented, Dead and the free Twin", got)
 	}
 }
 
 // uncalledExports parses every file of srcs (from its value when non-nil)
 // and returns "file:line name" for each exported top-level function or
-// method declared in one of defs whose name no other file of srcs uses as an
-// identifier. A declaration's own name is not a use.
+// method declared in one of defs that no other file of srcs calls. A method
+// counts as called when another file uses its name as any identifier. A free
+// function of package pkg counts as called when another file selects it as
+// pkg.Name, or another file in its directory names it unqualified. A
+// declaration's own name is not a use.
 func uncalledExports(defs []string, srcs map[string]any) ([]string, error) {
 	fset := token.NewFileSet()
-	users := map[string]map[string]bool{} // name -> files using it
+	users := map[string]map[string]bool{}     // name -> files using it
+	qualified := map[string]map[string]bool{} // "pkg.Name" -> files selecting it
+	bare := map[string]map[string]bool{}      // name -> files using it unqualified
+	use := func(m map[string]map[string]bool, key, file string) {
+		if m[key] == nil {
+			m[key] = map[string]bool{}
+		}
+		m[key][file] = true
+	}
 	var decls []*ast.FuncDecl
 	declFile := map[*ast.FuncDecl]string{}
+	declPkg := map[*ast.FuncDecl]string{}
 	files := make([]string, 0, len(srcs))
 	for f := range srcs {
 		files = append(files, f)
@@ -777,15 +801,25 @@ func uncalledExports(defs []string, srcs map[string]any) ([]string, error) {
 				if slices.Contains(defs, file) && fd.Name.IsExported() {
 					decls = append(decls, fd)
 					declFile[fd] = file
+					declPkg[fd] = f.Name.Name
 				}
 			}
 		}
+		sels := map[*ast.Ident]bool{} // identifiers after a selector's dot
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !own[id] {
-				if users[id.Name] == nil {
-					users[id.Name] = map[string]bool{}
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				sels[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok {
+					use(qualified, x.Name+"."+n.Sel.Name, file)
 				}
-				users[id.Name][file] = true
+			case *ast.Ident:
+				if !own[n] {
+					use(users, n.Name, file)
+					if !sels[n] {
+						use(bare, n.Name, file)
+					}
+				}
 			}
 			return true
 		})
@@ -794,8 +828,17 @@ func uncalledExports(defs []string, srcs map[string]any) ([]string, error) {
 	for _, fd := range decls {
 		file := declFile[fd]
 		called := false
-		for user := range users[fd.Name.Name] {
-			called = called || user != file
+		if fd.Recv != nil {
+			for user := range users[fd.Name.Name] {
+				called = called || user != file
+			}
+		} else {
+			for user := range qualified[declPkg[fd]+"."+fd.Name.Name] {
+				called = called || user != file
+			}
+			for user := range bare[fd.Name.Name] {
+				called = called || (user != file && filepath.Dir(user) == filepath.Dir(file))
+			}
 		}
 		if !called {
 			bad = append(bad, fmt.Sprintf("%s:%d %s", file, fset.Position(fd.Pos()).Line, fd.Name.Name))
