@@ -36,6 +36,11 @@ race:
 	# count stripes as their merge position array; the package races at
 	# elevated count so an overlapping slice would show.
 	$(GO) test -race -count=2 ./internal/contract/...
+	# The scoring sweep's edge-exact spans split a hub's bucket between
+	# workers, which write disjoint parts of one bucket's scores and share
+	# only the positive-edge flag and the masked-edge tap; the package races
+	# at elevated count so an overlapping span would show.
+	$(GO) test -race -count=2 ./internal/scoring/...
 	$(GO) test -race -run 'Engine|Ensemble' ./internal/core/...
 	# The dynamic store's shared mutable surface: overlay readers racing a
 	# concurrent mutator (plus the lazy CSR-mirror rebuild they can trigger),

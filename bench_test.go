@@ -673,7 +673,7 @@ func benchPhase0(b *testing.B) (*graph.Graph, []int64, []float64) {
 	_, lj, _ := loadBenchGraphs(b)
 	deg := lj.WeightedDegrees(0)
 	scores := make([]float64, len(lj.V))
-	scoring.Modularity{}.Score(exec.Background(0), lj, deg, lj.TotalWeight(0), scores)
+	scoring.Score(exec.Background(0), scoring.Modularity{}, lj, deg, lj.TotalWeight(0), scores, nil, 0, nil)
 	return lj, deg, scores
 }
 
@@ -682,7 +682,7 @@ func BenchmarkKernel_Scoring(b *testing.B) {
 	totW := lj.TotalWeight(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scoring.Modularity{}.Score(exec.Background(0), lj, deg, totW, scores)
+		scoring.Score(exec.Background(0), scoring.Modularity{}, lj, deg, totW, scores, nil, 0, nil)
 	}
 }
 

@@ -675,7 +675,7 @@ func (b *bencher) runExtensions() {
 	defer ec.Close()
 	deg := g.WeightedDegrees(b.maxThreads)
 	scores := make([]float64, len(g.V))
-	scoring.Modularity{}.Score(ec, g, deg, g.TotalWeight(b.maxThreads), scores)
+	scoring.Score(ec, scoring.Modularity{}, g, deg, g.TotalWeight(b.maxThreads), scores, nil, 0, nil)
 	mres := matching.Worklist(ec, g, scores)
 	mapping, k := contract.Relabel(ec, g, mres.Match)
 	t2 := time.Now()

@@ -92,7 +92,11 @@ const (
 // Engine value, as the CLIs' -engine flag does.
 func ParseEngine(name string) (Engine, error) { return core.ParseEngine(name) }
 
-// Scorer is the pluggable edge-scoring metric (§III).
+// Scorer is the pluggable edge-scoring metric (§III): a named per-edge
+// closed form over the edge weight, both endpoints' weighted degrees and
+// self-loop weights, and the input graph's total weight. Edge must be pure,
+// deterministic and safe for concurrent use; the engine calls it from every
+// worker. See ExampleScorer.
 type Scorer = scoring.Scorer
 
 // ModularityScorer scores merges by the Newman–Girvan modularity change.

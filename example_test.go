@@ -35,6 +35,43 @@ func ExampleDetect() {
 	// triangles separated: true
 }
 
+// heavyEdge scores a merge by the edge's raw weight, the coarsening rule of
+// multilevel graph partitioning: matching contracts the heaviest edges
+// first. Edge reads only what the Scorer contract hands it, so it is pure
+// and safe for concurrent use.
+type heavyEdge struct{}
+
+func (heavyEdge) Name() string { return "heavy-edge" }
+
+func (heavyEdge) Edge(w, _, _, _, _, _ int64) float64 { return float64(w) }
+
+// A custom metric plugs in through the Scorer interface. Heavy-edge scores
+// never go non-positive, so the run never reaches a local maximum and needs
+// a bound: here MaxPhases stops it after one contraction, which merges the
+// three heavy edges of a weighted path.
+func ExampleScorer() {
+	g, err := community.Build(0, 6, []community.Edge{
+		{U: 0, V: 1, W: 5}, {U: 1, V: 2, W: 1}, {U: 2, V: 3, W: 5},
+		{U: 3, V: 4, W: 1}, {U: 4, V: 5, W: 5},
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := community.Detect(context.Background(), g,
+		community.Options{Scorer: heavyEdge{}, MaxPhases: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println("communities:", res.NumCommunities)
+	fmt.Println("termination:", res.Termination)
+	fmt.Println("heavy pairs merged:", res.CommunityOf[0] == res.CommunityOf[1] &&
+		res.CommunityOf[2] == res.CommunityOf[3] && res.CommunityOf[4] == res.CommunityOf[5])
+	// Output:
+	// communities: 3
+	// termination: max-phases
+	// heavy pairs merged: true
+}
+
 // Build accumulates duplicate edges and folds self-loops, the paper's
 // construction rule for R-MAT output.
 func ExampleBuild() {

@@ -126,7 +126,7 @@ func TestContractPreservesTotalWeightAndDegrees(t *testing.T) {
 	}
 	deg := g.WeightedDegrees(4)
 	scores := make([]float64, len(g.V))
-	scoring.Modularity{}.Score(exec.Background(4), g, deg, g.TotalWeight(4), scores)
+	scoring.Score(exec.Background(4), scoring.Modularity{}, g, deg, g.TotalWeight(4), scores, nil, 0, nil)
 	res := matching.Worklist(exec.Background(4), g, scores)
 	for name, kern := range kernels {
 		ng, mapping := kern(4, g, res.Match)
@@ -282,7 +282,7 @@ func TestNonContiguousLeavesValidGaps(t *testing.T) {
 	}
 	deg := g.WeightedDegrees(2)
 	scores := make([]float64, len(g.V))
-	scoring.Modularity{}.Score(exec.Background(2), g, deg, g.TotalWeight(2), scores)
+	scoring.Score(exec.Background(2), scoring.Modularity{}, g, deg, g.TotalWeight(2), scores, nil, 0, nil)
 	res := matching.Worklist(exec.Background(2), g, scores)
 	ng, _ := Bucket(exec.Background(2), g, res.Match, NonContiguous)
 	w := ng.TotalWeight(2)

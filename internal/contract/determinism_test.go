@@ -30,7 +30,7 @@ type contractCase struct {
 func modularityMatch(g *graph.Graph) []int64 {
 	deg := g.WeightedDegrees(2)
 	scores := make([]float64, len(g.V))
-	scoring.Modularity{}.Score(exec.Background(2), g, deg, g.TotalWeight(2), scores)
+	scoring.Score(exec.Background(2), scoring.Modularity{}, g, deg, g.TotalWeight(2), scores, nil, 0, nil)
 	return matching.Worklist(exec.Background(2), g, scores).Match
 }
 

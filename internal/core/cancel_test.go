@@ -83,50 +83,58 @@ func TestDetectContextCancelMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := DetectContext(context.Background(), g, Options{Threads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Levels) < 3 {
-		t.Fatalf("workload too easy: only %d phases; cancellation needs a multi-phase run", len(full.Levels))
-	}
-
-	// Sweep the Err-call budget so cancellation lands at every boundary the
-	// engine checks: phase top, after scoring, after matching, and the
-	// matching kernel's per-pass check. The same arena is reused across all
-	// runs, cancelled or not, to prove a cancelled run leaves it usable.
-	s := NewScratch()
-	sawMidRun := false
-	for budget := 0; budget <= 40; budget++ {
-		ctx := &countdownCtx{Context: context.Background(), budget: budget}
-		res, err := detectExec(ctx, g, Options{Threads: 2}, s)
-		if err == nil {
-			if res.Termination == TermCanceled {
-				t.Fatalf("budget %d: TermCanceled with nil error", budget)
+	for _, engine := range []Engine{EngineMatching, EnginePLP, EngineEnsemble} {
+		t.Run(engine.String(), func(t *testing.T) {
+			opt := Options{Threads: 2, Engine: engine}
+			full, err := DetectContext(context.Background(), g, opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
-		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("budget %d: error %v does not wrap context.Canceled", budget, err)
-		}
-		checkPartial(t, res, g.NumVertices())
-		if len(res.Levels) > 0 && len(res.Levels) < len(full.Levels) {
-			sawMidRun = true
-		}
-	}
-	if !sawMidRun {
-		t.Fatal("no budget produced a cancellation with a partial (non-empty, non-complete) hierarchy")
-	}
+			if engine != EnginePLP && len(full.Levels) < 3 {
+				t.Fatalf("workload too easy: only %d phases; cancellation needs a multi-phase run", len(full.Levels))
+			}
 
-	// The arena that served the cancelled runs still supports a clean run.
-	res, err := detectExec(context.Background(), g, Options{Threads: 2}, s)
-	if err != nil {
-		t.Fatalf("post-cancellation run on reused arena: %v", err)
+			// Sweep the Err-call budget so cancellation lands at every
+			// boundary the engine checks: phase top, after scoring, after
+			// matching, the matching kernel's per-pass check and PLP's
+			// per-sweep check. The same arena is reused across all runs,
+			// cancelled or not, to prove a cancelled run leaves it usable.
+			s := NewScratch()
+			sawMidRun := false
+			for budget := 0; budget <= 80; budget++ {
+				ctx := &countdownCtx{Context: context.Background(), budget: budget}
+				res, err := detectExec(ctx, g, opt, s)
+				if err == nil {
+					// A run that saw no cancellation is the whole run.
+					if res.Termination != full.Termination || res.NumCommunities != full.NumCommunities {
+						t.Fatalf("budget %d: nil error with %s at %d communities, the full run ends %s at %d",
+							budget, res.Termination, res.NumCommunities, full.Termination, full.NumCommunities)
+					}
+					continue
+				}
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("budget %d: error %v does not wrap context.Canceled", budget, err)
+				}
+				checkPartial(t, res, g.NumVertices())
+				if len(res.Levels) > 0 && res.NumCommunities != full.NumCommunities {
+					sawMidRun = true
+				}
+			}
+			if !sawMidRun {
+				t.Fatal("no budget produced a cancellation with a partial (non-empty, non-complete) hierarchy")
+			}
+
+			// The arena that served the cancelled runs still supports a clean run.
+			res, err := detectExec(context.Background(), g, opt, s)
+			if err != nil {
+				t.Fatalf("post-cancellation run on reused arena: %v", err)
+			}
+			if res.Termination == TermCanceled {
+				t.Fatal("uncancelled run reported TermCanceled")
+			}
+			validatePartition(t, res.CommunityOf, res.NumCommunities)
+		})
 	}
-	if res.Termination == TermCanceled {
-		t.Fatal("uncancelled run reported TermCanceled")
-	}
-	validatePartition(t, res.CommunityOf, res.NumCommunities)
 }
 
 func TestDetectExecSharedTeamSequentialRuns(t *testing.T) {

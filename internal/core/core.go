@@ -140,6 +140,9 @@ type Options struct {
 	// Threads is the worker count; <= 0 selects GOMAXPROCS.
 	Threads int
 	// Scorer is the edge-scoring metric; nil selects scoring.Modularity.
+	// Its Edge must be pure, deterministic and safe for concurrent use: the
+	// scoring sweep calls it from every worker, once per edge, unless it is
+	// one of the builtin metrics, which are scored by inline loops.
 	Scorer scoring.Scorer
 	// Matching and Contraction select the kernels.
 	Matching    MatchKernel
@@ -597,6 +600,12 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		}
 		cg = ng
 		if opt.Engine == EnginePLP {
+			// A cancelled propagation stops between sweeps with valid labels,
+			// so the level above is a true partial result.
+			if err := ec.Err(); err != nil {
+				res, _ := finish(TermCanceled, nextDeg, cg, sizes)
+				return res, fmt.Errorf("core: canceled during prelabeling: %w", err)
+			}
 			return finish(TermPLPConverged, nextDeg, cg, sizes)
 		}
 		phaseStart = 1
@@ -756,10 +765,9 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 			ec.SetPartition(nil)
 		}
 
-		// Primitive 1: score. Builtin metrics implement scoring.Fused, which
-		// folds the score fill, the MaxCommunitySize mask, and the
-		// positive-edge termination scan into a single sweep over the edge
-		// array; plain Scorers take the three separate passes.
+		// Primitive 1: score. One sweep fills the scores, masks the merges
+		// MaxCommunitySize forbids, and finds whether any allowed merge
+		// improves the metric.
 		scSpan := rec.Begin(obs.KernelScore)
 		// Degrees: rolled up through the previous contraction, or computed
 		// from the edges when no mapping produced them (the first level,
@@ -775,30 +783,8 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		}
 		s.scores = buf.Grow(s.scores, len(cg.V))
 		scores := s.scores[:len(cg.V)]
-		var positive bool
-		if fused, ok := scorer.(scoring.Fused); ok {
-			positive = fused.ScoreFused(ec, cg, deg, totW, scores, sizes, opt.MaxCommunitySize,
-				rec.HotCounter(obs.CtrScoreMasked))
-		} else {
-			scorer.Score(ec, cg, deg, totW, scores)
-			if maxSize := opt.MaxCommunitySize; maxSize > 0 {
-				// Mask merges that would exceed the size cap; a local maximum
-				// then means "no allowed merge improves the metric". mcg and
-				// msizes are single-assignment aliases of the per-phase
-				// variables so the closure capture doesn't heap-box them.
-				mcg, msizes := cg, sizes
-				ec.ForDynamic(int(mcg.NumVertices()), 0, func(lo, hi int) {
-					for x := lo; x < hi; x++ {
-						for e := mcg.Start[x]; e < mcg.End[x]; e++ {
-							if msizes[x]+msizes[mcg.V[e]] > maxSize {
-								scores[e] = -1
-							}
-						}
-					}
-				})
-			}
-			positive = scoring.HasPositive(ec, cg, scores)
-		}
+		positive := scoring.Score(ec, scorer, cg, deg, totW, scores, sizes, opt.MaxCommunitySize,
+			rec.HotCounter(obs.CtrScoreMasked))
 		rec.FoldHot()
 		scoreTime := scSpan.EndArgs("edges", cg.NumEdges(), "positive", boolInt64(positive))
 		if !positive {
@@ -822,6 +808,14 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		mSpan := rec.Begin(obs.KernelMatch)
 		mres := matchFn(ec, cg, scores, &s.match)
 		matchTime := mSpan.EndArgs("pairs", mres.Pairs, "passes", int64(mres.Passes))
+		// Checked first: a cancelled kernel returns the matching of the
+		// passes it ran, which need not be maximal and is empty when the
+		// first pass was cut.
+		if err := ec.Err(); err != nil {
+			phSpan.End()
+			res, _ := finish(TermCanceled, deg, cg, sizes)
+			return res, fmt.Errorf("core: canceled at phase %d after matching: %w", phase, err)
+		}
 		if opt.Validate {
 			if err := matching.Verify(cg, scores, mres.Match); err != nil {
 				return nil, fmt.Errorf("core: phase %d: %w", phase, err)
@@ -836,11 +830,6 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		if opt.MinCommunities > 0 && cg.NumVertices()-mres.Pairs < opt.MinCommunities {
 			phSpan.End()
 			return finish(TermMinCommunities, deg, cg, sizes)
-		}
-		if err := ec.Err(); err != nil {
-			phSpan.End()
-			res, _ := finish(TermCanceled, deg, cg, sizes)
-			return res, fmt.Errorf("core: canceled at phase %d after matching: %w", phase, err)
 		}
 
 		// Primitive 3: contraction, into the arena's ping-pong destination

@@ -7,6 +7,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/metrics"
+	"repro/internal/scoring"
 )
 
 func TestDetectSizesTracked(t *testing.T) {
@@ -173,14 +174,27 @@ func TestDetectDeterministicAcrossThreadCounts(t *testing.T) {
 		name string
 		g    *graph.Graph
 	}{{"ljsim-3000", lj}, {"rmat-12", rmat}} {
-		for _, engine := range []Engine{EngineMatching, EnginePLP, EngineEnsemble} {
-			t.Run(gc.name+"/"+engine.String(), func(t *testing.T) {
-				want, err := DetectContext(context.Background(), gc.g, Options{Threads: 1, Engine: engine})
+		for _, row := range []struct {
+			name string
+			opt  Options
+		}{
+			{"matching", Options{Engine: EngineMatching}},
+			{"plp", Options{Engine: EnginePLP}},
+			{"ensemble", Options{Engine: EngineEnsemble}},
+			{"matching/conductance", Options{Scorer: scoring.Conductance{}}},
+			{"ensemble/conductance", Options{Engine: EngineEnsemble, Scorer: scoring.Conductance{}}},
+			{"matching/max-size-64", Options{MaxCommunitySize: 64}},
+		} {
+			t.Run(gc.name+"/"+row.name, func(t *testing.T) {
+				opt := row.opt
+				opt.Threads = 1
+				want, err := DetectContext(context.Background(), gc.g, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, p := range []int{2, 3, 4, 7} {
-					got, err := DetectContext(context.Background(), gc.g, Options{Threads: p, Engine: engine})
+					opt.Threads = p
+					got, err := DetectContext(context.Background(), gc.g, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -195,6 +209,49 @@ func TestDetectDeterministicAcrossThreadCounts(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// wrappedModularity is not scoring.Modularity, so the engine scores it
+// through Edge, one call per edge; its closed form is modularity's.
+type wrappedModularity struct{}
+
+func (wrappedModularity) Name() string { return "wrapped-modularity" }
+
+func (wrappedModularity) Edge(w, degU, degV, selfU, selfV, totalWeight int64) float64 {
+	return scoring.Modularity{}.Edge(w, degU, degV, selfU, selfV, totalWeight)
+}
+
+func TestCustomScorerMatchesBuiltin(t *testing.T) {
+	// A scorer outside the builtin types takes the sweep's generic path;
+	// since Edge computes the same bits as the inline loop, whole runs must
+	// produce the builtin's partition exactly, with and without a size cap.
+	g, err := gen.RMATGraph(2, gen.DefaultRMAT(12, 19))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, maxSize := range []int64{0, 64} {
+		for _, p := range []int{1, 2, 4} {
+			want, err := DetectContext(context.Background(), g, Options{Threads: p, MaxCommunitySize: maxSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := DetectContext(context.Background(), g,
+				Options{Threads: p, MaxCommunitySize: maxSize, Scorer: wrappedModularity{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.NumCommunities != want.NumCommunities || len(got.Levels) != len(want.Levels) {
+				t.Fatalf("maxSize=%d p=%d: %d communities in %d levels, builtin %d in %d", maxSize, p,
+					got.NumCommunities, len(got.Levels), want.NumCommunities, len(want.Levels))
+			}
+			for v := range want.CommunityOf {
+				if got.CommunityOf[v] != want.CommunityOf[v] {
+					t.Fatalf("maxSize=%d p=%d: vertex %d in community %d, builtin %d",
+						maxSize, p, v, got.CommunityOf[v], want.CommunityOf[v])
+				}
+			}
 		}
 	}
 }

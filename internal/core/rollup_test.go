@@ -44,7 +44,7 @@ func TestRolledDegreesEqualRecomputedPerLevel(t *testing.T) {
 			}
 			for level := 0; ; level++ {
 				scores := make([]float64, len(g.V))
-				scoring.Modularity{}.Score(ec, g, deg, g.TotalWeight(p), scores)
+				scoring.Score(ec, scoring.Modularity{}, g, deg, g.TotalWeight(p), scores, nil, 0, nil)
 				mres := matching.Worklist(ec, g, scores)
 				if mres.Pairs == 0 {
 					break

@@ -49,7 +49,7 @@ func greedyReference(g *graph.Graph, scores []float64) []int64 {
 func modularityScores(g *graph.Graph) []float64 {
 	deg := g.WeightedDegrees(1)
 	scores := make([]float64, len(g.V))
-	scoring.Modularity{}.Score(exec.Background(1), g, deg, g.TotalWeight(1), scores)
+	scoring.Score(exec.Background(1), scoring.Modularity{}, g, deg, g.TotalWeight(1), scores, nil, 0, nil)
 	return scores
 }
 

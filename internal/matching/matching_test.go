@@ -216,7 +216,7 @@ func TestModularityScoredMatchingOnLJSim(t *testing.T) {
 	}
 	deg := g.WeightedDegrees(4)
 	scores := make([]float64, len(g.V))
-	scoring.Modularity{}.Score(exec.Background(4), g, deg, g.TotalWeight(4), scores)
+	scoring.Score(exec.Background(4), scoring.Modularity{}, g, deg, g.TotalWeight(4), scores, nil, 0, nil)
 	for name, kern := range kernels {
 		res := kern(4, g, scores)
 		if err := Verify(g, scores, res.Match); err != nil {
@@ -354,7 +354,7 @@ func TestWorklistFewPassesOnSocialGraph(t *testing.T) {
 	}
 	deg := g.WeightedDegrees(2)
 	scores := make([]float64, len(g.V))
-	scoring.Modularity{}.Score(exec.Background(2), g, deg, g.TotalWeight(2), scores)
+	scoring.Score(exec.Background(2), scoring.Modularity{}, g, deg, g.TotalWeight(2), scores, nil, 0, nil)
 	res := Worklist(exec.Background(2), g, scores)
 	if err := Verify(g, scores, res.Match); err != nil {
 		t.Fatal(err)

@@ -58,7 +58,7 @@ const (
 	// mutual-candidate checks that cannot lose, so it always reports 0.
 	CtrMatchConflicts
 	// CtrScoreMasked counts edges masked by the MaxCommunitySize cap during
-	// the fused scoring sweep.
+	// the scoring sweep.
 	CtrScoreMasked
 	// CtrContractEdgesIn counts edges entering contraction.
 	CtrContractEdgesIn

@@ -14,45 +14,162 @@ import (
 	"repro/internal/par"
 )
 
-// Scoring sweeps are edge-parallel with no per-vertex state, so they accept
-// hub splitting: when the engine has installed an edge-balanced partition
-// for the level (exec.Balanced), each worker walks one par.Span — a vertex
-// range whose first and last buckets may be clamped to partial edge runs —
-// and otherwise the sweep falls back to dynamic chunks over whole vertices.
-// Every sweep body is therefore written against (lo, hi, eloFirst, ehiLast):
-// dynamic chunks pass the unclamped g.Start[lo] / g.End[hi-1], making the
-// clamps no-ops.
-
-// Scorer computes per-edge merge scores for a community graph.
+// Scorer is a per-edge merge score in closed form. Edge sees the edge
+// weight, both endpoints' weighted degrees (community volumes d_c = 2·self_c
+// + Σ incident weight) and self-loop weights (internal edge weights), and
+// the input graph's total weight m, which contraction preserves. That is
+// exactly what the paper's metrics need (§IV-B: "An edge {i, j} requires
+// its weight, the self-loop weights for i and j, and the total weight of
+// the graph"), so any metric in that family plugs in without touching the
+// engine (§II: the algorithm "is agnostic towards edge scoring methods").
 //
-// Score must fill scores[e] for every live edge index e of g (the slice is
-// as long as g's edge arrays; entries at gap positions are ignored). deg is
-// g.WeightedDegrees — the community volumes d_c = 2·self_c + Σ incident
-// weight — and totalWeight is the *input* graph's total edge weight m,
-// which contraction preserves. Implementations must be safe for concurrent
-// use and must not retain the slices.
+// Edge must be pure and deterministic, and safe for concurrent use: the
+// sweep calls it from every worker, in no fixed order. Score never calls
+// it with totalWeight <= 0.
 type Scorer interface {
 	Name() string
-	Score(ec *exec.Ctx, g *graph.Graph, deg []int64, totalWeight int64, scores []float64)
+	Edge(w, degU, degV, selfU, selfV, totalWeight int64) float64
 }
 
-// Fused is an optional Scorer extension that folds the engine's three edge
-// sweeps — score fill, the MaxCommunitySize mask, and the HasPositive
-// termination scan — into one pass over the edge array. sizes is the
-// per-community original-vertex count and maxSize the cap (0 disables the
-// mask; sizes may then be nil). ScoreFused fills scores exactly as Score
-// would, overwrites masked entries with -1, and reports whether any
-// unmasked live edge scored strictly positive. The engine type-asserts for
-// this interface and falls back to the three separate sweeps for plain
-// Scorers, so metric plugins stay a one-method implementation.
+// Score fills scores[e] for every live edge index e of g in one sweep (the
+// slice is as long as g's edge arrays; entries at gap positions are left
+// alone), and reports whether any unmasked edge scored strictly positive;
+// if none did, the engine has reached a local maximum and terminates
+// (§III). deg is g.WeightedDegrees.
 //
-// masked, when non-nil, receives the number of edges the size cap masked:
-// implementations count into chunk-locals and flush with one atomic add per
-// chunk (never per edge), which is how the engine's observability layer
-// taps the sweep without this package depending on it. nil disables the
-// count at the cost of one predictable branch per chunk.
-type Fused interface {
-	ScoreFused(ec *exec.Ctx, g *graph.Graph, deg []int64, totalWeight int64, scores []float64, sizes []int64, maxSize int64, masked *int64) bool
+// maxSize > 0 masks the merges the MaxCommunitySize cap forbids: an edge
+// whose endpoints' sizes (per-community original-vertex counts) sum past
+// maxSize scores -1. sizes is read only when maxSize > 0. masked, when
+// non-nil, receives the number of masked edges, added once per chunk (never
+// per edge), which is how the engine's observability layer taps the sweep
+// without this package depending on it.
+//
+// The builtin metrics run inline loops; any other Scorer goes through Edge
+// once per edge. totalWeight <= 0 means g has no edges (weights are
+// positive), so Score returns false.
+func Score(ec *exec.Ctx, s Scorer, g *graph.Graph, deg []int64, totalWeight int64, scores []float64, sizes []int64, maxSize int64, masked *int64) bool {
+	n := int(g.NumVertices())
+	if totalWeight <= 0 || n == 0 {
+		return false
+	}
+	if ec.Serial(n) {
+		positive, nMasked := scoreRange(s, g, deg, totalWeight, scores, sizes, maxSize, 0, n, g.Start[0], g.End[n-1])
+		flushMasked(masked, nMasked)
+		return positive
+	}
+	// Split spans write disjoint parts of one bucket; they share only found
+	// and the masked tap, both written atomically.
+	var found atomic.Bool
+	chunk := func(lo, hi int, eloFirst, ehiLast int64) {
+		positive, nMasked := scoreRange(s, g, deg, totalWeight, scores, sizes, maxSize, lo, hi, eloFirst, ehiLast)
+		flushMasked(masked, nMasked)
+		if positive {
+			found.Store(true)
+		}
+	}
+	if pt := ec.Balanced(n, g.NumEdges()); pt != nil {
+		ec.ForSpans("score/fused", pt, func(_ int, sp par.Span) { chunk(sp.LoV, sp.HiV, sp.LoE, sp.HiE) })
+	} else {
+		ec.ForDynamic(n, 0, func(lo, hi int) { chunk(lo, hi, g.Start[lo], g.End[hi-1]) })
+	}
+	return found.Load()
+}
+
+// scoreRange scores vertices [lo, hi), entering the bucket of lo at edge
+// eloFirst and leaving the bucket of hi-1 at edge ehiLast, so one body
+// serves whole-vertex chunks and the edge-exact spans that split a hub's
+// bucket between workers (exec.Balanced). A chunk of whole vertices passes
+// g.Start[lo] and g.End[hi-1], making the clamps no-ops.
+//
+// A closure or type-parameter call of the closed form is not inlined, so
+// each builtin keeps its own loop, with its per-graph and per-vertex terms
+// hoisted; the shared helpers keep its arithmetic bitwise equal to Edge.
+func scoreRange(s Scorer, g *graph.Graph, deg []int64, totalWeight int64, scores []float64, sizes []int64, maxSize int64, lo, hi int, eloFirst, ehiLast int64) (positive bool, nMasked int64) {
+	var su int64
+	switch s.(type) {
+	case Modularity:
+		inv, half := modularityTerms(totalWeight)
+		for x := lo; x < hi; x++ {
+			elo, ehi := bucket(g, x, lo, hi, eloFirst, ehiLast)
+			if maxSize > 0 {
+				su = sizes[x]
+			}
+			du := float64(deg[x])
+			for e := elo; e < ehi; e++ {
+				v := g.V[e]
+				if maxSize > 0 && su+sizes[v] > maxSize {
+					scores[e] = -1
+					nMasked++
+					continue
+				}
+				sc := deltaQ(g.W[e], du, float64(deg[v]), inv, half)
+				scores[e] = sc
+				positive = positive || sc > 0
+			}
+		}
+	case Conductance:
+		twoM := 2 * float64(totalWeight)
+		for x := lo; x < hi; x++ {
+			elo, ehi := bucket(g, x, lo, hi, eloFirst, ehiLast)
+			if maxSize > 0 {
+				su = sizes[x]
+			}
+			du, selfU := deg[x], g.Self[x]
+			phiU := phi(du, selfU, twoM)
+			for e := elo; e < ehi; e++ {
+				v := g.V[e]
+				if maxSize > 0 && su+sizes[v] > maxSize {
+					scores[e] = -1
+					nMasked++
+					continue
+				}
+				sc := deltaPhi(phiU, g.W[e], du, deg[v], selfU, g.Self[v], twoM)
+				scores[e] = sc
+				positive = positive || sc > 0
+			}
+		}
+	default:
+		for x := lo; x < hi; x++ {
+			elo, ehi := bucket(g, x, lo, hi, eloFirst, ehiLast)
+			if maxSize > 0 {
+				su = sizes[x]
+			}
+			du, selfU := deg[x], g.Self[x]
+			for e := elo; e < ehi; e++ {
+				v := g.V[e]
+				if maxSize > 0 && su+sizes[v] > maxSize {
+					scores[e] = -1
+					nMasked++
+					continue
+				}
+				sc := s.Edge(g.W[e], du, deg[v], selfU, g.Self[v], totalWeight)
+				scores[e] = sc
+				positive = positive || sc > 0
+			}
+		}
+	}
+	return positive, nMasked
+}
+
+// bucket returns the edge run of vertex x within the chunk [lo, hi) whose
+// first bucket starts at eloFirst and whose last bucket ends at ehiLast.
+func bucket(g *graph.Graph, x, lo, hi int, eloFirst, ehiLast int64) (elo, ehi int64) {
+	elo, ehi = g.Start[x], g.End[x]
+	if x == lo {
+		elo = eloFirst
+	}
+	if x == hi-1 {
+		ehi = ehiLast
+	}
+	return elo, ehi
+}
+
+// flushMasked adds a chunk's masked-edge count to the optional tap with one
+// atomic add; the nil check is the disabled observability path.
+func flushMasked(masked *int64, n int64) {
+	if masked != nil && n != 0 {
+		atomic.AddInt64(masked, n)
+	}
 }
 
 // Modularity scores an edge {c, d} with the Newman–Girvan modularity change
@@ -66,118 +183,21 @@ type Modularity struct{}
 // Name implements Scorer.
 func (Modularity) Name() string { return "modularity" }
 
-// Score implements Scorer.
-func (Modularity) Score(ec *exec.Ctx, g *graph.Graph, deg []int64, totalWeight int64, scores []float64) {
-	if totalWeight <= 0 {
-		scoreConstant(ec, g, scores, 0)
-		return
-	}
+// Edge implements Scorer.
+func (Modularity) Edge(w, degU, degV, _, _, totalWeight int64) float64 {
+	inv, half := modularityTerms(totalWeight)
+	return deltaQ(w, float64(degU), float64(degV), inv, half)
+}
+
+// modularityTerms returns the reciprocals 1/m and 1/(2m²) that ΔQ
+// multiplies by; the sweep hoists them per graph.
+func modularityTerms(totalWeight int64) (inv, half float64) {
 	m := float64(totalWeight)
-	inv := 1 / m
-	half := 1 / (2 * m * m)
-	n := int(g.NumVertices())
-	if pt := ec.Balanced(n, g.NumEdges()); pt != nil {
-		ec.ForSpans("score/fill", pt, func(_ int, sp par.Span) {
-			modularityFill(g, deg, scores, inv, half, sp.LoV, sp.HiV, sp.LoE, sp.HiE)
-		})
-		return
-	}
-	ec.ForDynamic(n, 0, func(lo, hi int) {
-		modularityFill(g, deg, scores, inv, half, lo, hi, g.Start[lo], g.End[hi-1])
-	})
+	return 1 / m, 1 / (2 * m * m)
 }
 
-func modularityFill(g *graph.Graph, deg []int64, scores []float64, inv, half float64, lo, hi int, eloFirst, ehiLast int64) {
-	for x := lo; x < hi; x++ {
-		elo, ehi := g.Start[x], g.End[x]
-		if x == lo {
-			elo = eloFirst
-		}
-		if x == hi-1 {
-			ehi = ehiLast
-		}
-		du := float64(deg[x])
-		for e := elo; e < ehi; e++ {
-			scores[e] = float64(g.W[e])*inv - du*float64(deg[g.V[e]])*half
-		}
-	}
-}
-
-// ScoreFused implements Fused: the modularity fill, size mask, and
-// positive-edge scan in a single sweep.
-func (Modularity) ScoreFused(ec *exec.Ctx, g *graph.Graph, deg []int64, totalWeight int64, scores []float64, sizes []int64, maxSize int64, masked *int64) bool {
-	if totalWeight <= 0 {
-		scoreConstant(ec, g, scores, 0)
-		return false
-	}
-	m := float64(totalWeight)
-	inv := 1 / m
-	half := 1 / (2 * m * m)
-	n := int(g.NumVertices())
-	if ec.Serial(n) {
-		positive := false
-		var nMasked int64
-		for x := 0; x < n; x++ {
-			su, du := sizes[x], float64(deg[x])
-			for e := g.Start[x]; e < g.End[x]; e++ {
-				v := g.V[e]
-				if maxSize > 0 && su+sizes[v] > maxSize {
-					scores[e] = -1
-					nMasked++
-					continue
-				}
-				s := float64(g.W[e])*inv - du*float64(deg[v])*half
-				scores[e] = s
-				positive = positive || s > 0
-			}
-		}
-		flushMasked(masked, nMasked)
-		return positive
-	}
-	var found int64
-	if pt := ec.Balanced(n, g.NumEdges()); pt != nil {
-		ec.ForSpans("score/fused", pt, func(_ int, sp par.Span) {
-			positive, nMasked := modularityFused(g, deg, scores, sizes, inv, half, maxSize, sp.LoV, sp.HiV, sp.LoE, sp.HiE)
-			flushMasked(masked, nMasked)
-			if positive {
-				atomicStoreOne(&found)
-			}
-		})
-		return found != 0
-	}
-	ec.ForDynamic(n, 0, func(lo, hi int) {
-		positive, nMasked := modularityFused(g, deg, scores, sizes, inv, half, maxSize, lo, hi, g.Start[lo], g.End[hi-1])
-		flushMasked(masked, nMasked)
-		if positive {
-			atomicStoreOne(&found)
-		}
-	})
-	return found != 0
-}
-
-func modularityFused(g *graph.Graph, deg []int64, scores []float64, sizes []int64, inv, half float64, maxSize int64, lo, hi int, eloFirst, ehiLast int64) (positive bool, nMasked int64) {
-	for x := lo; x < hi; x++ {
-		elo, ehi := g.Start[x], g.End[x]
-		if x == lo {
-			elo = eloFirst
-		}
-		if x == hi-1 {
-			ehi = ehiLast
-		}
-		su, du := sizes[x], float64(deg[x])
-		for e := elo; e < ehi; e++ {
-			v := g.V[e]
-			if maxSize > 0 && su+sizes[v] > maxSize {
-				scores[e] = -1
-				nMasked++
-				continue
-			}
-			s := float64(g.W[e])*inv - du*float64(deg[v])*half
-			scores[e] = s
-			positive = positive || s > 0
-		}
-	}
-	return positive, nMasked
+func deltaQ(w int64, du, dv, inv, half float64) float64 {
+	return float64(w)*inv - du*dv*half
 }
 
 // Conductance scores an edge {c, d} with the negated change in the sum of
@@ -193,218 +213,28 @@ type Conductance struct{}
 // Name implements Scorer.
 func (Conductance) Name() string { return "conductance" }
 
-// Score implements Scorer.
-func (Conductance) Score(ec *exec.Ctx, g *graph.Graph, deg []int64, totalWeight int64, scores []float64) {
-	if totalWeight <= 0 {
-		scoreConstant(ec, g, scores, 0)
-		return
-	}
+// Edge implements Scorer.
+func (Conductance) Edge(w, degU, degV, selfU, selfV, totalWeight int64) float64 {
 	twoM := 2 * float64(totalWeight)
-	phi := func(vol, internal int64) float64 {
-		cut := float64(vol - 2*internal)
-		denom := float64(vol)
-		if other := twoM - float64(vol); other < denom {
-			denom = other
-		}
-		if denom <= 0 {
-			return 0
-		}
-		return cut / denom
-	}
-	n := int(g.NumVertices())
-	if pt := ec.Balanced(n, g.NumEdges()); pt != nil {
-		ec.ForSpans("score/fill", pt, func(_ int, sp par.Span) {
-			conductanceFill(g, deg, scores, phi, sp.LoV, sp.HiV, sp.LoE, sp.HiE)
-		})
-		return
-	}
-	ec.ForDynamic(n, 0, func(lo, hi int) {
-		conductanceFill(g, deg, scores, phi, lo, hi, g.Start[lo], g.End[hi-1])
-	})
+	return deltaPhi(phi(degU, selfU, twoM), w, degU, degV, selfU, selfV, twoM)
 }
 
-func conductanceFill(g *graph.Graph, deg []int64, scores []float64, phi func(vol, internal int64) float64, lo, hi int, eloFirst, ehiLast int64) {
-	for x := lo; x < hi; x++ {
-		elo, ehi := g.Start[x], g.End[x]
-		if x == lo {
-			elo = eloFirst
-		}
-		if x == hi-1 {
-			ehi = ehiLast
-		}
-		u := int64(x)
-		for e := elo; e < ehi; e++ {
-			v, w := g.V[e], g.W[e]
-			phiU := phi(deg[u], g.Self[u])
-			phiV := phi(deg[v], g.Self[v])
-			merged := phi(deg[u]+deg[v], g.Self[u]+g.Self[v]+w)
-			scores[e] = phiU + phiV - merged
-		}
-	}
+// deltaPhi is the conductance score given the first endpoint's φ, which
+// the sweep hoists per vertex.
+func deltaPhi(phiU float64, w, degU, degV, selfU, selfV int64, twoM float64) float64 {
+	return phiU + phi(degV, selfV, twoM) - phi(degU+degV, selfU+selfV+w, twoM)
 }
 
-// ScoreFused implements Fused for the conductance metric.
-func (Conductance) ScoreFused(ec *exec.Ctx, g *graph.Graph, deg []int64, totalWeight int64, scores []float64, sizes []int64, maxSize int64, masked *int64) bool {
-	if totalWeight <= 0 {
-		scoreConstant(ec, g, scores, 0)
-		return false
+// phi is the conductance of a community with volume vol and internal
+// weight internal in a graph of total volume twoM.
+func phi(vol, internal int64, twoM float64) float64 {
+	cut := float64(vol - 2*internal)
+	denom := float64(vol)
+	if other := twoM - float64(vol); other < denom {
+		denom = other
 	}
-	twoM := 2 * float64(totalWeight)
-	phi := func(vol, internal int64) float64 {
-		cut := float64(vol - 2*internal)
-		denom := float64(vol)
-		if other := twoM - float64(vol); other < denom {
-			denom = other
-		}
-		if denom <= 0 {
-			return 0
-		}
-		return cut / denom
+	if denom <= 0 {
+		return 0
 	}
-	n := int(g.NumVertices())
-	if ec.Serial(n) {
-		positive := false
-		var nMasked int64
-		for x := 0; x < n; x++ {
-			u := int64(x)
-			for e := g.Start[x]; e < g.End[x]; e++ {
-				v, w := g.V[e], g.W[e]
-				if maxSize > 0 && sizes[u]+sizes[v] > maxSize {
-					scores[e] = -1
-					nMasked++
-					continue
-				}
-				phiU := phi(deg[u], g.Self[u])
-				phiV := phi(deg[v], g.Self[v])
-				s := phiU + phiV - phi(deg[u]+deg[v], g.Self[u]+g.Self[v]+w)
-				scores[e] = s
-				positive = positive || s > 0
-			}
-		}
-		flushMasked(masked, nMasked)
-		return positive
-	}
-	var found int64
-	if pt := ec.Balanced(n, g.NumEdges()); pt != nil {
-		ec.ForSpans("score/fused", pt, func(_ int, sp par.Span) {
-			positive, nMasked := conductanceFused(g, deg, scores, sizes, phi, maxSize, sp.LoV, sp.HiV, sp.LoE, sp.HiE)
-			flushMasked(masked, nMasked)
-			if positive {
-				atomicStoreOne(&found)
-			}
-		})
-		return found != 0
-	}
-	ec.ForDynamic(n, 0, func(lo, hi int) {
-		positive, nMasked := conductanceFused(g, deg, scores, sizes, phi, maxSize, lo, hi, g.Start[lo], g.End[hi-1])
-		flushMasked(masked, nMasked)
-		if positive {
-			atomicStoreOne(&found)
-		}
-	})
-	return found != 0
-}
-
-func conductanceFused(g *graph.Graph, deg []int64, scores []float64, sizes []int64, phi func(vol, internal int64) float64, maxSize int64, lo, hi int, eloFirst, ehiLast int64) (positive bool, nMasked int64) {
-	for x := lo; x < hi; x++ {
-		elo, ehi := g.Start[x], g.End[x]
-		if x == lo {
-			elo = eloFirst
-		}
-		if x == hi-1 {
-			ehi = ehiLast
-		}
-		u := int64(x)
-		for e := elo; e < ehi; e++ {
-			v, w := g.V[e], g.W[e]
-			if maxSize > 0 && sizes[u]+sizes[v] > maxSize {
-				scores[e] = -1
-				nMasked++
-				continue
-			}
-			phiU := phi(deg[u], g.Self[u])
-			phiV := phi(deg[v], g.Self[v])
-			s := phiU + phiV - phi(deg[u]+deg[v], g.Self[u]+g.Self[v]+w)
-			scores[e] = s
-			positive = positive || s > 0
-		}
-	}
-	return positive, nMasked
-}
-
-// flushMasked adds a chunk's masked-edge count to the optional tap with one
-// atomic add; the nil check is the disabled observability path.
-func flushMasked(masked *int64, n int64) {
-	if masked != nil && n != 0 {
-		atomic.AddInt64(masked, n)
-	}
-}
-
-// scoreConstant fills every live edge's score with c.
-func scoreConstant(ec *exec.Ctx, g *graph.Graph, scores []float64, c float64) {
-	n := int(g.NumVertices())
-	if pt := ec.Balanced(n, g.NumEdges()); pt != nil {
-		ec.ForSpans("score/fill", pt, func(_ int, sp par.Span) {
-			constantFill(g, scores, c, sp.LoV, sp.HiV, sp.LoE, sp.HiE)
-		})
-		return
-	}
-	ec.ForDynamic(n, 0, func(lo, hi int) {
-		constantFill(g, scores, c, lo, hi, g.Start[lo], g.End[hi-1])
-	})
-}
-
-func constantFill(g *graph.Graph, scores []float64, c float64, lo, hi int, eloFirst, ehiLast int64) {
-	for x := lo; x < hi; x++ {
-		elo, ehi := g.Start[x], g.End[x]
-		if x == lo {
-			elo = eloFirst
-		}
-		if x == hi-1 {
-			ehi = ehiLast
-		}
-		for e := elo; e < ehi; e++ {
-			scores[e] = c
-		}
-	}
-}
-
-// HasPositive reports whether any live edge of g has a strictly positive
-// score; if none does the engine has reached a local maximum and terminates
-// (§III).
-func HasPositive(ec *exec.Ctx, g *graph.Graph, scores []float64) bool {
-	n := int(g.NumVertices())
-	var found int64
-	if pt := ec.Balanced(n, g.NumEdges()); pt != nil {
-		ec.ForSpans("score/haspos", pt, func(_ int, sp par.Span) {
-			if hasPositive(g, scores, sp.LoV, sp.HiV, sp.LoE, sp.HiE) {
-				atomicStoreOne(&found)
-			}
-		})
-		return found != 0
-	}
-	ec.ForDynamic(n, 0, func(lo, hi int) {
-		if hasPositive(g, scores, lo, hi, g.Start[lo], g.End[hi-1]) {
-			atomicStoreOne(&found)
-		}
-	})
-	return found != 0
-}
-
-func hasPositive(g *graph.Graph, scores []float64, lo, hi int, eloFirst, ehiLast int64) bool {
-	for x := lo; x < hi; x++ {
-		elo, ehi := g.Start[x], g.End[x]
-		if x == lo {
-			elo = eloFirst
-		}
-		if x == hi-1 {
-			ehi = ehiLast
-		}
-		for e := elo; e < ehi; e++ {
-			if scores[e] > 0 {
-				return true
-			}
-		}
-	}
-	return false
+	return cut / denom
 }

@@ -38,7 +38,9 @@ type community struct {
 	adj  map[int64]int64 // neighbor community -> edge weight
 }
 
-// Detect runs the algorithm sequentially with modularity scoring.
+// Detect runs the algorithm sequentially with modularity scoring. It scores
+// with the bits of scoring.Modularity.Edge, so near-ties order the same way
+// here as in the parallel engine.
 func Detect(g *graph.Graph, opt Options) *Result {
 	n := g.NumVertices()
 	res := &Result{CommunityOf: make([]int64, n)}
@@ -96,9 +98,8 @@ func Detect(g *graph.Graph, opt Options) *Result {
 			a, b int64
 		}
 		var edges []scored
-		// Identical floating-point expression to scoring.Modularity (hoisted
-		// reciprocals), so near-ties order the same way in both
-		// implementations.
+		// The floating-point expression of scoring.Modularity.Edge, with
+		// its reciprocals hoisted the same way.
 		inv := 1 / m
 		half := 1 / (2 * m * m)
 		for _, c := range ids {

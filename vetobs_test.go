@@ -258,7 +258,7 @@ func wallClockCalls(file string, src any) ([]string, error) {
 // worker count has regrown the plumbing exec.Ctx replaced.
 var ctxKernelFiles = []string{
 	"internal/core/core.go", "internal/matching/matching.go", "internal/contract/contract.go",
-	"internal/contract/listchase.go", "internal/scoring/scoring.go", "internal/scoring/func.go",
+	"internal/contract/listchase.go", "internal/scoring/scoring.go",
 	"internal/refine/refine.go", "internal/hierarchy/hierarchy.go", "internal/plp/plp.go",
 }
 
