@@ -596,16 +596,6 @@ func BenchmarkAblationContraction_ListChase(b *testing.B) {
 	benchKernelCombo(b, core.MatchWorklist, core.ContractListChase)
 }
 
-// §IV-C note: contiguous vs. non-contiguous bucket layouts (untimed in the
-// paper).
-func BenchmarkAblationBuckets_Contiguous(b *testing.B) {
-	benchKernelCombo(b, core.MatchWorklist, core.ContractBucket)
-}
-
-func BenchmarkAblationBuckets_NonContiguous(b *testing.B) {
-	benchKernelCombo(b, core.MatchWorklist, core.ContractBucketNonContiguous)
-}
-
 // --- §IV-C phase breakdown ------------------------------------------------
 
 func BenchmarkPhaseBreakdown(b *testing.B) {
@@ -690,7 +680,7 @@ func BenchmarkKernel_MatchingWorklist(b *testing.B) {
 	lj, _, scores := benchPhase0(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matching.Worklist(exec.Background(0), lj, scores)
+		matching.Worklist(exec.Background(0), lj, scores, nil)
 	}
 }
 
@@ -698,31 +688,22 @@ func BenchmarkKernel_MatchingEdgeSweep(b *testing.B) {
 	lj, _, scores := benchPhase0(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		matching.EdgeSweep(exec.Background(0), lj, scores)
+		matching.EdgeSweep(exec.Background(0), lj, scores, nil)
 	}
 }
 
 func BenchmarkKernel_ContractBucket(b *testing.B) {
 	lj, _, scores := benchPhase0(b)
-	m := matching.Worklist(exec.Background(0), lj, scores)
+	m := matching.Worklist(exec.Background(0), lj, scores, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		contract.Bucket(exec.Background(0), lj, m.Match, contract.Contiguous)
-	}
-}
-
-func BenchmarkKernel_ContractBucketNonContiguous(b *testing.B) {
-	lj, _, scores := benchPhase0(b)
-	m := matching.Worklist(exec.Background(0), lj, scores)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		contract.Bucket(exec.Background(0), lj, m.Match, contract.NonContiguous)
+		contract.Bucket(exec.Background(0), lj, m.Match, nil, nil, nil)
 	}
 }
 
 func BenchmarkKernel_ContractListChase(b *testing.B) {
 	lj, _, scores := benchPhase0(b)
-	m := matching.Worklist(exec.Background(0), lj, scores)
+	m := matching.Worklist(exec.Background(0), lj, scores, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		contract.ListChase(exec.Background(0), lj, m.Match)
@@ -789,8 +770,8 @@ func BenchmarkExtension_SizeCap64(b *testing.B) {
 
 func BenchmarkKernel_ContractAlgebraic(b *testing.B) {
 	lj, _, scores := benchPhase0(b)
-	m := matching.Worklist(exec.Background(0), lj, scores)
-	mapping, k := contract.Relabel(exec.Background(0), lj, m.Match)
+	m := matching.Worklist(exec.Background(0), lj, scores, nil)
+	mapping, k := contract.Relabel(exec.Background(0), lj, m.Match, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sparse.ContractAlgebraic(0, lj, mapping, k); err != nil {

@@ -364,8 +364,7 @@ func (b *bencher) largeSweep() []harness.Record {
 }
 
 // runAblation reproduces the §IV engineering claims: the worklist matching
-// and bucket contraction vs. their 2011 predecessors, and the contiguous
-// vs. non-contiguous bucket layouts the paper left untimed.
+// and bucket contraction vs. their 2011 predecessors.
 func (b *bencher) runAblation() {
 	section("Ablation — kernel variants at full thread count (§IV-B, §IV-C)")
 	g := b.lj()
@@ -376,7 +375,6 @@ func (b *bencher) runAblation() {
 	}
 	combos := []combo{
 		{"new  (worklist + bucket)", core.MatchWorklist, core.ContractBucket},
-		{"new  (worklist + bucket-noncontig)", core.MatchWorklist, core.ContractBucketNonContiguous},
 		{"old matching (edgesweep + bucket)", core.MatchEdgeSweep, core.ContractBucket},
 		{"old contraction (worklist + listchase)", core.MatchWorklist, core.ContractListChase},
 		{"2011 algorithm (edgesweep + listchase)", core.MatchEdgeSweep, core.ContractListChase},
@@ -676,10 +674,10 @@ func (b *bencher) runExtensions() {
 	deg := g.WeightedDegrees(b.maxThreads)
 	scores := make([]float64, len(g.V))
 	scoring.Score(ec, scoring.Modularity{}, g, deg, g.TotalWeight(b.maxThreads), scores, nil, 0, nil)
-	mres := matching.Worklist(ec, g, scores)
-	mapping, k := contract.Relabel(ec, g, mres.Match)
+	mres := matching.Worklist(ec, g, scores, nil)
+	mapping, k := contract.Relabel(ec, g, mres.Match, nil)
 	t2 := time.Now()
-	contract.ByMapping(ec, g, mapping, k, contract.Contiguous)
+	contract.ByMapping(ec, g, mapping, k, nil, nil)
 	tDirect := time.Since(t2)
 	t3 := time.Now()
 	_, err = sparse.ContractAlgebraic(b.maxThreads, g, mapping, k)

@@ -58,9 +58,9 @@ func main() {
 		threads   = flag.Int("threads", 0, "worker count (0 = GOMAXPROCS)")
 		engineArg = flag.String("engine", "matching", "detection engine: matching | plp | ensemble")
 		plpSweeps = flag.Int("plp-sweeps", 0, "PLP sweep bound for plp/ensemble (0 = engine default)")
-		scorerArg = flag.String("scorer", "modularity", "edge scorer: modularity | conductance")
+		scorerArg = flag.String("scorer", "modularity", "edge scorer: modularity | conductance (conductance needs a stop rule such as -coverage: without one it merges each component into one community)")
 		kernels   = flag.String("kernels", "worklist,bucket",
-			"matching,contraction kernels: worklist|edgesweep , bucket|bucket-noncontig|listchase")
+			"matching,contraction kernels: worklist|edgesweep , bucket|listchase")
 		coverage = flag.Float64("coverage", 0, "terminate at this coverage (0 = run to local max)")
 		maxPhase = flag.Int("max-phases", 0, "phase cap (0 = unlimited)")
 		minComm  = flag.Int64("min-communities", 0, "community floor (0 = none)")
@@ -509,8 +509,6 @@ func parseKernels(s string, opt *core.Options) error {
 	switch parts[1] {
 	case "bucket":
 		opt.Contraction = core.ContractBucket
-	case "bucket-noncontig":
-		opt.Contraction = core.ContractBucketNonContiguous
 	case "listchase":
 		opt.Contraction = core.ContractListChase
 	default:

@@ -23,7 +23,7 @@ func TestParseKernels(t *testing.T) {
 	}{
 		{"worklist,bucket", core.MatchWorklist, core.ContractBucket, false},
 		{"edgesweep,listchase", core.MatchEdgeSweep, core.ContractListChase, false},
-		{"worklist,bucket-noncontig", core.MatchWorklist, core.ContractBucketNonContiguous, false},
+		{"worklist,bucket-noncontig", 0, 0, true},
 		{"worklist", 0, 0, true},
 		{"worklist,bucket,extra", 0, 0, true},
 		{"nope,bucket", 0, 0, true},

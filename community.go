@@ -20,14 +20,12 @@ import (
 	"io"
 
 	"repro/internal/baseline"
-	"repro/internal/contract"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/graphio"
 	"repro/internal/harness"
 	"repro/internal/hierarchy"
-	"repro/internal/matching"
 	"repro/internal/metrics"
 	"repro/internal/pregel"
 	"repro/internal/refine"
@@ -68,9 +66,8 @@ const (
 	MatchWorklist  = core.MatchWorklist
 	MatchEdgeSweep = core.MatchEdgeSweep
 
-	ContractBucket              = core.ContractBucket
-	ContractBucketNonContiguous = core.ContractBucketNonContiguous
-	ContractListChase           = core.ContractListChase
+	ContractBucket    = core.ContractBucket
+	ContractListChase = core.ContractListChase
 
 	EngineMatching = core.EngineMatching
 	EnginePLP      = core.EnginePLP
@@ -444,10 +441,3 @@ func Sweep(g *Graph, name string, cfg BenchConfig) ([]BenchRecord, error) {
 
 // DefaultBenchConfig mirrors the paper's §V methodology.
 func DefaultBenchConfig() BenchConfig { return harness.DefaultConfig() }
-
-// Compile-time checks that the facade's kernel constants stay in sync with
-// the implementing packages.
-var (
-	_ = contract.Contiguous
-	_ = matching.Unmatched
-)

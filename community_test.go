@@ -90,7 +90,6 @@ func TestKernelAblationEquivalence(t *testing.T) {
 	}
 	opts := []Options{
 		{Matching: MatchWorklist, Contraction: ContractBucket},
-		{Matching: MatchWorklist, Contraction: ContractBucketNonContiguous},
 		{Matching: MatchWorklist, Contraction: ContractListChase},
 		{Matching: MatchEdgeSweep, Contraction: ContractBucket},
 	}

@@ -35,7 +35,7 @@ func densify(labels []int64) ([]int64, int64) {
 
 func TestByLabelsEqualsByMapping(t *testing.T) {
 	// Random sparse label arrays on random multigraphs: ByLabels must equal
-	// ByMapping over the hand-densified mapping, at both layouts.
+	// ByMapping over the hand-densified mapping.
 	r := par.NewRNG(23)
 	for trial := 0; trial < 8; trial++ {
 		n := int64(20 + r.Intn(60))
@@ -50,19 +50,17 @@ func TestByLabelsEqualsByMapping(t *testing.T) {
 			labels[v] = r.Int63n(n)
 		}
 		mapping, k := densify(labels)
-		for _, layout := range []Layout{Contiguous, NonContiguous} {
-			ng, gotMap, gotK := ByLabels(exec.Background(2), g, labels, layout)
-			if gotK != k {
-				t.Fatalf("trial %d: ByLabels found %d communities, densify %d", trial, gotK, k)
-			}
-			for v := range mapping {
-				if gotMap[v] != mapping[v] {
-					t.Fatalf("trial %d: mapping[%d]=%d, want %d", trial, v, gotMap[v], mapping[v])
-				}
-			}
-			want := ByMapping(exec.Background(2), g, mapping, k, layout)
-			assertSameContraction(t, "bymapping", want, "bylabels", ng)
+		ng, gotMap, gotK := ByLabels(exec.Background(2), g, labels, nil, nil, nil)
+		if gotK != k {
+			t.Fatalf("trial %d: ByLabels found %d communities, densify %d", trial, gotK, k)
 		}
+		for v := range mapping {
+			if gotMap[v] != mapping[v] {
+				t.Fatalf("trial %d: mapping[%d]=%d, want %d", trial, v, gotMap[v], mapping[v])
+			}
+		}
+		want := ByMapping(exec.Background(2), g, mapping, k, nil, nil)
+		assertSameContraction(t, "bymapping", want, "bylabels", ng)
 	}
 }
 
@@ -74,7 +72,7 @@ func TestByLabelsIdentity(t *testing.T) {
 	for v := range labels {
 		labels[v] = int64(v)
 	}
-	ng, _, k := ByLabels(exec.Background(2), g, labels, Contiguous)
+	ng, _, k := ByLabels(exec.Background(2), g, labels, nil, nil, nil)
 	if k != n {
 		t.Fatalf("identity labels produced %d communities, want %d", k, n)
 	}
@@ -89,7 +87,7 @@ func TestByLabelsSingleLabel(t *testing.T) {
 	// whole weight as a self-loop.
 	g := gen.Clique(6)
 	labels := []int64{3, 3, 3, 3, 3, 3}
-	ng, mapping, k := ByLabels(exec.Background(1), g, labels, NonContiguous)
+	ng, mapping, k := ByLabels(exec.Background(1), g, labels, nil, nil, nil)
 	if k != 1 || ng.NumEdges() != 0 || ng.Self[0] != 15 {
 		t.Fatalf("collapse: k=%d |E|=%d Self=%v", k, ng.NumEdges(), ng.Self)
 	}
@@ -100,9 +98,9 @@ func TestByLabelsSingleLabel(t *testing.T) {
 	}
 }
 
-func TestByLabelsWithArena(t *testing.T) {
-	// The scratch-and-destination variant must reproduce the fresh run and
-	// survive reuse across differently-sized graphs.
+func TestByLabelsArena(t *testing.T) {
+	// A run through a scratch and a destination must reproduce the fresh
+	// run and survive reuse across differently-sized graphs.
 	graphs := []*graph.Graph{gen.CliqueChain(4, 5), gen.Karate(), gen.CliqueChain(2, 3)}
 	s := &Scratch{}
 	dst := &graph.Graph{}
@@ -112,8 +110,8 @@ func TestByLabelsWithArena(t *testing.T) {
 		for v := range labels {
 			labels[v] = int64(v) / 3 * 3 // groups of three, sparse values
 		}
-		want, wantMap, wantK := ByLabels(exec.Background(2), g, labels, Contiguous)
-		got, gotMap, gotK := ByLabelsWith(exec.Background(2), g, labels, Contiguous, s, dst, nil)
+		want, wantMap, wantK := ByLabels(exec.Background(2), g, labels, nil, nil, nil)
+		got, gotMap, gotK := ByLabels(exec.Background(2), g, labels, s, dst, nil)
 		if gotK != wantK {
 			t.Fatalf("arena found %d communities, fresh %d", gotK, wantK)
 		}

@@ -24,9 +24,9 @@ func TestByMappingEqualsBucketOnMatchings(t *testing.T) {
 				m[u], m[v] = v, u
 			}
 		})
-		viaBucket, mapping := Bucket(exec.Background(2), g, m, Contiguous)
+		viaBucket, mapping := Bucket(exec.Background(2), g, m, nil, nil, nil)
 		k := viaBucket.NumVertices()
-		viaMapping := ByMapping(exec.Background(2), g, mapping, k, NonContiguous)
+		viaMapping := ByMapping(exec.Background(2), g, mapping, k, nil, nil)
 		assertSameContraction(t, "bucket", viaBucket, "bymapping", viaMapping)
 	}
 }
@@ -39,7 +39,7 @@ func TestByMappingArbitraryPartition(t *testing.T) {
 	for v := range mapping {
 		mapping[v] = int64(v) / 4
 	}
-	ng := ByMapping(exec.Background(1), g, mapping, 3, Contiguous)
+	ng := ByMapping(exec.Background(1), g, mapping, 3, nil, nil)
 	if err := ng.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestByMappingArbitraryPartition(t *testing.T) {
 func TestByMappingSingleCommunity(t *testing.T) {
 	g := gen.Clique(6)
 	mapping := make([]int64, 6)
-	ng := ByMapping(exec.Background(2), g, mapping, 1, NonContiguous)
+	ng := ByMapping(exec.Background(2), g, mapping, 1, nil, nil)
 	if ng.NumEdges() != 0 || ng.Self[0] != 15 {
 		t.Fatalf("collapse to one community: |E|=%d Self=%d", ng.NumEdges(), ng.Self[0])
 	}

@@ -8,15 +8,15 @@
 //   - Bucket: the paper's improved algorithm. Edge endpoints are relabeled
 //     to the new vertex numbering and re-oriented by the parity hash; edges
 //     are counted per destination bucket, placed, and identical edges
-//     accumulated in place, shortening the bucket. Bucket offsets come
-//     either from a synchronizing prefix sum (Contiguous) or from
-//     bump-allocation with a single atomic cursor (NonContiguous) — the
-//     paper describes both and times neither, so both are kept and
-//     benchmarked as an ablation.
+//     accumulated in place, shortening the bucket. Bucket offsets are the
+//     exclusive prefix sum of the bucket counts, so buckets lie back to back
+//     in vertex order. The paper also describes a non-contiguous layout
+//     that bump-allocates each bucket with one atomic cursor; it measured
+//     0.99× end to end here (EXPERIMENTS.md, §IV-C note) and is not kept.
 //
 //     Two departures from the paper's kernel. Placement uses per-span
 //     histogram stripes instead of a fetch-and-add per edge (see
-//     ByMappingWith). And the paper sorts each bucket by neighbor before
+//     ByMapping). And the paper sorts each bucket by neighbor before
 //     accumulating; here a linear merge folds duplicates through a dense
 //     k-wide position array instead, so a bucket costs O(len) rather than
 //     O(len log len). Survivors keep their first-seen order, which is the
@@ -31,6 +31,9 @@
 //     locks here — accumulating weights on hit and appending on miss. The
 //     paper found a similar OpenMP implementation "infeasible"; the kernel
 //     exists to reproduce that comparison.
+//
+// Bucket, ByMapping and ByLabels take a matching, a dense mapping and sparse
+// labels; their scratch, destination and buffer arguments may be nil.
 package contract
 
 import (
@@ -43,27 +46,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 )
-
-// Layout selects how Bucket lays the new graph's buckets out in memory.
-type Layout int
-
-const (
-	// Contiguous stores buckets back to back in increasing vertex order,
-	// which costs a synchronizing prefix sum over bucket counts.
-	Contiguous Layout = iota
-	// NonContiguous gives each bucket a region allocated with one atomic
-	// fetch-and-add, so buckets land in arbitrary order; nothing beyond the
-	// fetch-and-add synchronizes.
-	NonContiguous
-)
-
-// String returns the layout's name for benchmark labels.
-func (l Layout) String() string {
-	if l == Contiguous {
-		return "contiguous"
-	}
-	return "noncontiguous"
-}
 
 // Scratch holds the bucket kernel's reusable working state: the per-bucket
 // counts, the per-worker count and self-loop histogram stripes, and the
@@ -105,16 +87,11 @@ func prepDst(dst *graph.Graph, k int64) *graph.Graph {
 // Relabel computes the old→new vertex mapping induced by a matching:
 // matched pairs share the new id of their smaller endpoint, unmatched
 // vertices keep their own, and new ids are dense in [0, k). It returns the
-// mapping and k.
-func Relabel(ec *exec.Ctx, g *graph.Graph, match []int64) (mapping []int64, k int64) {
-	return RelabelInto(ec, g, match, nil)
-}
-
-// RelabelInto is Relabel writing the mapping into mapBuf when its capacity
-// suffices (growing it otherwise); mapBuf may be nil. The results are unnamed
-// and the mapping lives in a single-assignment local so no closure capture
-// heap-boxes it (see the worklist kernel for the boxing rule).
-func RelabelInto(ec *exec.Ctx, g *graph.Graph, match []int64, mapBuf []int64) ([]int64, int64) {
+// mapping and k. The mapping is written into mapBuf when its capacity
+// suffices (growing it otherwise); mapBuf may be nil. The results are
+// unnamed and the mapping lives in a single-assignment local so no closure
+// capture heap-boxes it (see the worklist kernel for the boxing rule).
+func Relabel(ec *exec.Ctx, g *graph.Graph, match []int64, mapBuf []int64) ([]int64, int64) {
 	n := int(g.NumVertices())
 	mapping := buf.Grow(mapBuf, n)
 	// mapping temporarily holds a leader flag, then its prefix sum.
@@ -158,13 +135,8 @@ func RelabelInto(ec *exec.Ctx, g *graph.Graph, match []int64, mapBuf []int64) ([
 }
 
 // Bucket contracts g according to match using the paper's bucket kernel
-// with ec's workers and the chosen bucket layout. It returns the new
-// community graph and the old→new vertex mapping. g is not modified.
-func Bucket(ec *exec.Ctx, g *graph.Graph, match []int64, layout Layout) (*graph.Graph, []int64) {
-	return BucketWith(ec, g, match, layout, nil, nil, nil)
-}
-
-// BucketWith is Bucket with arena support: s supplies the kernel's scratch
+// with ec's workers. It returns the new community graph and the old→new
+// vertex mapping; g is not modified. s supplies the kernel's scratch
 // buffers, dst the destination graph whose arrays are reused in place, and
 // mapBuf the storage for the returned mapping. Any of them may be nil for
 // fresh allocations.
@@ -174,43 +146,12 @@ func Bucket(ec *exec.Ctx, g *graph.Graph, match []int64, layout Layout) (*graph.
 // histogram, the edges-in/survived/out counters, the dedup stage's merge
 // nanoseconds, and per-region worker busy times. A nil recorder adds only
 // predictable branches at stage boundaries — nothing per edge.
-func BucketWith(ec *exec.Ctx, g *graph.Graph, match []int64, layout Layout, s *Scratch, dst *graph.Graph, mapBuf []int64) (*graph.Graph, []int64) {
+func Bucket(ec *exec.Ctx, g *graph.Graph, match []int64, s *Scratch, dst *graph.Graph, mapBuf []int64) (*graph.Graph, []int64) {
 	rec := ec.Recorder()
 	sp := rec.Begin(obs.KernelContractRelabel)
-	mapping, k := RelabelInto(ec, g, match, mapBuf)
+	mapping, k := Relabel(ec, g, match, mapBuf)
 	sp.EndArgs("old", g.NumVertices(), "new", k)
-	return byMappingRun(ec, g, mapping, k, layout, s, dst), mapping
-}
-
-// ByMapping contracts g under an arbitrary old→new vertex mapping with
-// dense new ids in [0, k), using the same bucket kernel as Bucket.
-// Matching-induced contraction merges pairs; this generalization collapses
-// whole groups, which the engine's refinement integration uses to rebuild
-// the community graph from a refined partition.
-func ByMapping(ec *exec.Ctx, g *graph.Graph, mapping []int64, k int64, layout Layout) *graph.Graph {
-	return ByMappingWith(ec, g, mapping, k, layout, nil, nil)
-}
-
-// ByMappingWith is ByMapping with arena support: s supplies reusable scratch
-// and dst the output graph whose arrays are recycled (both may be nil for
-// fresh allocations — ByMapping's behavior).
-//
-// Unlike the seed kernel, the count and scatter sweeps never touch a shared
-// atomic per edge. The old graph's edges are partitioned once into
-// edge-exact spans (the engine's installed level partition when one matches
-// g, a locally built one otherwise) — hub buckets may be split across
-// spans; each span counts surviving edges (and accumulates collapsed-edge
-// and old self-loop weight) into its own k-wide histogram stripe; the
-// striped-offset reduction turns the stripes into per-(span, bucket) write
-// cursors in parallel; and the scatter sweep replays the identical spans,
-// so every span writes a disjoint sub-range of each destination bucket with
-// plain stores. This is the radix-partition
-// discipline Staudt & Meyerhenke and Lu & Halappanavar use in place of
-// fetch-and-add on cache-based machines: the XMT's cheap hot-spot atomics
-// have no analogue here, and one atomic per edge serializes exactly on the
-// high-degree communities the parity hash is meant to spread.
-func ByMappingWith(ec *exec.Ctx, g *graph.Graph, mapping []int64, k int64, layout Layout, scratch *Scratch, dst *graph.Graph) *graph.Graph {
-	return byMappingRun(ec, g, mapping, k, layout, scratch, dst)
+	return ByMapping(ec, g, mapping, k, s, dst), mapping
 }
 
 // ByLabels contracts g by an arbitrary per-vertex label array: labels[v] is
@@ -220,16 +161,10 @@ func ByMappingWith(ec *exec.Ctx, g *graph.Graph, mapping []int64, k int64, layou
 // vertex count k. This is the bridge from label-propagation prelabeling
 // (internal/plp) to the bucket contraction kernel: PLP leaves labels
 // that are surviving vertex ids, and one densify pass turns them into the
-// mapping ByMapping already handles.
-func ByLabels(ec *exec.Ctx, g *graph.Graph, labels []int64, layout Layout) (*graph.Graph, []int64, int64) {
-	return ByLabelsWith(ec, g, labels, layout, nil, nil, nil)
-}
-
-// ByLabelsWith is ByLabels with arena support: s supplies reusable scratch
-// (including the densify flag array), dst the destination graph, and mapBuf
-// the storage for the returned mapping; any may be nil for fresh
-// allocations.
-func ByLabelsWith(ec *exec.Ctx, g *graph.Graph, labels []int64, layout Layout, scratch *Scratch, dst *graph.Graph, mapBuf []int64) (*graph.Graph, []int64, int64) {
+// mapping ByMapping already handles. scratch supplies the reusable buffers
+// (including the densify flag array), dst the destination graph, and mapBuf the storage
+// for the returned mapping; any may be nil for fresh allocations.
+func ByLabels(ec *exec.Ctx, g *graph.Graph, labels []int64, scratch *Scratch, dst *graph.Graph, mapBuf []int64) (*graph.Graph, []int64, int64) {
 	rec := ec.Recorder()
 	s := scratch.orNew()
 	n := int(g.NumVertices())
@@ -266,10 +201,32 @@ func ByLabelsWith(ec *exec.Ctx, g *graph.Graph, labels []int64, layout Layout, s
 		})
 	}
 	sp.EndArgs("old", int64(n), "new", k)
-	return byMappingRun(ec, g, mapping, k, layout, s, dst), mapping, k
+	return ByMapping(ec, g, mapping, k, s, dst), mapping, k
 }
 
-func byMappingRun(ec *exec.Ctx, g *graph.Graph, mapping []int64, k int64, layout Layout, scratch *Scratch, dst *graph.Graph) *graph.Graph {
+// ByMapping contracts g under an arbitrary old→new vertex mapping with
+// dense new ids in [0, k), using the same bucket kernel as Bucket.
+// Matching-induced contraction merges pairs; this generalization collapses
+// whole groups, which the engine's seed partitions and refinement use to
+// rebuild the community graph from a partition. scratch supplies the
+// reusable buffers and dst the output graph whose arrays are recycled; both may be nil for
+// fresh allocations.
+//
+// The count and scatter sweeps never touch a shared atomic per edge. The
+// old graph's edges are partitioned once into edge-exact spans (the
+// engine's installed level partition when one matches g, a locally built
+// one otherwise) — hub buckets may be split across spans; each span counts
+// surviving edges (and accumulates collapsed-edge and old self-loop weight)
+// into its own k-wide histogram stripe; the striped-offset reduction turns
+// the stripes into per-(span, bucket) write cursors in parallel; and the
+// scatter sweep replays the identical spans, so every span writes a
+// disjoint sub-range of each destination bucket with plain stores. This is
+// the radix-partition discipline Staudt & Meyerhenke and Lu & Halappanavar
+// use in place of fetch-and-add on cache-based machines: the XMT's cheap
+// hot-spot atomics have no analogue here, and one atomic per edge
+// serializes exactly on the high-degree communities the parity hash is
+// meant to spread.
+func ByMapping(ec *exec.Ctx, g *graph.Graph, mapping []int64, k int64, scratch *Scratch, dst *graph.Graph) *graph.Graph {
 	rec := ec.Recorder()
 	s := scratch.orNew()
 	ng := prepDst(dst, k) // single-assignment: ng is closure-captured below
@@ -339,47 +296,10 @@ func byMappingRun(ec *exec.Ctx, g *graph.Graph, mapping []int64, k int64, layout
 	ec.MergeStripes(selfS, spans, kk, ng.Self)
 	rec.ObserveBuckets(counts[:kk])
 
-	// Bucket offsets: prefix sum (contiguous) or bump allocation
-	// (non-contiguous); either way ng.Start[c] is c's base position.
-	var total int64
-	switch layout {
-	case Contiguous:
-		if ec.Serial(kk) {
-			copy(ng.Start[:kk], counts[:kk])
-		} else {
-			ec.For(kk, func(lo, hi int) {
-				for c := lo; c < hi; c++ {
-					ng.Start[c] = counts[c]
-				}
-			})
-		}
-		total = ec.ExclusiveSumInt64(ng.Start)
-	case NonContiguous:
-		if ec.Serial(kk) {
-			var bump int64
-			for c := 0; c < kk; c++ {
-				if counts[c] == 0 {
-					ng.Start[c] = 0 // reused arrays hold stale offsets
-					continue
-				}
-				ng.Start[c] = bump
-				bump += counts[c]
-			}
-			total = bump
-		} else {
-			var bump int64
-			ec.For(kk, func(lo, hi int) {
-				for c := lo; c < hi; c++ {
-					if counts[c] == 0 {
-						ng.Start[c] = 0 // reused arrays hold stale offsets
-						continue
-					}
-					ng.Start[c] = atomic.AddInt64(&bump, counts[c]) - counts[c]
-				}
-			})
-			total = bump
-		}
-	}
+	// Bucket offsets: the exclusive prefix sum of the counts, so ng.Start[c]
+	// is c's base position and buckets lie back to back in vertex order.
+	ec.CopyInt64(ng.Start, counts[:kk])
+	total := ec.ExclusiveSumInt64(ng.Start)
 	// Absolute cursors: adding each bucket's base to every span's offset
 	// lets the scatter store at cntS[first]++ with no per-edge Start load.
 	ec.StripeCursors(cntS, spans, kk, ng.Start)

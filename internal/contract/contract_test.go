@@ -14,11 +14,8 @@ import (
 
 // kernels under test.
 var kernels = map[string]func(p int, g *graph.Graph, match []int64) (*graph.Graph, []int64){
-	"bucket-contiguous": func(p int, g *graph.Graph, m []int64) (*graph.Graph, []int64) {
-		return Bucket(exec.Background(p), g, m, Contiguous)
-	},
-	"bucket-noncontiguous": func(p int, g *graph.Graph, m []int64) (*graph.Graph, []int64) {
-		return Bucket(exec.Background(p), g, m, NonContiguous)
+	"bucket": func(p int, g *graph.Graph, m []int64) (*graph.Graph, []int64) {
+		return Bucket(exec.Background(p), g, m, nil, nil, nil)
 	},
 	"listchase": func(p int, g *graph.Graph, m []int64) (*graph.Graph, []int64) {
 		return ListChase(exec.Background(p), g, m)
@@ -36,7 +33,7 @@ func noMatch(n int64) []int64 {
 
 func TestRelabelIdentityWhenUnmatched(t *testing.T) {
 	g := gen.Ring(6)
-	mapping, k := Relabel(exec.Background(2), g, noMatch(6))
+	mapping, k := Relabel(exec.Background(2), g, noMatch(6), nil)
 	if k != 6 {
 		t.Fatalf("k = %d, want 6", k)
 	}
@@ -51,7 +48,7 @@ func TestRelabelPairs(t *testing.T) {
 	// Pairs (0,3) and (1,2); vertex 4 unmatched.
 	m := []int64{3, 2, 1, 0, matching.Unmatched}
 	g := graph.NewEmpty(5)
-	mapping, k := Relabel(exec.Background(1), g, m)
+	mapping, k := Relabel(exec.Background(1), g, m, nil)
 	if k != 3 {
 		t.Fatalf("k = %d, want 3", k)
 	}
@@ -127,7 +124,7 @@ func TestContractPreservesTotalWeightAndDegrees(t *testing.T) {
 	deg := g.WeightedDegrees(4)
 	scores := make([]float64, len(g.V))
 	scoring.Score(exec.Background(4), scoring.Modularity{}, g, deg, g.TotalWeight(4), scores, nil, 0, nil)
-	res := matching.Worklist(exec.Background(4), g, scores)
+	res := matching.Worklist(exec.Background(4), g, scores, nil)
 	for name, kern := range kernels {
 		ng, mapping := kern(4, g, res.Match)
 		if err := ng.Validate(); err != nil {
@@ -272,10 +269,10 @@ func TestContractProperty(t *testing.T) {
 	}
 }
 
-func TestNonContiguousLeavesValidGaps(t *testing.T) {
-	// After a noncontiguous contraction with duplicate-accumulation the
-	// arrays may contain gaps; Compact must normalize without changing the
-	// graph.
+func TestCompactClosesBucketGaps(t *testing.T) {
+	// Duplicate accumulation shortens buckets in place, so a bucket
+	// contraction leaves gaps between them; Compact must close them without
+	// changing the graph.
 	g, _, err := gen.LJSim(2, gen.DefaultLJSim(1000, 21))
 	if err != nil {
 		t.Fatal(err)
@@ -283,13 +280,19 @@ func TestNonContiguousLeavesValidGaps(t *testing.T) {
 	deg := g.WeightedDegrees(2)
 	scores := make([]float64, len(g.V))
 	scoring.Score(exec.Background(2), scoring.Modularity{}, g, deg, g.TotalWeight(2), scores, nil, 0, nil)
-	res := matching.Worklist(exec.Background(2), g, scores)
-	ng, _ := Bucket(exec.Background(2), g, res.Match, NonContiguous)
+	res := matching.Worklist(exec.Background(2), g, scores, nil)
+	ng, _ := Bucket(exec.Background(2), g, res.Match, nil, nil, nil)
+	if !hasGaps(ng) {
+		t.Fatal("the contraction left no gaps; the case is not exercised")
+	}
 	w := ng.TotalWeight(2)
 	edges := ng.Edges()
 	graph.Compact(2, ng)
 	if err := ng.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	if hasGaps(ng) {
+		t.Fatal("Compact left gaps")
 	}
 	if ng.TotalWeight(2) != w {
 		t.Fatal("Compact changed the total weight")
@@ -304,8 +307,13 @@ func TestNonContiguousLeavesValidGaps(t *testing.T) {
 	}
 }
 
-func TestLayoutString(t *testing.T) {
-	if Contiguous.String() != "contiguous" || NonContiguous.String() != "noncontiguous" {
-		t.Fatal("layout names wrong")
+// hasGaps reports whether some bucket of g does not end where the next
+// begins.
+func hasGaps(g *graph.Graph) bool {
+	for x := int64(1); x < g.NumVertices(); x++ {
+		if g.Start[x] != g.End[x-1] {
+			return true
+		}
 	}
+	return false
 }

@@ -22,7 +22,7 @@ type contractCase struct {
 	g       *graph.Graph
 	mapping []int64
 	k       int64
-	run     func(ec *exec.Ctx, layout Layout, s *Scratch, dst *graph.Graph) *graph.Graph
+	run     func(ec *exec.Ctx, s *Scratch, dst *graph.Graph) *graph.Graph
 }
 
 // modularityMatch is one engine level's matching on g: modularity scores,
@@ -31,29 +31,29 @@ func modularityMatch(g *graph.Graph) []int64 {
 	deg := g.WeightedDegrees(2)
 	scores := make([]float64, len(g.V))
 	scoring.Score(exec.Background(2), scoring.Modularity{}, g, deg, g.TotalWeight(2), scores, nil, 0, nil)
-	return matching.Worklist(exec.Background(2), g, scores).Match
+	return matching.Worklist(exec.Background(2), g, scores, nil).Match
 }
 
 func bucketCase(name string, g *graph.Graph) contractCase {
 	match := modularityMatch(g)
-	mapping, k := Relabel(exec.Background(1), g, match)
-	return contractCase{name, g, mapping, k, func(ec *exec.Ctx, layout Layout, s *Scratch, dst *graph.Graph) *graph.Graph {
-		ng, _ := BucketWith(ec, g, match, layout, s, dst, nil)
+	mapping, k := Relabel(exec.Background(1), g, match, nil)
+	return contractCase{name, g, mapping, k, func(ec *exec.Ctx, s *Scratch, dst *graph.Graph) *graph.Graph {
+		ng, _ := Bucket(ec, g, match, s, dst, nil)
 		return ng
 	}}
 }
 
 func byLabelsCase(name string, g *graph.Graph, labels []int64) contractCase {
 	mapping, k := densify(labels)
-	return contractCase{name, g, mapping, k, func(ec *exec.Ctx, layout Layout, s *Scratch, dst *graph.Graph) *graph.Graph {
-		ng, _, _ := ByLabelsWith(ec, g, labels, layout, s, dst, nil)
+	return contractCase{name, g, mapping, k, func(ec *exec.Ctx, s *Scratch, dst *graph.Graph) *graph.Graph {
+		ng, _, _ := ByLabels(ec, g, labels, s, dst, nil)
 		return ng
 	}}
 }
 
 func byMappingCase(name string, g *graph.Graph, mapping []int64, k int64) contractCase {
-	return contractCase{name, g, mapping, k, func(ec *exec.Ctx, layout Layout, s *Scratch, dst *graph.Graph) *graph.Graph {
-		return ByMappingWith(ec, g, mapping, k, layout, s, dst)
+	return contractCase{name, g, mapping, k, func(ec *exec.Ctx, s *Scratch, dst *graph.Graph) *graph.Graph {
+		return ByMapping(ec, g, mapping, k, s, dst)
 	}}
 }
 
@@ -76,11 +76,11 @@ func contractCases(t *testing.T) []contractCase {
 	for v := range single {
 		single[v] = n / 2 // one sparse label
 	}
-	plpLabels := plp.Propagate(exec.Background(2), rmat, plp.Options{}).Labels
+	plpLabels := plp.Propagate(exec.Background(2), rmat, plp.Options{}, nil).Labels
 
-	mapping, k := Relabel(exec.Background(1), rmat, modularityMatch(rmat))
-	level1 := ByMapping(exec.Background(2), rmat, mapping, k, Contiguous)
-	mapping2, k2 := Relabel(exec.Background(1), level1, modularityMatch(level1))
+	mapping, k := Relabel(exec.Background(1), rmat, modularityMatch(rmat), nil)
+	level1 := ByMapping(exec.Background(2), rmat, mapping, k, nil, nil)
+	mapping2, k2 := Relabel(exec.Background(1), level1, modularityMatch(level1), nil)
 
 	return []contractCase{
 		bucketCase("rmat/bucket", rmat),
@@ -91,12 +91,10 @@ func contractCases(t *testing.T) []contractCase {
 	}
 }
 
-// sameBuckets requires got to hold exactly want's buckets: the same U/V/W
-// sequence in every bucket and the same Self array. With exact set, Start
-// and End must match too (the contiguous layout is fully deterministic); the
-// non-contiguous layout places buckets in bump-allocation order, so only
-// their contents are compared.
-func sameBuckets(t *testing.T, label string, want, got *graph.Graph, exact bool) {
+// sameBuckets requires got to hold exactly want's buckets: the same Start
+// and End offsets, the same V/W sequence in every bucket and the same Self
+// array.
+func sameBuckets(t *testing.T, label string, want, got *graph.Graph) {
 	t.Helper()
 	if err := got.Validate(); err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -111,29 +109,24 @@ func sameBuckets(t *testing.T, label string, want, got *graph.Graph, exact bool)
 		}
 		ws, we := want.Bucket(x)
 		gs, ge := got.Bucket(x)
-		if exact && (ws != gs || we != ge) {
+		if ws != gs || we != ge {
 			t.Fatalf("%s: bucket %d at [%d,%d), want [%d,%d)", label, x, gs, ge, ws, we)
 		}
-		if we-ws != ge-gs {
-			t.Fatalf("%s: bucket %d holds %d edges, want %d", label, x, ge-gs, we-ws)
-		}
-		for i := int64(0); i < we-ws; i++ {
-			a, b := ws+i, gs+i
-			if want.V[a] != got.V[b] || want.W[a] != got.W[b] {
-				t.Fatalf("%s: bucket %d slot %d = (%d,%d), want (%d,%d)", label, x, i,
-					got.V[b], got.W[b], want.V[a], want.W[a])
+		for e := ws; e < we; e++ {
+			if want.V[e] != got.V[e] || want.W[e] != got.W[e] {
+				t.Fatalf("%s: bucket %d slot %d = (%d,%d), want (%d,%d)", label, x, e-ws,
+					got.V[e], got.W[e], want.V[e], want.W[e])
 			}
 		}
 	}
 }
 
 // TestContractionDeterministicAndExact pins the merge's output. For every
-// kernel entry point and layout, a one-thread contraction must hold exactly
-// the edges and self-loops of a map-based fold of the input, and every other
-// run — threads {1,2,4}, fresh or through a reused arena, with a locally
-// built schedule or an installed level partition — must reproduce its
-// buckets slot for slot (and, in the contiguous layout, its bucket
-// offsets).
+// kernel entry point, a one-thread contraction must hold exactly the edges
+// and self-loops of a map-based fold of the input, and every other run —
+// threads {1,2,4}, fresh or through a reused arena, with a locally built
+// schedule or an installed level partition — must reproduce its bucket
+// offsets and its buckets slot for slot.
 func TestContractionDeterministicAndExact(t *testing.T) {
 	for _, c := range contractCases(t) {
 		want := map[[2]int64]int64{}
@@ -150,41 +143,38 @@ func TestContractionDeterministicAndExact(t *testing.T) {
 			first, second := graph.StoredOrder(a, b)
 			want[[2]int64{first, second}] += w
 		})
-		for _, layout := range []Layout{Contiguous, NonContiguous} {
-			ref := c.run(exec.Background(1), layout, nil, nil)
-			label := fmt.Sprintf("%s %v", c.name, layout)
-			if err := ref.Validate(); err != nil {
-				t.Fatalf("%s: %v", label, err)
+		ref := c.run(exec.Background(1), nil, nil)
+		if err := ref.Validate(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if ref.NumVertices() != c.k || ref.NumEdges() != int64(len(want)) {
+			t.Fatalf("%s: %d vertices / %d edges, want %d / %d", c.name,
+				ref.NumVertices(), ref.NumEdges(), c.k, len(want))
+		}
+		ref.ForEachEdge(func(_ int64, u, v, w int64) {
+			if want[[2]int64{u, v}] != w {
+				t.Fatalf("%s: edge (%d,%d) weight %d, want %d", c.name, u, v, w, want[[2]int64{u, v}])
 			}
-			if ref.NumVertices() != c.k || ref.NumEdges() != int64(len(want)) {
-				t.Fatalf("%s: %d vertices / %d edges, want %d / %d", label,
-					ref.NumVertices(), ref.NumEdges(), c.k, len(want))
+		})
+		for x := int64(0); x < c.k; x++ {
+			if ref.Self[x] != wantSelf[x] {
+				t.Fatalf("%s: Self[%d] = %d, want %d", c.name, x, ref.Self[x], wantSelf[x])
 			}
-			ref.ForEachEdge(func(_ int64, u, v, w int64) {
-				if want[[2]int64{u, v}] != w {
-					t.Fatalf("%s: edge (%d,%d) weight %d, want %d", label, u, v, w, want[[2]int64{u, v}])
+		}
+		var s Scratch
+		dst := &graph.Graph{}
+		for _, p := range []int{1, 2, 4} {
+			for _, sched := range []string{"local", "installed"} {
+				ec := exec.New(nil, p, nil)
+				var pt par.Partition
+				if sched == "installed" {
+					ec.BuildBuckets(&pt, int(c.g.NumVertices()), c.g.Start, c.g.End)
+					ec.SetPartition(&pt)
 				}
-			})
-			for x := int64(0); x < c.k; x++ {
-				if ref.Self[x] != wantSelf[x] {
-					t.Fatalf("%s: Self[%d] = %d, want %d", label, x, ref.Self[x], wantSelf[x])
-				}
-			}
-			var s Scratch
-			dst := &graph.Graph{}
-			for _, p := range []int{1, 2, 4} {
-				for _, sched := range []string{"local", "installed"} {
-					ec := exec.New(nil, p, nil)
-					var pt par.Partition
-					if sched == "installed" {
-						ec.BuildBuckets(&pt, int(c.g.NumVertices()), c.g.Start, c.g.End)
-						ec.SetPartition(&pt)
-					}
-					l := fmt.Sprintf("%s p=%d %s", label, p, sched)
-					sameBuckets(t, l+" fresh", ref, c.run(ec, layout, nil, nil), layout == Contiguous)
-					sameBuckets(t, l+" arena", ref, c.run(ec, layout, &s, dst), layout == Contiguous)
-					ec.Close()
-				}
+				l := fmt.Sprintf("%s p=%d %s", c.name, p, sched)
+				sameBuckets(t, l+" fresh", ref, c.run(ec, nil, nil))
+				sameBuckets(t, l+" arena", ref, c.run(ec, &s, dst))
+				ec.Close()
 			}
 		}
 	}

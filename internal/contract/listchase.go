@@ -17,7 +17,7 @@ import (
 // exactly the behavior this ablation baseline exists to demonstrate
 // (§IV-C). The result is identical (as a graph) to Bucket's.
 func ListChase(ec *exec.Ctx, g *graph.Graph, match []int64) (*graph.Graph, []int64) {
-	mapping, k := Relabel(ec, g, match)
+	mapping, k := Relabel(ec, g, match, nil)
 	ng := graph.NewEmpty(k)
 	n := int(g.NumVertices())
 

@@ -1,7 +1,7 @@
 package contract
 
 import (
-	"sort"
+	"fmt"
 	"testing"
 
 	"repro/internal/exec"
@@ -9,39 +9,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/matching"
 )
-
-// canonicalEdges returns the stored edges of g in a canonical order for
-// cross-layout comparison.
-func canonicalEdges(g *graph.Graph) []graph.Edge {
-	es := g.Edges()
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].U != es[j].U {
-			return es[i].U < es[j].U
-		}
-		return es[i].V < es[j].V
-	})
-	return es
-}
-
-// sameGraph fails the test unless a and b are identical as weighted graphs.
-func sameGraph(t *testing.T, label string, a, b *graph.Graph) {
-	t.Helper()
-	if a.NumVertices() != b.NumVertices() || a.NumEdges() != b.NumEdges() {
-		t.Fatalf("%s: %d vertices / %d edges vs %d / %d",
-			label, a.NumVertices(), a.NumEdges(), b.NumVertices(), b.NumEdges())
-	}
-	for x := int64(0); x < a.NumVertices(); x++ {
-		if a.Self[x] != b.Self[x] {
-			t.Fatalf("%s: Self[%d] = %d vs %d", label, x, a.Self[x], b.Self[x])
-		}
-	}
-	ea, eb := canonicalEdges(a), canonicalEdges(b)
-	for i := range ea {
-		if ea[i] != eb[i] {
-			t.Fatalf("%s: edge %d: %+v vs %+v", label, i, ea[i], eb[i])
-		}
-	}
-}
 
 // pairMatch builds the matching {0,1}, {2,3}, ... over the first 2·pairs
 // vertices.
@@ -57,67 +24,60 @@ func pairMatch(n int64, pairs int64) []int64 {
 	return m
 }
 
-// TestByMappingWithMatchesFresh drives one Scratch and one destination
+// TestByMappingArenaMatchesFresh drives one Scratch and one destination
 // graph through a chain of contractions — large graph, smaller graph, large
-// again — in both layouts, checking each reused result against a fresh
-// ByMapping of the same inputs and against the representation invariants.
-// The shrink-then-grow sequence exercises stale counts, stale bucket
-// offsets (the non-contiguous layout leaves untouched Start entries), and
-// buffer regrowth.
-func TestByMappingWithMatchesFresh(t *testing.T) {
+// again — checking each reused result against a fresh ByMapping of the same
+// inputs and against the representation invariants. The shrink-then-grow
+// sequence exercises stale counts, stale bucket offsets and buffer regrowth.
+func TestByMappingArenaMatchesFresh(t *testing.T) {
 	inputs := []*graph.Graph{
 		gen.CliqueChain(20, 6),
 		gen.Karate(),
 		gen.Star(50),
 		gen.CliqueChain(40, 5),
 	}
-	for _, layout := range []Layout{Contiguous, NonContiguous} {
-		var s Scratch
-		dst := &graph.Graph{}
-		for gi, g := range inputs {
-			match := pairMatch(g.NumVertices(), g.NumVertices()/3)
-			mapping, k := Relabel(exec.Background(1), g, match)
-			want := ByMapping(exec.Background(2), g, mapping, k, layout)
-			got := ByMappingWith(exec.Background(4), g, mapping, k, layout, &s, dst)
-			if got != dst {
-				t.Fatalf("layout %v graph %d: destination not reused", layout, gi)
-			}
-			if err := got.Validate(); err != nil {
-				t.Fatalf("layout %v graph %d: %v", layout, gi, err)
-			}
-			sameGraph(t, layout.String(), want, got)
-			if got.TotalWeight(1) != g.TotalWeight(1) {
-				t.Fatalf("layout %v graph %d: contraction changed total weight", layout, gi)
-			}
+	var s Scratch
+	dst := &graph.Graph{}
+	for gi, g := range inputs {
+		match := pairMatch(g.NumVertices(), g.NumVertices()/3)
+		mapping, k := Relabel(exec.Background(1), g, match, nil)
+		want := ByMapping(exec.Background(2), g, mapping, k, nil, nil)
+		got := ByMapping(exec.Background(4), g, mapping, k, &s, dst)
+		if got != dst {
+			t.Fatalf("graph %d: destination not reused", gi)
+		}
+		sameBuckets(t, fmt.Sprintf("graph %d", gi), want, got)
+		if got.TotalWeight(1) != g.TotalWeight(1) {
+			t.Fatalf("graph %d: contraction changed total weight", gi)
 		}
 	}
 }
 
-// TestBucketWithReusesMapping checks the mapBuf path and that BucketWith
-// equals Bucket.
-func TestBucketWithReusesMapping(t *testing.T) {
+// TestBucketReusesMapping checks that Bucket writes the mapping into mapBuf
+// and that the arena run equals the fresh one.
+func TestBucketReusesMapping(t *testing.T) {
 	g := gen.CliqueChain(12, 4)
 	match := pairMatch(g.NumVertices(), g.NumVertices()/2)
-	wantG, wantMap := Bucket(exec.Background(1), g, match, Contiguous)
+	wantG, wantMap := Bucket(exec.Background(1), g, match, nil, nil, nil)
 
 	mapBuf := make([]int64, g.NumVertices())
 	var s Scratch
-	gotG, gotMap := BucketWith(exec.Background(2), g, match, Contiguous, &s, nil, mapBuf)
+	gotG, gotMap := Bucket(exec.Background(2), g, match, &s, nil, mapBuf)
 	if &gotMap[0] != &mapBuf[0] {
-		t.Fatal("BucketWith did not reuse the mapping buffer")
+		t.Fatal("Bucket did not reuse the mapping buffer")
 	}
 	for i := range wantMap {
 		if wantMap[i] != gotMap[i] {
 			t.Fatalf("mapping[%d] = %d, want %d", i, gotMap[i], wantMap[i])
 		}
 	}
-	sameGraph(t, "bucketwith", wantG, gotG)
+	sameBuckets(t, "bucket arena", wantG, gotG)
 }
 
-// TestByMappingWithWholeGroups collapses a graph to a handful of
-// communities under an arbitrary (non-matching) mapping, as the refinement
-// rebuild does, through a reused scratch.
-func TestByMappingWithWholeGroups(t *testing.T) {
+// TestByMappingWholeGroups collapses a graph to a handful of communities
+// under an arbitrary (non-matching) mapping, as the refinement rebuild does,
+// through a reused scratch.
+func TestByMappingWholeGroups(t *testing.T) {
 	g := gen.CliqueChain(9, 5)
 	n := g.NumVertices()
 	mapping := make([]int64, n)
@@ -126,21 +86,17 @@ func TestByMappingWithWholeGroups(t *testing.T) {
 	}
 	var s Scratch
 	dst := &graph.Graph{}
-	want := ByMapping(exec.Background(1), g, mapping, 3, Contiguous)
+	want := ByMapping(exec.Background(1), g, mapping, 3, nil, nil)
 	for trial := 0; trial < 3; trial++ {
-		got := ByMappingWith(exec.Background(3), g, mapping, 3, Contiguous, &s, dst)
-		if err := got.Validate(); err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		sameGraph(t, "groups", want, got)
+		sameBuckets(t, fmt.Sprintf("trial %d", trial), want, ByMapping(exec.Background(3), g, mapping, 3, &s, dst))
 	}
 }
 
-// TestByMappingWithEmpty covers the degenerate empty graph.
-func TestByMappingWithEmpty(t *testing.T) {
+// TestByMappingEmpty covers the degenerate empty graph.
+func TestByMappingEmpty(t *testing.T) {
 	g := graph.NewEmpty(0)
 	var s Scratch
-	ng := ByMappingWith(exec.Background(2), g, nil, 0, Contiguous, &s, &graph.Graph{})
+	ng := ByMapping(exec.Background(2), g, nil, 0, &s, &graph.Graph{})
 	if ng.NumVertices() != 0 || ng.NumEdges() != 0 {
 		t.Fatalf("empty contraction produced %d vertices / %d edges",
 			ng.NumVertices(), ng.NumEdges())

@@ -137,6 +137,53 @@ func TestDetectContextCancelMidRun(t *testing.T) {
 	}
 }
 
+// TestDetectShardedCancelSweep drives the countdown context through a
+// 4-shard run for every Err budget up to one past the uncancelled run's
+// check count, so cancellation lands at each check of every shard and of
+// the stitch. The shards poll one shared context concurrently, so which
+// shard a budget cuts varies run to run; every outcome must still be either
+// an error wrapping context.Canceled or the uncancelled result, and every
+// budget below the check count must end in the error.
+func TestDetectShardedCancelSweep(t *testing.T) {
+	g, _, err := gen.LJSim(2, gen.DefaultLJSim(3000, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := shardCSR(g)
+	opt := ShardOptions{Shards: 4, Opt: Options{Threads: 4}}
+	const unlimited = 1 << 30
+	counter := &countdownCtx{Context: context.Background(), budget: unlimited}
+	full, err := DetectSharded(counter, c, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checks := unlimited - counter.budget
+	cancelled := 0
+	for budget := 0; budget <= checks+1; budget++ {
+		res, err := DetectSharded(&countdownCtx{Context: context.Background(), budget: budget}, c, opt)
+		if err != nil {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("budget %d: error %v does not wrap context.Canceled", budget, err)
+			}
+			cancelled++
+			continue
+		}
+		if res.NumCommunities != full.NumCommunities {
+			t.Fatalf("budget %d: nil error with %d communities, the uncancelled run has %d",
+				budget, res.NumCommunities, full.NumCommunities)
+		}
+		for v := range full.CommunityOf {
+			if res.CommunityOf[v] != full.CommunityOf[v] {
+				t.Fatalf("budget %d: nil error but vertex %d in community %d, the uncancelled run says %d",
+					budget, v, res.CommunityOf[v], full.CommunityOf[v])
+			}
+		}
+	}
+	if checks == 0 || cancelled != checks {
+		t.Fatalf("%d of %d budgets cancelled; want every budget below the run's %d checks to", cancelled, checks+2, checks)
+	}
+}
+
 func TestDetectExecSharedTeamSequentialRuns(t *testing.T) {
 	// One pooled worker team serves many detections back to back — the
 	// harness sweep pattern. Run under -race this also proves the pool's

@@ -109,12 +109,9 @@ func (k MatchKernel) String() string {
 type ContractKernel int
 
 const (
-	// ContractBucket is the paper's bucket-sort contraction with contiguous
-	// (prefix-sum) bucket layout.
+	// ContractBucket is the paper's bucket-sort contraction, its buckets
+	// laid out back to back by a prefix sum.
 	ContractBucket ContractKernel = iota
-	// ContractBucketNonContiguous uses bump-allocated bucket regions,
-	// synchronizing only on an atomic fetch-and-add.
-	ContractBucketNonContiguous
 	// ContractListChase is the 2011 hashed-linked-list contraction
 	// (ablation).
 	ContractListChase
@@ -125,8 +122,6 @@ func (k ContractKernel) String() string {
 	switch k {
 	case ContractBucket:
 		return "bucket"
-	case ContractBucketNonContiguous:
-		return "bucket-noncontig"
 	case ContractListChase:
 		return "listchase"
 	}
@@ -158,11 +153,8 @@ type Options struct {
 	// giant labels if left to converge, and a prelabel coarser than the
 	// community scale destroys the agglomeration's headroom (measured on the
 	// R-MAT bench graph: 4 sweeps keep modularity at or above the matching
-	// engine's, the fixpoint collapses it to ~0). PLPThreshold stops the
-	// sweeps once the active-vertex fraction drops to or below it; 0 runs to
-	// the sweep bound. Both are ignored by EngineMatching.
+	// engine's, the fixpoint collapses it to ~0). EngineMatching ignores it.
 	PLPMaxSweeps int
-	PLPThreshold float64
 	// MinCoverage stops the run once the fraction of input edge weight
 	// inside communities reaches this value; 0 disables. The paper's §V
 	// experiments use 0.5, "following the spirit of the 10th DIMACS
@@ -334,9 +326,6 @@ func validateOptions(opt Options) error {
 	if opt.PLPMaxSweeps < 0 {
 		return fmt.Errorf("core: negative PLPMaxSweeps %d", opt.PLPMaxSweeps)
 	}
-	if opt.PLPThreshold < 0 || opt.PLPThreshold >= 1 {
-		return fmt.Errorf("core: PLPThreshold %v outside [0,1)", opt.PLPThreshold)
-	}
 	if _, err := matchFunc(opt.Matching); err != nil {
 		return err
 	}
@@ -495,7 +484,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		if sweeps == 0 && opt.Engine == EngineEnsemble {
 			sweeps = DefaultEnsembleSweeps
 		}
-		pres := plp.PropagateWith(ec, g, plp.Options{MaxSweeps: sweeps, Threshold: opt.PLPThreshold}, &s.plp)
+		pres := plp.Propagate(ec, g, plp.Options{MaxSweeps: sweeps}, &s.plp)
 		plpTime := pSpan.EndArgs("sweeps", int64(pres.Sweeps), "vertices", n)
 		// The entry partition (identity) for the stats row: its coverage is
 		// the input's self-loop fraction and its modularity needs the input
@@ -523,10 +512,6 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		}
 
 		cSpan := rec.Begin(obs.KernelContract)
-		layout := contract.Contiguous
-		if opt.Contraction == ContractBucketNonContiguous {
-			layout = contract.NonContiguous
-		}
 		var mapBuf []int64
 		if opt.DiscardLevels {
 			mapBuf = s.mapping
@@ -534,7 +519,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 		// Buffer 0: the matching loop ping-pongs on phase&1 and starts at
 		// phase 1 for the ensemble, so its first contraction reads this
 		// graph out of buffer 0 while writing buffer 1.
-		ng, mapping, k := contract.ByLabelsWith(ec, g, pres.Labels, layout, &s.contract, s.graphBuf(0), mapBuf)
+		ng, mapping, k := contract.ByLabels(ec, g, pres.Labels, &s.contract, s.graphBuf(0), mapBuf)
 		if opt.DiscardLevels {
 			s.mapping = mapping
 		}
@@ -651,13 +636,13 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 			seedCov = fraction(ec.SumInt64(st.intra), totW)
 			seedMod = modularity(ec, seedCov, st.deg, totW)
 			if opt.Validate {
-				ng = seedGraph(ec, g, seed, opt, s)
+				ng = seedGraph(ec, g, seed, s)
 				if err := validateSeed(ng, g, st, p); err != nil {
 					return nil, fmt.Errorf("core: seed contraction: %w", err)
 				}
 			}
 		} else {
-			ng = seedGraph(ec, g, seed, opt, s)
+			ng = seedGraph(ec, g, seed, s)
 			totW = ng.TotalWeight(p)
 			nextDeg = degreesOf(ec, ng, s, degIdx)
 			seedCov = coverage(ec, ng, totW)
@@ -741,7 +726,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 			// the stop rule did not hold: contract now. The time is the seed
 			// stage's, so it goes to phase 0.
 			cSpan := rec.Begin(obs.KernelContract)
-			cg = seedGraph(ec, g, seed, opt, s)
+			cg = seedGraph(ec, g, seed, s)
 			res.Stats[0].ContractTime += cSpan.EndArgs("vertices", seed.k, "edges", cg.NumEdges())
 		}
 
@@ -938,7 +923,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 			}
 			if rres.Moves > 0 && rres.ModularityAfter > rres.ModularityBefore {
 				copy(comm, rres.CommunityOf)
-				cg = contract.ByMapping(ec, g, comm, rres.NumCommunities, contract.Contiguous)
+				cg = contract.ByMapping(ec, g, comm, rres.NumCommunities, nil, nil)
 				newSizes := make([]int64, rres.NumCommunities)
 				for _, c := range comm {
 					newSizes[c]++
@@ -1165,13 +1150,9 @@ func sameSeedStats(carried, swept seedStats) error {
 // seedGraph contracts g by the seed partition, into the arena's graph
 // buffer 0: the loop starts at phase 1 and its first contraction writes
 // s.graphBuf(1), so reading buffer 0 is safe.
-func seedGraph(ec *exec.Ctx, g *graph.Graph, seed *seedPartition, opt Options, s *Scratch) *graph.Graph {
+func seedGraph(ec *exec.Ctx, g *graph.Graph, seed *seedPartition, s *Scratch) *graph.Graph {
 	seed.schedule(ec, g, &s.part)
-	layout := contract.Contiguous
-	if opt.Contraction == ContractBucketNonContiguous {
-		layout = contract.NonContiguous
-	}
-	return contract.ByMappingWith(ec, g, seed.comm, seed.k, layout, &s.contract, s.graphBuf(0))
+	return contract.ByMapping(ec, g, seed.comm, seed.k, &s.contract, s.graphBuf(0))
 }
 
 // validateSeed is Options.Validate's cross-check of the seed sweep against
@@ -1224,9 +1205,9 @@ func boolInt64(b bool) int64 {
 func matchFunc(k MatchKernel) (func(*exec.Ctx, *graph.Graph, []float64, *matching.Scratch) matching.Result, error) {
 	switch k {
 	case MatchWorklist:
-		return matching.WorklistWith, nil
+		return matching.Worklist, nil
 	case MatchEdgeSweep:
-		return matching.EdgeSweepWith, nil
+		return matching.EdgeSweep, nil
 	}
 	return nil, fmt.Errorf("core: unknown matching kernel %d", int(k))
 }
@@ -1234,13 +1215,7 @@ func matchFunc(k MatchKernel) (func(*exec.Ctx, *graph.Graph, []float64, *matchin
 func contractFunc(k ContractKernel) (func(ec *exec.Ctx, g *graph.Graph, m []int64, s *contract.Scratch, dst *graph.Graph, mapBuf []int64) (*graph.Graph, []int64), error) {
 	switch k {
 	case ContractBucket:
-		return func(ec *exec.Ctx, g *graph.Graph, m []int64, s *contract.Scratch, dst *graph.Graph, mapBuf []int64) (*graph.Graph, []int64) {
-			return contract.BucketWith(ec, g, m, contract.Contiguous, s, dst, mapBuf)
-		}, nil
-	case ContractBucketNonContiguous:
-		return func(ec *exec.Ctx, g *graph.Graph, m []int64, s *contract.Scratch, dst *graph.Graph, mapBuf []int64) (*graph.Graph, []int64) {
-			return contract.BucketWith(ec, g, m, contract.NonContiguous, s, dst, mapBuf)
-		}, nil
+		return contract.Bucket, nil
 	case ContractListChase:
 		// The 2011 ablation baseline allocates fresh state by design; its
 		// hash-chain storage has no reusable shape (and gets no sub-span

@@ -227,7 +227,7 @@ func TestDetectAllKernelCombinations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mk := range []MatchKernel{MatchWorklist, MatchEdgeSweep} {
-		for _, ck := range []ContractKernel{ContractBucket, ContractBucketNonContiguous, ContractListChase} {
+		for _, ck := range []ContractKernel{ContractBucket, ContractListChase} {
 			res, err := DetectContext(context.Background(), g, Options{Threads: 3, Matching: mk, Contraction: ck, Validate: true})
 			if err != nil {
 				t.Fatalf("%v/%v: %v", mk, ck, err)
@@ -250,6 +250,33 @@ func TestDetectConductanceScorer(t *testing.T) {
 	validatePartition(t, res.CommunityOf, res.NumCommunities)
 	if res.NumCommunities < 2 {
 		t.Fatalf("%d communities with MinCommunities=2", res.NumCommunities)
+	}
+}
+
+// TestConductanceNeedsAStopRule pins why the conductance scorer is paired
+// with a stop rule: the one-community partition has conductance 0, the
+// minimum of the summed metric, so a run to its local maximum merges the
+// whole (connected) graph, while a coverage stop keeps communities apart.
+func TestConductanceNeedsAStopRule(t *testing.T) {
+	g, _, err := gen.LJSim(2, gen.DefaultLJSim(2000, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Threads: 2, Scorer: scoring.Conductance{}, Validate: true}
+	res, err := DetectContext(context.Background(), g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NumCommunities != 1 || res.Termination != TermLocalMax {
+		t.Fatalf("no stop rule: %d communities, terminated by %v; want 1 by %v",
+			res.NumCommunities, res.Termination, TermLocalMax)
+	}
+	opt.MinCoverage = 0.5
+	if res, err = DetectContext(context.Background(), g, opt); err != nil {
+		t.Fatal(err)
+	}
+	if res.NumCommunities <= 1 {
+		t.Fatalf("MinCoverage 0.5: %d communities, want more than 1", res.NumCommunities)
 	}
 }
 
@@ -341,7 +368,6 @@ func TestKernelStrings(t *testing.T) {
 		t.Fatal("match kernel names")
 	}
 	if ContractBucket.String() != "bucket" ||
-		ContractBucketNonContiguous.String() != "bucket-noncontig" ||
 		ContractListChase.String() != "listchase" {
 		t.Fatal("contract kernel names")
 	}

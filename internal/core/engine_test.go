@@ -263,8 +263,6 @@ func TestEngineOptionsValidation(t *testing.T) {
 	bad := []Options{
 		{Engine: Engine(99)},
 		{Engine: EngineEnsemble, PLPMaxSweeps: -1},
-		{Engine: EngineEnsemble, PLPThreshold: 1.5},
-		{Engine: EngineEnsemble, PLPThreshold: -0.1},
 	}
 	for i, opt := range bad {
 		if _, err := DetectContext(context.Background(), g, opt); err == nil {

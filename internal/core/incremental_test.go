@@ -399,7 +399,7 @@ func referenceSeeded(t *testing.T, g *graph.Graph, prev []int64, prevK int64, ba
 	}
 	ref := seedReference{dirty: nd, singletons: k - (prevK - nd), levels: [][]int64{seed}}
 	ec := exec.Background(1)
-	ng := contract.ByMapping(ec, g, seed, k, contract.Contiguous)
+	ng := contract.ByMapping(ec, g, seed, k, nil, nil)
 	totW := ng.TotalWeight(1)
 	ref.seedCov = coverage(ec, ng, totW)
 	ref.seedMod = modularity(ec, ref.seedCov, ng.WeightedDegrees(1), totW)

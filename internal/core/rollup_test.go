@@ -45,11 +45,11 @@ func TestRolledDegreesEqualRecomputedPerLevel(t *testing.T) {
 			for level := 0; ; level++ {
 				scores := make([]float64, len(g.V))
 				scoring.Score(ec, scoring.Modularity{}, g, deg, g.TotalWeight(p), scores, nil, 0, nil)
-				mres := matching.Worklist(ec, g, scores)
+				mres := matching.Worklist(ec, g, scores, nil)
 				if mres.Pairs == 0 {
 					break
 				}
-				ng, mapping := contract.Bucket(ec, g, mres.Match, contract.Contiguous)
+				ng, mapping := contract.Bucket(ec, g, mres.Match, nil, nil, nil)
 				deg, idx = rollup(ec, s, &s.degs, deg, idx, mapping, int(ng.NumVertices()))
 				if err := sameDegrees(deg, ng.WeightedDegrees(p)); err != nil {
 					t.Fatalf("%s p=%d level %d: %v", name, p, level, err)

@@ -95,7 +95,7 @@ func TestArenaMatchesFresh(t *testing.T) {
 		oracle *seq.Options // the oracle's run of the same stop rule, if it has one
 	}{
 		{"default", Options{}, &seq.Options{}},
-		{"edgesweep-noncontig", Options{Matching: MatchEdgeSweep, Contraction: ContractBucketNonContiguous}, nil},
+		{"edgesweep", Options{Matching: MatchEdgeSweep}, nil},
 		{"sizecap", Options{MaxCommunitySize: 8}, nil},
 		{"coverage", Options{MinCoverage: 0.5}, &seq.Options{MinCoverage: 0.5}},
 		{"discardlevels", Options{DiscardLevels: true}, nil},

@@ -305,7 +305,7 @@ func TestShardFinalGraphMatchesRebuild(t *testing.T) {
 						t.Fatal(err)
 					}
 					l := &locals[k]
-					l.cg = contract.ByMapping(exec.Background(2), sg, l.comm, l.k, contract.Contiguous)
+					l.cg = contract.ByMapping(exec.Background(2), sg, l.comm, l.k, nil, nil)
 					if l.cg.NumEdges() != l.stat.CommunityEdges {
 						t.Fatalf("%s %s K=%d shard %d: rebuilt community graph has %d edges, final level %d",
 							tc.name, engine, shards, k, l.cg.NumEdges(), l.stat.CommunityEdges)

@@ -102,8 +102,8 @@ func overlayBase(t *testing.T, g *graph.Graph) *graph.Graph {
 // TestToCSRRowOrderSameAtEveryThreadCount requires ToCSR and ToCSRInto,
 // into a fresh and into a reused view, to give the reference's Offsets,
 // Adj and Wgt at every thread count: on a Build graph with hub buckets
-// (split across ranges), on a non-contiguous contraction output, and on an
-// overlay-compacted base with tail slots.
+// (split across ranges), on a contraction output whose buckets the dedup
+// shortened in place, and on an overlay-compacted base with tail slots.
 func TestToCSRRowOrderSameAtEveryThreadCount(t *testing.T) {
 	rmat, err := gen.RMATGraph(2, gen.DefaultRMAT(10, 7))
 	if err != nil {
@@ -114,9 +114,9 @@ func TestToCSRRowOrderSameAtEveryThreadCount(t *testing.T) {
 	for v := range mapping {
 		mapping[v] = int64(v) / 3
 	}
-	noncontig := contract.ByMapping(exec.Background(3), rmat, mapping, (n+2)/3, contract.NonContiguous)
+	contracted := contract.ByMapping(exec.Background(3), rmat, mapping, (n+2)/3, nil, nil)
 	base := overlayBase(t, rmat)
-	for name, g := range map[string]*graph.Graph{"noncontiguous": noncontig, "overlay base": base} {
+	for name, g := range map[string]*graph.Graph{"contracted": contracted, "overlay base": base} {
 		if !gapped(g) {
 			t.Fatalf("%s: buckets are contiguous; the case is not exercised", name)
 		}
@@ -126,7 +126,7 @@ func TestToCSRRowOrderSameAtEveryThreadCount(t *testing.T) {
 	cases := []struct {
 		name string
 		g    *graph.Graph
-	}{{"rmat", rmat}, {"noncontiguous", noncontig}, {"overlay base", base}, {"rmat again", rmat}}
+	}{{"rmat", rmat}, {"contracted", contracted}, {"overlay base", base}, {"rmat again", rmat}}
 	for _, tc := range cases {
 		want := referenceCSR(tc.g)
 		for _, p := range []int{1, 2, 3, 8} {

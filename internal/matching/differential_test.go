@@ -145,7 +145,7 @@ func TestKernelsEqualSortedGreedy(t *testing.T) {
 			for _, k := range []struct {
 				name string
 				run  func(*exec.Ctx, *graph.Graph, []float64, *Scratch) Result
-			}{{"worklist", WorklistWith}, {"edgesweep", EdgeSweepWith}} {
+			}{{"worklist", Worklist}, {"edgesweep", EdgeSweep}} {
 				var s Scratch
 				for trial := 0; trial < 2; trial++ {
 					res := k.run(ec, c.g, c.scores, &s)
@@ -211,14 +211,14 @@ func TestWorklistCancelBetweenPasses(t *testing.T) {
 	}
 	for _, c := range []diffCase{{"path", path, weightScores(path)}, {"ljsim", lj, modularityScores(lj)}} {
 		want := greedyReference(c.g, c.scores)
-		full := Worklist(exec.Background(1), c.g, c.scores)
+		full := Worklist(exec.Background(1), c.g, c.scores, nil)
 		for _, sc := range schedules() {
 			for _, k := range []int{0, 1, 3} {
 				if k >= full.Passes {
 					continue
 				}
 				ec := ctxFor(t, newCancelAfter(int64(k)), sc, c.g)
-				res := WorklistWith(ec, c.g, c.scores, nil)
+				res := Worklist(ec, c.g, c.scores, nil)
 				if res.Passes != k {
 					t.Fatalf("%s %v: cancelled after %d passes but ran %d", c.name, sc, k, res.Passes)
 				}

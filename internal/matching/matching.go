@@ -36,6 +36,8 @@
 // order on edges, which is unique and equals the sorted greedy matching: the
 // result is the same for every thread count and schedule, even though the
 // passes race through it in different interleavings.
+//
+// Each kernel is one function; its *Scratch may be nil for fresh state.
 package matching
 
 import (
@@ -157,7 +159,7 @@ type Scratch struct {
 	// reused across runs, so the steady state stays off the heap).
 	drain []int64
 
-	// Edge-sweep-only state, grown only by EdgeSweepWith: the per-vertex
+	// Edge-sweep-only state, grown only by EdgeSweep: the per-vertex
 	// best key and its pass stamp, and the per-vertex spinlocks guarding
 	// them.
 	candKey  []edgeKey
@@ -168,12 +170,12 @@ type Scratch struct {
 // ReleaseRows drops the positive-edge row store, the one buffer sized by
 // edges rather than vertices, so that a Scratch kept between detection runs
 // retains only vertex-sized matching state. The engine calls it when a run
-// ends; the next WorklistWith reallocates the store at its first (largest)
+// ends; the next Worklist reallocates the store at its first (largest)
 // level and reuses it for every smaller level after.
 func (s *Scratch) ReleaseRows() { s.rows = nil }
 
 // orNew returns s, or a fresh Scratch when s is nil, letting the kernels
-// bind their scratch to a single-assignment variable (see WorklistWith).
+// bind their scratch to a single-assignment variable (see Worklist).
 func (s *Scratch) orNew() *Scratch {
 	if s != nil {
 		return s
@@ -183,8 +185,8 @@ func (s *Scratch) orNew() *Scratch {
 
 // Worklist computes a greedy heavy maximal matching with the paper's
 // unmatched-vertex-list algorithm using p workers. Only edges with a
-// strictly positive score participate. It allocates fresh state; the engine
-// calls WorklistWith to reuse buffers across phases.
+// strictly positive score participate. scratch supplies the kernel's
+// reusable buffers; a nil scratch allocates fresh state.
 //
 // Each pass parallelizes over the array of still-active vertices in two
 // barrier-separated phases. Propose: an active vertex u keeps cand[u] while
@@ -199,18 +201,14 @@ func (s *Scratch) orNew() *Scratch {
 // guarantees weight within 2× of the maximum. Vertices whose candidate was
 // taken stay on the list; vertices whose rows empty drop off, and the
 // matching is maximal when the list drains.
-func Worklist(ec *exec.Ctx, g *graph.Graph, scores []float64) Result {
-	return WorklistWith(ec, g, scores, nil)
-}
-
-// WorklistWith is Worklist running out of s's reusable buffers; a nil s
-// behaves exactly like Worklist. When ec carries a recorder it records one
-// span for the row build and one per pass (worklist length in, requeued
-// count out) and the rounds/visits/claim counters; a nil recorder costs a
-// handful of predictable branches per pass — nothing per vertex or edge.
-// When ec's context is cancelled the pass loop exits early: the partial
-// matching is symmetric and claim-consistent, just not maximal.
-func WorklistWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scratch) Result {
+//
+// When ec carries a recorder it records one span for the row build and one
+// per pass (worklist length in, requeued count out) and the
+// rounds/visits/claim counters; a nil recorder costs a handful of
+// predictable branches per pass — nothing per vertex or edge. When ec's
+// context is cancelled the pass loop exits early: the partial matching is
+// symmetric and claim-consistent, just not maximal.
+func Worklist(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scratch) Result {
 	rec := ec.Recorder()
 	n := int(g.NumVertices())
 	// s is assigned exactly once: a variable with any assignment after its
@@ -508,18 +506,15 @@ func worklistClaim(s *Scratch, list, keep []int64, hot *obs.Hot, lo, hi int) {
 // edges. Kept as the ablation baseline for the paper's claim that the
 // worklist algorithm's gains are "marginal on the Cray XMT but drastic on
 // Intel-based platforms".
-func EdgeSweep(ec *exec.Ctx, g *graph.Graph, scores []float64) Result {
-	return EdgeSweepWith(ec, g, scores, nil)
-}
-
-// EdgeSweepWith is EdgeSweep running out of s's reusable buffers; a nil s
-// behaves exactly like EdgeSweep. The candidate array doubles as the
-// per-vertex best-edge table. Observability mirrors WorklistWith: one span
-// per whole-edge-array pass plus the rounds and claim/conflict counters (the
-// edge sweep has no worklist, so every pass reports the full vertex count as
-// its active size), and a cancelled context exits the pass loop early with a
-// symmetric partial matching.
-func EdgeSweepWith(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scratch) Result {
+//
+// scratch supplies the kernel's reusable buffers; a nil scratch allocates
+// fresh state. The candidate array doubles as the per-vertex best-edge table.
+// Observability mirrors Worklist: one span per whole-edge-array pass plus
+// the rounds and claim/conflict counters (the edge sweep has no worklist, so
+// every pass reports the full vertex count as its active size), and a
+// cancelled context exits the pass loop early with a symmetric partial
+// matching.
+func EdgeSweep(ec *exec.Ctx, g *graph.Graph, scores []float64, scratch *Scratch) Result {
 	rec := ec.Recorder()
 	n := int(g.NumVertices())
 	s := scratch.orNew()

@@ -16,10 +16,10 @@ import (
 // signature for the table-driven tests.
 var kernels = map[string]func(p int, g *graph.Graph, scores []float64) Result{
 	"worklist": func(p int, g *graph.Graph, scores []float64) Result {
-		return Worklist(exec.Background(p), g, scores)
+		return Worklist(exec.Background(p), g, scores, nil)
 	},
 	"edgesweep": func(p int, g *graph.Graph, scores []float64) Result {
-		return EdgeSweep(exec.Background(p), g, scores)
+		return EdgeSweep(exec.Background(p), g, scores, nil)
 	},
 }
 
@@ -335,7 +335,7 @@ func TestWorklistAdversarialPathWorstCase(t *testing.T) {
 	}
 	g := graph.MustBuild(2, n, edges)
 	scores := weightScores(g)
-	res := Worklist(exec.Background(2), g, scores)
+	res := Worklist(exec.Background(2), g, scores, nil)
 	if err := Verify(g, scores, res.Match); err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestWorklistFewPassesOnSocialGraph(t *testing.T) {
 	deg := g.WeightedDegrees(2)
 	scores := make([]float64, len(g.V))
 	scoring.Score(exec.Background(2), scoring.Modularity{}, g, deg, g.TotalWeight(2), scores, nil, 0, nil)
-	res := Worklist(exec.Background(2), g, scores)
+	res := Worklist(exec.Background(2), g, scores, nil)
 	if err := Verify(g, scores, res.Match); err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestScratchReuseAcrossGraphs(t *testing.T) {
 	kernels := []struct {
 		name string
 		run  func(*exec.Ctx, *graph.Graph, []float64, *Scratch) Result
-	}{{"worklist", WorklistWith}, {"edgesweep", EdgeSweepWith}}
+	}{{"worklist", Worklist}, {"edgesweep", EdgeSweep}}
 	for _, k := range kernels {
 		for _, sc := range schedules() {
 			var s Scratch
@@ -72,9 +72,9 @@ func TestScratchMatchesFresh(t *testing.T) {
 	}
 	var s Scratch
 	// Dirty the scratch first with an unrelated run.
-	WorklistWith(exec.Background(1), gen.Karate(), make([]float64, len(gen.Karate().V)), &s)
-	fresh := Worklist(exec.Background(1), g, scores)
-	reused := WorklistWith(exec.Background(1), g, scores, &s)
+	Worklist(exec.Background(1), gen.Karate(), make([]float64, len(gen.Karate().V)), &s)
+	fresh := Worklist(exec.Background(1), g, scores, nil)
+	reused := Worklist(exec.Background(1), g, scores, &s)
 	for v := range fresh.Match {
 		if fresh.Match[v] != reused.Match[v] {
 			t.Fatalf("match[%d]: fresh %d, scratch %d", v, fresh.Match[v], reused.Match[v])

@@ -46,6 +46,9 @@
 // selection uses per-range dense stripes of the label histogram — the
 // striped-histogram pattern from internal/par, with the stripe restored to
 // zero after each vertex so one clear per run suffices.
+//
+// Propagate, the one entry point, sweeps until the worklist drains or
+// Options.MaxSweeps is reached; its *Scratch may be nil for fresh state.
 package plp
 
 import (
@@ -67,12 +70,6 @@ const DefaultMaxSweeps = 32
 type Options struct {
 	// MaxSweeps bounds the number of sweeps; 0 selects DefaultMaxSweeps.
 	MaxSweeps int
-	// Threshold stops the run once the active-vertex fraction drops to or
-	// below it: a sweep runs only while len(worklist) > Threshold·n. 0 (the
-	// default) runs to an exact fixpoint (or MaxSweeps). Staudt & Meyerhenke
-	// stop PLP early because the last sweeps move almost nothing while still
-	// costing a pass; a prelabeling does not need the exact fixpoint.
-	Threshold float64
 }
 
 // Result of a propagation run.
@@ -128,19 +125,14 @@ func (s *Scratch) orNew() *Scratch {
 	return &Scratch{}
 }
 
-// Propagate runs label propagation on g with fresh state. The input graph is
-// read-only.
-func Propagate(ec *exec.Ctx, g *graph.Graph, opt Options) *Result {
-	return PropagateWith(ec, g, opt, nil)
-}
-
-// PropagateWith is Propagate running out of s's reusable buffers; a nil s
-// behaves exactly like Propagate. When ec carries a recorder the kernel
-// records one span per sweep (active in, changed out); a nil recorder costs
-// predictable branches only. When ec's context is cancelled the sweep loop
-// exits early: the labels reached so far are a valid (just less converged)
-// prelabeling.
-func PropagateWith(ec *exec.Ctx, g *graph.Graph, opt Options, scratch *Scratch) *Result {
+// Propagate runs label propagation on g, out of scratch's reusable buffers;
+// a nil scratch allocates fresh state. The input graph is read-only. The sweep loop runs
+// while the worklist is non-empty, up to opt.MaxSweeps sweeps. When ec
+// carries a recorder the kernel records one span per sweep (active in,
+// changed out); a nil recorder costs predictable branches only. When ec's
+// context is cancelled the sweep loop exits early: the labels reached so far
+// are a valid (just less converged) prelabeling.
+func Propagate(ec *exec.Ctx, g *graph.Graph, opt Options, scratch *Scratch) *Result {
 	rec := ec.Recorder()
 	n := int(g.NumVertices())
 	maxSweeps := opt.MaxSweeps
@@ -203,7 +195,7 @@ func PropagateWith(ec *exec.Ctx, g *graph.Graph, opt Options, scratch *Scratch) 
 	s.active, s.changed = s.active[:0], s.changed[:0]
 	dbuf := s.list2
 	sweep := 0
-	for sweep < maxSweeps && float64(len(list)) > opt.Threshold*float64(n) {
+	for sweep < maxSweeps && len(list) > 0 {
 		if ec.Err() != nil {
 			break // cancelled: current labels are a valid prelabeling
 		}

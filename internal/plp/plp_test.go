@@ -10,7 +10,7 @@ import (
 
 // propagate runs with p workers and fresh state.
 func propagate(p int, g *graph.Graph, opt Options) *Result {
-	return Propagate(exec.Background(p), g, opt)
+	return Propagate(exec.Background(p), g, opt, nil)
 }
 
 func TestSingleEdgeConverges(t *testing.T) {
@@ -148,7 +148,7 @@ func TestArenaVsFresh(t *testing.T) {
 	s := &Scratch{}
 	for _, g := range []*graph.Graph{small, big, small} {
 		fresh := propagate(4, g, Options{})
-		reused := PropagateWith(exec.Background(4), g, Options{}, s)
+		reused := Propagate(exec.Background(4), g, Options{}, s)
 		if reused.Sweeps != fresh.Sweeps {
 			t.Fatalf("arena run took %d sweeps, fresh %d", reused.Sweeps, fresh.Sweeps)
 		}
@@ -168,39 +168,14 @@ func TestMaxSweepsBound(t *testing.T) {
 	}
 }
 
-func TestThresholdStopsEarly(t *testing.T) {
-	g := ljGraph(t, 3000)
-	full := propagate(4, g, Options{})
-	if full.Sweeps < 2 {
-		t.Skipf("graph converged in %d sweeps; threshold has nothing to cut", full.Sweeps)
-	}
-	// Threshold 1.0 means a sweep needs more than n active vertices — never
-	// true — so the run stops immediately with identity labels.
-	none := propagate(4, g, Options{Threshold: 1.0})
-	if none.Sweeps != 0 {
-		t.Errorf("threshold 1.0 still ran %d sweeps", none.Sweeps)
-	}
-	// A mid threshold must cut the tail: strictly fewer sweeps than the
-	// fixpoint run once the active fraction decays below it.
-	part := propagate(4, g, Options{Threshold: 0.5})
-	if part.Sweeps >= full.Sweeps {
-		t.Errorf("threshold 0.5 ran %d sweeps, fixpoint run %d", part.Sweeps, full.Sweeps)
-	}
-	for _, a := range part.Active {
-		if float64(a) <= 0.5*float64(g.NumVertices()) {
-			t.Errorf("sweep ran with active fraction %d/%d below threshold", a, g.NumVertices())
-		}
-	}
-}
-
 func TestRepeatedRunsIdentical(t *testing.T) {
 	// Same thread count, same graph, shared scratch: bitwise-identical labels
 	// across runs (the determinism gate's kernel-level half).
 	g := ljGraph(t, 3000)
 	s := &Scratch{}
-	first := append([]int64(nil), PropagateWith(exec.Background(4), g, Options{}, s).Labels...)
+	first := append([]int64(nil), Propagate(exec.Background(4), g, Options{}, s).Labels...)
 	for run := 0; run < 3; run++ {
-		res := PropagateWith(exec.Background(4), g, Options{}, s)
+		res := Propagate(exec.Background(4), g, Options{}, s)
 		for v := range first {
 			if res.Labels[v] != first[v] {
 				t.Fatalf("run %d: label[%d]=%d differs from first run %d",

@@ -90,7 +90,6 @@ type Options struct {
 	// very differently from the single-image ones.
 	Shards           int     `json:"shards,omitempty"`
 	PLPMaxSweeps     int     `json:"plp_max_sweeps,omitempty"`
-	PLPThreshold     float64 `json:"plp_threshold,omitempty"`
 	MinCoverage      float64 `json:"min_coverage,omitempty"`
 	MaxPhases        int     `json:"max_phases,omitempty"`
 	MinCommunities   int64   `json:"min_communities,omitempty"`
@@ -118,7 +117,6 @@ func OptionsOf(opt core.Options) Options {
 	}
 	if opt.Engine != core.EngineMatching {
 		o.PLPMaxSweeps = opt.PLPMaxSweeps
-		o.PLPThreshold = opt.PLPThreshold
 	}
 	return o
 }

@@ -208,6 +208,11 @@ func deltaQ(w int64, du, dv, inv, half float64) float64 {
 //
 // where φ(c) = cut_c / min(vol_c, 2m − vol_c), cut_c = vol_c − 2·self_c.
 // Isolated communities (zero volume or zero complement) contribute φ = 0.
+//
+// The trivial partition — one community holding every vertex — has φ = 0
+// and so minimizes the summed conductance. A run with no stop rule
+// therefore merges each connected component into one community; pair the
+// scorer with MinCoverage, MinCommunities or MaxPhases.
 type Conductance struct{}
 
 // Name implements Scorer.

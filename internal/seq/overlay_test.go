@@ -25,7 +25,7 @@ func TestOverlayOverContractedGraph(t *testing.T) {
 	for v := range mapping {
 		mapping[v] = int64(v) / 2
 	}
-	base := contract.ByMapping(exec.Background(2), g, mapping, (n+1)/2, contract.Contiguous)
+	base := contract.ByMapping(exec.Background(2), g, mapping, (n+1)/2, nil, nil)
 	if !hasUnsortedBucket(base) {
 		t.Fatal("contracted base has every bucket sorted; the test would not exercise the unsorted path")
 	}

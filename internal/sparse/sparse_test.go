@@ -268,7 +268,7 @@ func TestContractAlgebraicEqualsBucketKernel(t *testing.T) {
 		for v := range comm {
 			comm[v] = r.Int63n(k)
 		}
-		direct := contract.ByMapping(exec.Background(2), g, comm, k, contract.Contiguous)
+		direct := contract.ByMapping(exec.Background(2), g, comm, k, nil, nil)
 		algebraic, err := ContractAlgebraic(2, g, comm, k)
 		if err != nil {
 			t.Fatal(err)
@@ -326,7 +326,7 @@ func TestAlgebraicContractionInsideEngineStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct := contract.ByMapping(exec.Background(2), g, mapping, k, contract.Contiguous)
+	direct := contract.ByMapping(exec.Background(2), g, mapping, k, nil, nil)
 	if algebraic.TotalWeight(1) != direct.TotalWeight(1) ||
 		algebraic.NumEdges() != direct.NumEdges() {
 		t.Fatal("algebraic and direct phase graphs differ")
