@@ -32,6 +32,13 @@ race:
 	# the consistency argument) and the engine hands the PLP scratch across
 	# phases.
 	$(GO) test -race -count=2 ./internal/plp/...
+	# Refinement runs on PLP's sweep loop and races beside it: its only
+	# shared writes are PLP's 0→1 mark scatter and the volume roll-up's
+	# stripes, each written by one worker and summed after the barrier;
+	# proposals go to each vertex's own pending entry and histogram
+	# entries to the range's private stripe, and labels and volumes are
+	# read only in the phase that does not write them.
+	$(GO) test -race -count=2 ./internal/refine/...
 	# Contraction's dedup ranges each claim their own k-wide slice of the
 	# count stripes as their merge position array; the package races at
 	# elevated count so an overlapping slice would show.

@@ -630,7 +630,7 @@ func BenchmarkQuality_EngineWithRefine(b *testing.B) {
 	_, lj, _ := loadBenchGraphs(b)
 	for i := 0; i < b.N; i++ {
 		res := detectOnce(b, lj, core.Options{})
-		ref, err := refine.Refine(lj, res.CommunityOf, res.NumCommunities, refine.Options{})
+		ref, err := refine.Refine(exec.Background(0), lj, res.CommunityOf, res.NumCommunities)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -571,8 +571,7 @@ func (b *bencher) runQuality() {
 	for _, w := range []workload{{"karate", karate}, {"cliquechain", chain}, {"lj-sim-20k", ljq}} {
 		res, err := core.DetectContext(b.ctx, w.g, core.Options{Threads: b.maxThreads})
 		check(err)
-		ref, err := refine.Refine(w.g, res.CommunityOf, res.NumCommunities,
-			refine.Options{Threads: b.maxThreads})
+		ref, err := refine.Refine(exec.Background(b.maxThreads), w.g, res.CommunityOf, res.NumCommunities)
 		check(err)
 		cnm := baseline.CNM(w.g)
 		lou := baseline.Louvain(w.g, b.seed)

@@ -32,6 +32,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/graphio"
@@ -255,7 +256,7 @@ func main() {
 
 	comm, k := res.CommunityOf, res.NumCommunities
 	if *doRefine && !canceled {
-		rres, err := refine.Refine(g, comm, k, refine.Options{Threads: *threads})
+		rres, err := refine.Refine(exec.Background(*threads), g, comm, k)
 		if err != nil {
 			fatal(err)
 		}

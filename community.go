@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/graphio"
@@ -364,15 +365,16 @@ func CNM(g *Graph) *CNMResult { return baseline.CNM(g) }
 func Louvain(g *Graph, seed uint64) *LouvainResult { return baseline.Louvain(g, seed) }
 
 // Refinement extension (§II future work).
-type (
-	RefineOptions = refine.Options
-	RefineResult  = refine.Result
-)
+type RefineResult = refine.Result
+
+// RefineOptions configures Refine: Threads is the worker count (<= 0
+// selects GOMAXPROCS); the refined partition is the same at every count.
+type RefineOptions struct{ Threads int }
 
 // Refine improves a partition by greedy vertex moves; the result is never
 // worse than the input.
 func Refine(g *Graph, comm []int64, k int64, opt RefineOptions) (*RefineResult, error) {
-	return refine.Refine(g, comm, k, opt)
+	return refine.Refine(exec.Background(opt.Threads), g, comm, k)
 }
 
 // Hierarchy utilities: the engine's contraction levels as a dendrogram.

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/exec"
 	"repro/internal/gen"
+	"repro/internal/graph"
 )
 
 // countdownCtx reports Canceled after its Err budget is spent. The engine
@@ -18,6 +20,10 @@ type countdownCtx struct {
 	mu     sync.Mutex
 	budget int
 }
+
+// unlimitedChecks is a countdown budget no run spends: a run under it
+// counts its checks.
+const unlimitedChecks = 1 << 30
 
 func (c *countdownCtx) Err() error {
 	c.mu.Lock()
@@ -31,8 +37,9 @@ func (c *countdownCtx) Err() error {
 
 // checkPartial asserts the invariants every cancelled Result must satisfy:
 // a valid (possibly identity) partition, and Levels that still compose to
-// CommunityOf.
-func checkPartial(t *testing.T, res *Result, n int64) {
+// CommunityOf unless refined (RefineEveryPhase moves vertices across the
+// recorded levels).
+func checkPartial(t *testing.T, res *Result, n int64, refined bool) {
 	t.Helper()
 	if res == nil {
 		t.Fatal("cancelled run returned nil Result")
@@ -44,6 +51,9 @@ func checkPartial(t *testing.T, res *Result, n int64) {
 		t.Fatalf("CommunityOf has %d entries, want %d", len(res.CommunityOf), n)
 	}
 	validatePartition(t, res.CommunityOf, res.NumCommunities)
+	if refined {
+		return
+	}
 	for v := int64(0); v < n; v++ {
 		c := v
 		for _, level := range res.Levels {
@@ -72,7 +82,7 @@ func TestDetectContextPreCanceled(t *testing.T) {
 	if len(res.Stats) != 0 {
 		t.Fatalf("pre-cancelled run completed %d phases, want 0", len(res.Stats))
 	}
-	checkPartial(t, res, g.NumVertices())
+	checkPartial(t, res, g.NumVertices(), false)
 	if res.NumCommunities != g.NumVertices() {
 		t.Fatalf("pre-cancelled run contracted to %d communities", res.NumCommunities)
 	}
@@ -83,39 +93,52 @@ func TestDetectContextCancelMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, engine := range []Engine{EngineMatching, EnginePLP, EngineEnsemble} {
-		t.Run(engine.String(), func(t *testing.T) {
-			opt := Options{Threads: 2, Engine: engine}
-			full, err := DetectContext(context.Background(), g, opt)
+	for _, row := range []struct {
+		name      string
+		opt       Options
+		minLevels int // a cancellation test needs a multi-phase run
+	}{
+		{"matching", Options{Engine: EngineMatching}, 3},
+		{"plp", Options{Engine: EnginePLP}, 0},
+		{"ensemble", Options{Engine: EngineEnsemble}, 3},
+		{"matching/refine-every-phase", Options{RefineEveryPhase: true}, 2},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			opt := row.opt
+			opt.Threads = 2
+			counter := &countdownCtx{Context: context.Background(), budget: unlimitedChecks}
+			full, err := detectExec(counter, g, opt, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if engine != EnginePLP && len(full.Levels) < 3 {
-				t.Fatalf("workload too easy: only %d phases; cancellation needs a multi-phase run", len(full.Levels))
+			if len(full.Levels) < row.minLevels {
+				t.Fatalf("workload too easy: only %d phases", len(full.Levels))
 			}
 
 			// Sweep the Err-call budget so cancellation lands at every
 			// boundary the engine checks: phase top, after scoring, after
-			// matching, the matching kernel's per-pass check and PLP's
-			// per-sweep check. The same arena is reused across all runs,
-			// cancelled or not, to prove a cancelled run leaves it usable.
+			// matching, the matching kernel's per-pass check and the
+			// per-sweep check of PLP and refinement. The same arena is reused
+			// across all runs, cancelled or not, to prove a cancelled run
+			// leaves it usable.
+			checks := unlimitedChecks - counter.budget
 			s := NewScratch()
 			sawMidRun := false
-			for budget := 0; budget <= 80; budget++ {
+			for budget := 0; budget <= checks+1; budget++ {
 				ctx := &countdownCtx{Context: context.Background(), budget: budget}
 				res, err := detectExec(ctx, g, opt, s)
 				if err == nil {
 					// A run that saw no cancellation is the whole run.
-					if res.Termination != full.Termination || res.NumCommunities != full.NumCommunities {
-						t.Fatalf("budget %d: nil error with %s at %d communities, the full run ends %s at %d",
-							budget, res.Termination, res.NumCommunities, full.Termination, full.NumCommunities)
+					if budget < checks {
+						t.Fatalf("budget %d of %d checks: nil error", budget, checks)
 					}
+					sameResult(t, fmt.Sprintf("budget %d", budget), res, full)
 					continue
 				}
 				if !errors.Is(err, context.Canceled) {
 					t.Fatalf("budget %d: error %v does not wrap context.Canceled", budget, err)
 				}
-				checkPartial(t, res, g.NumVertices())
+				checkPartial(t, res, g.NumVertices(), opt.RefineEveryPhase)
 				if len(res.Levels) > 0 && res.NumCommunities != full.NumCommunities {
 					sawMidRun = true
 				}
@@ -137,6 +160,58 @@ func TestDetectContextCancelMidRun(t *testing.T) {
 	}
 }
 
+// TestDetectIncrementalCancelSweep drives the countdown context through an
+// incremental re-detection for every Err budget up to one past the
+// uncancelled run's check count. Each run applies the batch to a fresh
+// overlay over the same base; a cancelled run must return an error wrapping
+// context.Canceled with its partial result, or with the whole result when
+// only the dendrogram build was cut, and a run with no error must be the
+// uncancelled one.
+func TestDetectIncrementalCancelSweep(t *testing.T) {
+	g, _, err := gen.LJSim(2, gen.DefaultLJSim(3000, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Threads: 2}
+	_, dend := bootstrapIncremental(t, g, opt)
+	batches, err := gen.Deltas(g, gen.DeltaConfig{
+		Batches: 1, BatchSize: int(g.NumEdges() / 100), DeleteFrac: 0.5, MaxWeight: 3, Hubs: 32, Seed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(ctx context.Context, s *Scratch) (*IncrementalResult, error) {
+		return DetectIncrementalWithContext(ctx, graph.NewOverlay(2, g), dend, batches[0], opt, s)
+	}
+	counter := &countdownCtx{Context: context.Background(), budget: unlimitedChecks}
+	full, err := run(counter, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checks := unlimitedChecks - counter.budget
+	s := NewScratch()
+	for budget := 0; budget <= checks+1; budget++ {
+		ir, err := run(&countdownCtx{Context: context.Background(), budget: budget}, s)
+		if err == nil {
+			if budget < checks {
+				t.Fatalf("budget %d of %d checks: nil error", budget, checks)
+			}
+			sameResult(t, fmt.Sprintf("budget %d", budget), ir.Result, full.Result)
+			continue
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("budget %d: error %v does not wrap context.Canceled", budget, err)
+		}
+		if ir.Termination != TermCanceled {
+			// Cancelled while building the dendrogram, after the
+			// detection itself completed.
+			sameResult(t, fmt.Sprintf("budget %d", budget), ir.Result, full.Result)
+			continue
+		}
+		checkPartial(t, ir.Result, g.NumVertices(), false)
+	}
+}
+
 // TestDetectShardedCancelSweep drives the countdown context through a
 // 4-shard run for every Err budget up to one past the uncancelled run's
 // check count, so cancellation lands at each check of every shard and of
@@ -151,13 +226,12 @@ func TestDetectShardedCancelSweep(t *testing.T) {
 	}
 	c := shardCSR(g)
 	opt := ShardOptions{Shards: 4, Opt: Options{Threads: 4}}
-	const unlimited = 1 << 30
-	counter := &countdownCtx{Context: context.Background(), budget: unlimited}
+	counter := &countdownCtx{Context: context.Background(), budget: unlimitedChecks}
 	full, err := DetectSharded(counter, c, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checks := unlimited - counter.budget
+	checks := unlimitedChecks - counter.budget
 	cancelled := 0
 	for budget := 0; budget <= checks+1; budget++ {
 		res, err := DetectSharded(&countdownCtx{Context: context.Background(), budget: budget}, c, opt)

@@ -915,7 +915,7 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 			// between the freshly merged communities on the original graph,
 			// then rebuild the community graph from the refined partition.
 			rSpan := rec.Begin(obs.KernelRefine)
-			rres, err := refine.RefineExec(ec, g, comm, cg.NumVertices(), refine.Options{})
+			rres, err := refine.Refine(ec, g, comm, cg.NumVertices())
 			if err != nil {
 				rSpan.End()
 				phSpan.End()
@@ -950,37 +950,14 @@ func detect(ec *exec.Ctx, g *graph.Graph, opt Options, s *Scratch, seed *seedPar
 // contributes its weight to both member degrees and twice to the merged
 // self-loop term of the new degree). The roll-up ping-pongs between pair's
 // halves (idx names the half holding vals; the result goes to the other)
-// and uses the same per-worker-stripe pattern as the contraction kernel —
-// each worker accumulates into its own kNew-wide partial of s.rollStripes,
-// merged by a parallel reduction — instead of one atomic add per old
-// community, which serialized on heavily merged regions. It returns the new
-// values and their half's index.
+// and sums on the team through exec's per-worker stripes (s.rollStripes)
+// instead of one atomic add per old community, which serialized on heavily
+// merged regions. It returns the new values and their half's index.
 func rollup(ec *exec.Ctx, s *Scratch, pair *[2][]int64, vals []int64, idx int, mapping []int64, kNew int) ([]int64, int) {
 	other := idx ^ 1
 	pair[other] = buf.Grow(pair[other], kNew)
 	out := pair[other][:kNew]
-	if ec.Serial(len(vals)) {
-		clear(out)
-		for c := range vals {
-			if vals[c] != 0 {
-				out[mapping[c]] += vals[c]
-			}
-		}
-		return out, other
-	}
-	workers := ec.Workers(len(vals))
-	s.rollStripes = buf.Grow(s.rollStripes, workers*kNew)
-	stripes := s.rollStripes
-	ec.ZeroInt64(stripes[:workers*kNew])
-	ec.ForWorker(len(vals), func(w, lo, hi int) {
-		base := w * kNew
-		for c := lo; c < hi; c++ {
-			if vals[c] != 0 {
-				stripes[base+int(mapping[c])] += vals[c]
-			}
-		}
-	})
-	ec.MergeStripes(stripes, workers, kNew, out)
+	s.rollStripes = ec.Rollup(out, vals, mapping, s.rollStripes)
 	return out, other
 }
 

@@ -159,8 +159,9 @@ func TestDetectDeterministicAcrossThreadCounts(t *testing.T) {
 	// produce different maximal matchings" (§IV-B). Our worklist matches
 	// only mutually-best edges under a total order, which is a
 	// deterministic function of (graph, scores) regardless of worker count
-	// or interleaving, and PLP's synchronous two-phase sweeps fix their tie
-	// and odd-sweep rules — so whole runs of every engine are reproducible.
+	// or interleaving, and the synchronous two-phase sweeps of PLP and
+	// refinement fix their tie and odd-sweep rules — so whole runs of every
+	// engine, refined or not, are reproducible.
 	// Pin that on a planted-community graph and a skewed one.
 	lj, _, err := gen.LJSim(2, gen.DefaultLJSim(3000, 19))
 	if err != nil {
@@ -184,6 +185,8 @@ func TestDetectDeterministicAcrossThreadCounts(t *testing.T) {
 			{"matching/conductance", Options{Scorer: scoring.Conductance{}}},
 			{"ensemble/conductance", Options{Engine: EngineEnsemble, Scorer: scoring.Conductance{}}},
 			{"matching/max-size-64", Options{MaxCommunitySize: 64}},
+			{"matching/refine-every-phase", Options{RefineEveryPhase: true}},
+			{"matching/refine-every-phase/max-size-64", Options{RefineEveryPhase: true, MaxCommunitySize: 64}},
 		} {
 			t.Run(gc.name+"/"+row.name, func(t *testing.T) {
 				opt := row.opt

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/gen"
@@ -58,11 +59,20 @@ func TestOneClockPerStage(t *testing.T) {
 		name string
 		g    *graph.Graph
 	}{{"rmat", rmat}, {"ljsim", lj}} {
-		for _, eng := range []Engine{EngineMatching, EngineEnsemble} {
+		for _, row := range []struct {
+			name string
+			opt  Options
+		}{
+			{"matching", Options{Engine: EngineMatching}},
+			{"ensemble", Options{Engine: EngineEnsemble}},
+			{"matching/refine-every-phase", Options{RefineEveryPhase: true}},
+		} {
 			for _, threads := range []int{1, 2} {
-				t.Run(fmt.Sprintf("%s/%v/p%d", gc.name, eng, threads), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/p%d", gc.name, row.name, threads), func(t *testing.T) {
 					rec := obs.New()
-					res, err := DetectContext(context.Background(), gc.g, Options{Threads: threads, Engine: eng, Recorder: rec})
+					opt := row.opt
+					opt.Threads, opt.Recorder = threads, rec
+					res, err := DetectContext(context.Background(), gc.g, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -100,6 +110,20 @@ func TestOneClockPerStage(t *testing.T) {
 						lp := lats[class]
 						if got := ns(lp.SumSec); got != spans[key] || lp.Count != counts[key] {
 							t.Errorf("class %s: %d samples, %d ns; %s spans: %d, %d ns", class, lp.Count, got, key, counts[key], spans[key])
+						}
+					}
+					// Refinement runs on PLP's sweep loop under its own
+					// sweep stage and worker regions, so it adds nothing to
+					// PLP's rows.
+					if opt.RefineEveryPhase {
+						if counts["kernel/refine/sweep"] == 0 || counts["kernel/plp/sweep"] != 0 {
+							t.Errorf("%d refine sweep spans, %d PLP sweep spans; want some and none",
+								counts["kernel/refine/sweep"], counts["kernel/plp/sweep"])
+						}
+						for _, rp := range rec.Export().Regions {
+							if strings.HasPrefix(rp.Region, "plp/") {
+								t.Errorf("refinement run recorded PLP region %s", rp.Region)
+							}
 						}
 					}
 					// The terminating level's phase span closes without a

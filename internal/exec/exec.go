@@ -24,6 +24,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/buf"
 	"repro/internal/obs"
 	"repro/internal/par"
 )
@@ -285,6 +286,35 @@ func (c *Ctx) CopyInt64(dst, src []int64) {
 // MergeStripes column-sums the workers×k stripe matrix into dst on the team.
 func (c *Ctx) MergeStripes(stripes []int64, workers, k int, dst []int64) {
 	c.pool.MergeStripes(c.threads, stripes, workers, k, dst)
+}
+
+// Rollup sets dst[j] to the sum of vals[x] over mapping[x] == j on the team:
+// each worker adds into its own len(dst)-wide stripe of stripes (grown as
+// needed and returned), then MergeStripes sums them, so the int64 sums take no
+// atomic add and are the same at every thread count.
+func (c *Ctx) Rollup(dst, vals, mapping, stripes []int64) []int64 {
+	if c.Serial(len(vals)) {
+		clear(dst)
+		for x, v := range vals {
+			if v != 0 {
+				dst[mapping[x]] += v
+			}
+		}
+		return stripes
+	}
+	k, workers := len(dst), c.Workers(len(vals))
+	st := buf.Grow(stripes, workers*k)
+	c.ZeroInt64(st[:workers*k])
+	c.ForWorker(len(vals), func(w, lo, hi int) {
+		base := w * k
+		for x := lo; x < hi; x++ {
+			if vals[x] != 0 {
+				st[base+int(mapping[x])] += vals[x]
+			}
+		}
+	})
+	c.MergeStripes(st, workers, k, dst)
+	return st
 }
 
 // StripeOffsets turns merged counts into per-worker scatter offsets.

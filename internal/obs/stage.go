@@ -34,6 +34,7 @@ const (
 	KernelPLP
 	KernelSchedule
 	KernelRefine
+	KernelRefineSweep
 	KernelShards
 	KernelStitch
 	KernelOverlayApply
@@ -81,6 +82,7 @@ var stages = [numKernels]struct {
 	KernelPLP:               {CatKernel, "plp", true, ""},
 	KernelSchedule:          {CatKernel, "schedule", false, ""},
 	KernelRefine:            {CatKernel, "refine", true, ""},
+	KernelRefineSweep:       {CatKernel, "refine/sweep", false, ""},
 	KernelShards:            {CatKernel, "shards", false, ""},
 	KernelStitch:            {CatKernel, "stitch", false, ""},
 	KernelOverlayApply:      {CatKernel, "overlay/apply", false, ""},

@@ -47,8 +47,11 @@
 // striped-histogram pattern from internal/par, with the stripe restored to
 // zero after each vertex so one clear per run suffices.
 //
-// Propagate, the one entry point, sweeps until the worklist drains or
-// Options.MaxSweeps is reached; its *Scratch may be nil for fresh state.
+// Run, the sweep loop, takes the per-vertex compute body as a Rule: label
+// propagation (Propagate) and modularity refinement (internal/refine) are two
+// rules on one loop. A rule's Committed hook runs between a commit and the
+// next compute, so what it rebuilds there (refinement's community volumes)
+// is as stable during phase A as the labels.
 package plp
 
 import (
@@ -74,8 +77,9 @@ type Options struct {
 
 // Result of a propagation run.
 type Result struct {
-	// Labels[v] is v's community label: a vertex id in [0, n), not
-	// necessarily dense (contract.ByLabels densifies during contraction).
+	// Labels[v] is v's community label in [0, k) — for Propagate a vertex
+	// id in [0, n), not necessarily dense (contract.ByLabels densifies
+	// during contraction).
 	// With a caller-provided Scratch, the Result and Labels live in scratch
 	// storage and are valid only until the scratch's next use.
 	Labels []int64
@@ -101,7 +105,7 @@ type Scratch struct {
 	slots   []int64
 	list    []int64 // worklist double-buffer, ping
 	list2   []int64 // worklist double-buffer, pong
-	// spa is the striped dense label histogram: workers consecutive n-wide
+	// spa is the striped dense label histogram: workers consecutive k-wide
 	// stripes. Each compute range accumulates its vertices' neighborhoods
 	// into its own stripe and restores the touched entries to zero before
 	// moving on, so the whole array is cleared once per run, not per sweep.
@@ -125,20 +129,46 @@ func (s *Scratch) orNew() *Scratch {
 	return &Scratch{}
 }
 
-// Propagate runs label propagation on g, out of scratch's reusable buffers;
-// a nil scratch allocates fresh state. The input graph is read-only. The sweep loop runs
-// while the worklist is non-empty, up to opt.MaxSweeps sweeps. When ec
-// carries a recorder the kernel records one span per sweep (active in,
-// changed out); a nil recorder costs predictable branches only. When ec's
-// context is cancelled the sweep loop exits early: the labels reached so far
-// are a valid (just less converged) prelabeling.
+// Propagate runs label propagation on g (read-only): Run with the
+// dominant-label rule from identity labels, up to opt.MaxSweeps sweeps, on
+// scratch (nil allocates fresh state). Labels cut short by cancellation are a
+// valid, less converged prelabeling.
 func Propagate(ec *exec.Ctx, g *graph.Graph, opt Options, scratch *Scratch) *Result {
-	rec := ec.Recorder()
-	n := int(g.NumVertices())
 	maxSweeps := opt.MaxSweeps
 	if maxSweeps <= 0 {
 		maxSweeps = DefaultMaxSweeps
 	}
+	return Run(ec, g, nil, int(g.NumVertices()), propagation, maxSweeps, scratch)
+}
+
+// Rule is a label-move rule on the sweep loop: PLP's dominant label, or
+// refinement's modularity gain.
+type Rule struct {
+	// Propose is phase A over list: it writes each listed vertex v's
+	// proposed label to pending[v], reading labels (the previous sweep's,
+	// stable during the phase) and state only Committed writes. w is the
+	// range's private stripe of k zeros; Propose must leave it zeroed.
+	Propose func(c *graph.CSR, labels, pending, w, list []int64)
+	// Committed, when set, runs after every commit with the committed labels.
+	Committed func(labels []int64)
+	// Sweep is the stage of the per-sweep span; Compute and Commit name the
+	// two phases' worker regions.
+	Sweep           obs.Kernel
+	Compute, Commit string
+}
+
+// propagation is label propagation's rule.
+var propagation = Rule{Propose: computeRange, Sweep: obs.KernelPLPSweep, Compute: "plp/compute", Commit: "plp/commit"}
+
+// Run is the sweep loop: rule's synchronous two-phase sweeps on g from the
+// labels init, all in [0, k) (nil: every vertex in its own label, k = n),
+// while the worklist is non-empty, up to maxSweeps sweeps, on scratch (nil
+// allocates fresh state). The first worklist is every vertex with a neighbor.
+// Each sweep is one rule.Sweep span (active in, changed out); a cancelled ec
+// stops the loop before the next sweep.
+func Run(ec *exec.Ctx, g *graph.Graph, init []int64, k int, rule Rule, maxSweeps int, scratch *Scratch) *Result {
+	rec := ec.Recorder()
+	n := int(g.NumVertices())
 	s := scratch.orNew()
 	res := &s.res
 	*res = Result{}
@@ -147,11 +177,11 @@ func Propagate(ec *exec.Ctx, g *graph.Graph, opt Options, scratch *Scratch) *Res
 		return res
 	}
 
-	// PLP needs whole neighborhoods; the bucketed graph stores each
+	// Sweeps need whole neighborhoods; the bucketed graph stores each
 	// edge once, so symmetrize into the scratch CSR. Its row order is the
 	// same at every thread count, and every consumer below is
 	// order-independent anyway: weight sums commute exactly in int64 and
-	// the min-label tie-break is a total order.
+	// the rules' tie-breaks are total orders.
 	c := graph.ToCSRInto(ec.Threads(), g, &s.csr)
 
 	workers := ec.Workers(n)
@@ -161,33 +191,15 @@ func Propagate(ec *exec.Ctx, g *graph.Graph, opt Options, scratch *Scratch) *Res
 	s.slots = buf.Grow(s.slots, n)
 	s.list = buf.Grow(s.list, n)
 	s.list2 = buf.Grow(s.list2, n)
-	s.spa = buf.Grow(s.spa, workers*n)
+	s.spa = buf.Grow(s.spa, workers*k)
 	labels, marks := s.labels, s.marks
-	spa := s.spa[:workers*n]
+	spa := s.spa[:workers*k]
 	ec.ZeroInt64(spa) // per-vertex discipline restores entries; one clear per run
 
-	// Identity labels; the initial worklist is every vertex with a neighbor
-	// (isolated vertices keep their own label forever and never activate).
 	if ec.Serial(n) {
-		for v := 0; v < n; v++ {
-			labels[v] = int64(v)
-			if c.Degree(int64(v)) > 0 {
-				marks[v] = 1
-			} else {
-				marks[v] = 0
-			}
-		}
+		initRange(c, init, labels, marks, 0, n)
 	} else {
-		ec.For(n, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				labels[v] = int64(v)
-				if c.Degree(int64(v)) > 0 {
-					marks[v] = 1
-				} else {
-					marks[v] = 0
-				}
-			}
-		})
+		ec.For(n, func(lo, hi int) { initRange(c, init, labels, marks, lo, hi) })
 	}
 	list := ec.PackIndexInto(n, marks, s.slots, s.list)
 	ec.ZeroInt64(marks)
@@ -197,47 +209,43 @@ func Propagate(ec *exec.Ctx, g *graph.Graph, opt Options, scratch *Scratch) *Res
 	sweep := 0
 	for sweep < maxSweeps && len(list) > 0 {
 		if ec.Err() != nil {
-			break // cancelled: current labels are a valid prelabeling
+			break // cancelled: the current labels stand
 		}
 		s.active = append(s.active, int64(len(list)))
 		lst := list // single-assignment alias for closure capture
-		sp := rec.Begin(obs.KernelPLPSweep)
+		sp := rec.Begin(rule.Sweep)
 
-		// Phase A: compute. Plain-function bodies keep the serial path
-		// closure-free; the parallel path hands each range a private
-		// histogram stripe claimed off an atomic cursor (ranges ≤ workers,
-		// and stripe identity cannot affect the outcome — stripes are
-		// scratch restored to zero vertex by vertex).
-		serial := ec.Serial(len(lst))
-		if serial {
-			computeRange(c, labels, s.pending, spa[:n], lst, 0, len(lst))
+		// Phase A computes the proposals; phase B commits them and scatters
+		// activation marks (see the package comment for the consistency
+		// argument). The serial path runs both with no closure. The parallel
+		// path hands each compute range a private stripe claimed off an
+		// atomic cursor (ranges ≤ workers, and stripe identity cannot affect
+		// the outcome — stripes are restored to zero vertex by vertex) and
+		// sums the commit ranges' counts in an atomic declared here, so the
+		// serial path stays allocation-free.
+		var changed int64
+		if ec.Serial(len(lst)) {
+			rule.Propose(c, labels, s.pending, spa[:k], lst)
+			changed = commitRange(c, labels, s.pending, marks, sweep, lst)
 		} else {
 			rowStart, rowEnd := c.RowBounds()
 			ec.BuildIndexed(&s.part, lst, rowStart, rowEnd)
 			var cursor int64
-			nn := n
-			ec.ForRanges("plp/compute", &s.part, func(lo, hi int) {
-				j := int(atomic.AddInt64(&cursor, 1)) - 1
-				computeRange(c, labels, s.pending, spa[j*nn:(j+1)*nn], lst, lo, hi)
-			})
-		}
-
-		// Phase B: commit and scatter activation marks (see the package
-		// comment for the consistency argument).
-		var changed int64
-		if serial {
-			changed = commitRange(c, labels, s.pending, marks, sweep, lst, 0, len(lst))
-		} else {
-			// Declared here so the serial path, whose counters no closure
-			// captures, stays allocation-free.
 			var sum atomic.Int64
-			sw := sweep
-			ec.ForRanges("plp/commit", &s.part, func(lo, hi int) {
-				sum.Add(commitRange(c, labels, s.pending, marks, sw, lst, lo, hi))
+			kk, sw := k, sweep
+			ec.ForRanges(rule.Compute, &s.part, func(lo, hi int) {
+				j := int(atomic.AddInt64(&cursor, 1)) - 1
+				rule.Propose(c, labels, s.pending, spa[j*kk:(j+1)*kk], lst[lo:hi])
+			})
+			ec.ForRanges(rule.Commit, &s.part, func(lo, hi int) {
+				sum.Add(commitRange(c, labels, s.pending, marks, sw, lst[lo:hi]))
 			})
 			changed = sum.Load()
 		}
 		s.changed = append(s.changed, changed)
+		if rule.Committed != nil {
+			rule.Committed(labels)
+		}
 
 		// Next worklist: pack the marked vertices (index order — the
 		// prefix-sum pack is deterministic) into the other half of the
@@ -262,16 +270,33 @@ func Propagate(ec *exec.Ctx, g *graph.Graph, opt Options, scratch *Scratch) *Res
 	return res
 }
 
-// computeRange is phase A over list[lo:hi]: each active vertex accumulates
+// initRange sets the initial labels of vertices [lo, hi) — init's, or the
+// vertex's own id when init is nil — and marks the ones with a neighbor for
+// the first worklist.
+func initRange(c *graph.CSR, init, labels, marks []int64, lo, hi int) {
+	for v := lo; v < hi; v++ {
+		if init == nil {
+			labels[v] = int64(v)
+		} else {
+			labels[v] = init[v]
+		}
+		if c.Degree(int64(v)) > 0 {
+			marks[v] = 1
+		} else {
+			marks[v] = 0
+		}
+	}
+}
+
+// computeRange is phase A over list: each active vertex accumulates
 // its neighborhood's label weights into the range's private histogram stripe
 // w, tracks the running dominant label (weights only grow, so the running
 // argmax with min-label ties equals the final one), and proposes it. Touched
 // stripe entries are restored to zero before the next vertex. The
 // descend-only rule is commitRange's, so a blocked proposal survives to the
 // next sweep.
-func computeRange(c *graph.CSR, labels, pending, w []int64, list []int64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		v := list[i]
+func computeRange(c *graph.CSR, labels, pending, w, list []int64) {
+	for _, v := range list {
 		cur := labels[v]
 		adj, wgt := c.Neighbors(v)
 		// Self-loop weight counts toward the current label: internal
@@ -294,7 +319,7 @@ func computeRange(c *graph.CSR, labels, pending, w []int64, list []int64, lo, hi
 	}
 }
 
-// commitRange is phase B over list[lo:hi]: apply pending labels (each
+// commitRange is phase B over list: apply pending labels (each
 // worklist vertex is owned by exactly one range, so the label store is
 // plain) and mark the changed vertex and its neighbors active for the next
 // sweep, storing a mark only when an atomic load finds it unset. On odd
@@ -303,10 +328,9 @@ func computeRange(c *graph.CSR, labels, pending, w []int64, list []int64, lo, hi
 // even sweep reconsiders the move; without the re-mark a blocked vertex
 // would fall off the worklist frozen below its dominant label. Returns the
 // number of vertices that changed label.
-func commitRange(c *graph.CSR, labels, pending, marks []int64, sweep int, list []int64, lo, hi int) int64 {
+func commitRange(c *graph.CSR, labels, pending, marks []int64, sweep int, list []int64) int64 {
 	var changed int64
-	for i := lo; i < hi; i++ {
-		v := list[i]
+	for _, v := range list {
 		nl := pending[v]
 		if nl == labels[v] {
 			continue
