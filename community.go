@@ -381,9 +381,14 @@ func Refine(g *Graph, comm []int64, k int64, opt RefineOptions) (*RefineResult, 
 type Dendrogram = hierarchy.Dendrogram
 
 // NewDendrogram builds a queryable dendrogram from a detection result's
-// Levels (valid when Options.RefineEveryPhase is off).
+// Levels (valid when Options.RefineEveryPhase is off). The caller's slices
+// stay its own: the dendrogram keeps a copy of every level.
 func NewDendrogram(n int64, levels [][]int64) (*Dendrogram, error) {
-	return hierarchy.New(n, levels)
+	own := make([][]int64, len(levels))
+	for l, level := range levels {
+		own[l] = append([]int64(nil), level...)
+	}
+	return hierarchy.New(n, own)
 }
 
 // Sparse matrix substrate (§VI: the Combinatorial-BLAS-style formulation).

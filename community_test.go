@@ -192,3 +192,24 @@ func TestIORoundTripThroughFacade(t *testing.T) {
 		t.Fatal("empty METIS output")
 	}
 }
+
+// TestNewDendrogramCopiesCallerLevels pins the facade's ownership rule: the
+// dendrogram keeps a copy of every level, so editing the caller's slices
+// afterwards changes none of its answers.
+func TestNewDendrogramCopiesCallerLevels(t *testing.T) {
+	levels := [][]int64{{0, 0, 1, 1}, {0, 0}}
+	d, err := NewDendrogram(4, levels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	levels[0][0], levels[1][1] = 1, 1
+	if comm, _, _ := d.AtLevel(1); comm[0] != 0 || comm[2] != 1 {
+		t.Fatalf("editing the caller's level 0 changed the level-1 partition to %v", comm)
+	}
+	if final, k := d.Final(); k != 1 || final[3] != 0 {
+		t.Fatalf("editing the caller's levels changed the final partition to %v (k=%d)", final, k)
+	}
+	if trace, _ := d.TraceVertex(2); trace[2] != 0 {
+		t.Fatalf("editing the caller's level 1 changed vertex 2's trace to %v", trace)
+	}
+}

@@ -164,9 +164,8 @@ func TestDetectContextCancelMidRun(t *testing.T) {
 // incremental re-detection for every Err budget up to one past the
 // uncancelled run's check count. Each run applies the batch to a fresh
 // overlay over the same base; a cancelled run must return an error wrapping
-// context.Canceled with its partial result, or with the whole result when
-// only the dendrogram build was cut, and a run with no error must be the
-// uncancelled one.
+// context.Canceled with a consistent partial result marked TermCanceled,
+// and a run with no error must be the uncancelled one.
 func TestDetectIncrementalCancelSweep(t *testing.T) {
 	g, _, err := gen.LJSim(2, gen.DefaultLJSim(3000, 5))
 	if err != nil {
@@ -203,10 +202,7 @@ func TestDetectIncrementalCancelSweep(t *testing.T) {
 			t.Fatalf("budget %d: error %v does not wrap context.Canceled", budget, err)
 		}
 		if ir.Termination != TermCanceled {
-			// Cancelled while building the dendrogram, after the
-			// detection itself completed.
-			sameResult(t, fmt.Sprintf("budget %d", budget), ir.Result, full.Result)
-			continue
+			t.Fatalf("budget %d: cancellation error beside a %s result", budget, ir.Termination)
 		}
 		checkPartial(t, ir.Result, g.NumVertices(), false)
 	}

@@ -101,9 +101,9 @@ type IncrementalResult struct {
 	// DetectIncrementalWithContext call. When the engine ran with
 	// DiscardLevels (or RefineEveryPhase moved vertices across the recorded
 	// levels) it is a one-level bootstrap carrying only the final partition.
-	// It takes the Result's Levels over (the first level is its level-1
-	// partition, and Final() when only the seed level ran), so a caller that
-	// edits Levels must copy them first.
+	// It takes the Result's Levels over (Final() is the first level itself
+	// when only the seed level ran), so a caller that edits Levels must copy
+	// them first; it never shares CommunityOf.
 	Dendrogram *hierarchy.Dendrogram
 	// Graph is the compacted frozen base the detection ran on. It is
 	// overlay-owned and valid until the next Compact, which patches it in
@@ -204,7 +204,7 @@ func DetectIncrementalWithContext(ctx context.Context, ov *graph.Overlay, prev *
 		return ir, derr
 	}
 	if len(res.Levels) > 0 && !opt.RefineEveryPhase {
-		ir.Dendrogram, err = hierarchy.NewExec(ec, n, res.Levels)
+		ir.Dendrogram, err = hierarchy.New(n, res.Levels)
 	} else {
 		// DiscardLevels (or refinement moved vertices across the recorded
 		// maps): bootstrap a one-level dendrogram so chaining still works.

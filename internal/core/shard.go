@@ -85,7 +85,9 @@ type ShardResult struct {
 	FinalModularity float64
 	FinalCoverage   float64
 	// Dendrogram chains the whole run: level 0 is the vertex → per-shard
-	// community map, the remaining levels are the stitch's merge phases.
+	// community map, the remaining levels are the stitch's merge phases
+	// (shared with Stitch.Levels). It stores the maps and the final
+	// partition, O(n + Σ level sizes); CommunityOf is a copy of Final().
 	Dendrogram *hierarchy.Dendrogram
 	// Shards has one entry per shard; Stitch is the quotient-graph run.
 	Shards []ShardStat
@@ -211,20 +213,14 @@ func DetectSharded(ctx context.Context, c *graph.CSR, opt ShardOptions) (*ShardR
 		return nil, fmt.Errorf("core: stitch: %w", err)
 	}
 
-	final := make([]int64, n)
-	for v := int64(0); v < n; v++ {
-		final[v] = stitch.CommunityOf[globalComm[v]]
-	}
-	levels := make([][]int64, 0, 1+len(stitch.Levels))
-	levels = append(levels, globalComm)
-	levels = append(levels, stitch.Levels...)
-	dend, err := hierarchy.New(n, levels)
+	dend, err := hierarchy.New(n, append([][]int64{globalComm}, stitch.Levels...))
 	if err != nil {
 		return nil, fmt.Errorf("core: sharded dendrogram: %w", err)
 	}
+	final, _ := dend.Final()
 
 	res := &ShardResult{
-		CommunityOf:      final,
+		CommunityOf:      append([]int64(nil), final...),
 		NumCommunities:   stitch.NumCommunities,
 		FinalModularity:  stitch.FinalModularity,
 		FinalCoverage:    stitch.FinalCoverage,

@@ -4,56 +4,45 @@
 // partition of the original graph. This supports the use case the paper's
 // introduction motivates: communities "can be analyzed more thoroughly or
 // form the basis for multi-level algorithms".
+//
+// A dendrogram stores only its level maps, the community count per level
+// and the final partition, so it costs O(n + Σ level sizes) however many
+// levels the run had. Final, CommunityCounts and MergedAt read what is
+// stored; AtLevel, CutAtCount and Members compose their level when called,
+// in O(n + Σ sizes of the levels below it); TraceVertex follows one vertex
+// through the maps in O(levels).
 package hierarchy
 
 import (
 	"fmt"
-
-	"repro/internal/exec"
+	"slices"
 )
 
 // Dendrogram is the merge hierarchy of one detection run.
 type Dendrogram struct {
-	n      int64
+	n int64
+	// levels[l] maps the level-l community ids to level-l+1 ids.
 	levels [][]int64
-	// partitions[l] caches the composed vertex→community map after l
-	// levels; partitions[0] is the identity.
-	partitions [][]int64
-	counts     []int64
+	// counts[l] is the community count after l levels; counts[0] = n.
+	counts []int64
+	final  []int64
 }
 
 // New builds a dendrogram for n original vertices from per-level community
 // maps, outermost (finest) first: levels[l] maps the level-l community ids
 // to level-l+1 ids and must be dense. The engine's Result.Levels has
-// exactly this shape (when Options.RefineEveryPhase is off). The caller's
-// slices stay its own: the first level, which the dendrogram serves as its
-// level-1 partition, is copied.
+// exactly this shape (when Options.RefineEveryPhase is off). New takes the
+// levels over, so the caller must not modify them afterwards; it validates
+// them and composes the final partition once, from the coarsest level
+// down, in O(n + Σ level sizes).
 func New(n int64, levels [][]int64) (*Dendrogram, error) {
-	if len(levels) > 0 {
-		levels = append([][]int64{append([]int64(nil), levels[0]...)}, levels[1:]...)
+	if n < 0 {
+		return nil, fmt.Errorf("hierarchy: negative vertex count %d", n)
 	}
-	return NewExec(exec.Background(0), n, levels)
-}
-
-// NewExec is New composing the per-level partitions on ec's workers; the
-// composition sweep over n vertices at every level is the only heavy part of
-// dendrogram construction. Unlike New it takes levels over: the first level
-// is the level-1 partition itself, so the caller must not modify it
-// afterwards. A cancelled context aborts between levels with a wrapped
-// ctx.Err().
-func NewExec(ec *exec.Ctx, n int64, levels [][]int64) (*Dendrogram, error) {
-	d := &Dendrogram{n: n, levels: levels}
-	cur := make([]int64, n)
-	for i := range cur {
-		cur[i] = int64(i)
-	}
-	d.partitions = append(d.partitions, cur)
-	d.counts = append(d.counts, n)
+	d := &Dendrogram{n: n, levels: levels, counts: make([]int64, 1, len(levels)+1)}
+	d.counts[0] = n
 	prevK := n
 	for l, level := range levels {
-		if err := ec.Err(); err != nil {
-			return nil, fmt.Errorf("hierarchy: canceled at level %d: %w", l, err)
-		}
 		k := int64(len(level))
 		if k != prevK {
 			return nil, fmt.Errorf("hierarchy: level %d maps %d communities, previous level has %d", l, k, prevK)
@@ -82,29 +71,13 @@ func NewExec(ec *exec.Ctx, n int64, levels [][]int64) (*Dendrogram, error) {
 				return nil, fmt.Errorf("hierarchy: level %d community %d empty", l, c)
 			}
 		}
-		// The first level composed with the identity is the level itself,
-		// which the dendrogram already holds; every later one composes
-		// straight into its own partition array, leaving the previous one
-		// intact for AtLevel.
-		next := level
-		if l > 0 {
-			next = make([]int64, n)
-			prev := cur
-			if ec.Serial(int(n)) {
-				for v := range next {
-					next[v] = level[prev[v]]
-				}
-			} else {
-				ec.For(int(n), func(lo, hi int) {
-					for v := lo; v < hi; v++ {
-						next[v] = level[prev[v]]
-					}
-				})
-			}
-		}
-		d.partitions = append(d.partitions, next)
 		d.counts = append(d.counts, nextK)
-		cur, prevK = next, nextK
+		prevK = nextK
+	}
+	if len(levels) == 1 {
+		d.final = levels[0] // one level is its own final partition
+	} else {
+		d.final = d.compose(len(levels))
 	}
 	return d, nil
 }
@@ -113,12 +86,9 @@ func NewExec(ec *exec.Ctx, n int64, levels [][]int64) (*Dendrogram, error) {
 // partition with k communities. Incremental re-detection uses this to keep
 // chaining when the engine ran with DiscardLevels (no per-phase maps to
 // rebuild the full hierarchy from): the next DetectIncremental only needs
-// Final(), which this dendrogram serves exactly.
+// Final(), which this dendrogram serves exactly. comm stays the caller's.
 func FromFinal(n int64, comm []int64, k int64) (*Dendrogram, error) {
-	if int64(len(comm)) != n {
-		return nil, fmt.Errorf("hierarchy: partition maps %d vertices, want %d", len(comm), n)
-	}
-	d, err := NewExec(exec.Background(0), n, [][]int64{append([]int64(nil), comm...)})
+	d, err := New(n, [][]int64{append([]int64(nil), comm...)})
 	if err != nil {
 		return nil, err
 	}
@@ -128,6 +98,30 @@ func FromFinal(n int64, comm []int64, k int64) (*Dendrogram, error) {
 	return d, nil
 }
 
+// compose returns a fresh partition of the original vertices after the
+// given number of levels. It starts from the identity over that level's
+// communities and maps each finer level's entries through the composition
+// above it, alternating between the n-wide result (even levels) and one
+// level-1-wide buffer (odd levels), in O(n + Σ sizes of the levels below).
+func (d *Dendrogram) compose(level int) []int64 {
+	bufs := [2][]int64{make([]int64, d.n)}
+	if level > 0 {
+		bufs[1] = make([]int64, d.counts[1])
+	}
+	f := bufs[level%2][:d.counts[level]]
+	for c := range f {
+		f[c] = int64(c)
+	}
+	for l := level - 1; l >= 0; l-- {
+		dst := bufs[l%2][:d.counts[l]]
+		for c, p := range d.levels[l] {
+			dst[c] = f[p]
+		}
+		f = dst
+	}
+	return f
+}
+
 // NumLevels returns the number of merge levels (0 means no contraction ran).
 func (d *Dendrogram) NumLevels() int { return len(d.levels) }
 
@@ -135,18 +129,20 @@ func (d *Dendrogram) NumLevels() int { return len(d.levels) }
 func (d *Dendrogram) NumVertices() int64 { return d.n }
 
 // AtLevel returns the partition of the original vertices after level merge
-// phases (level 0 = singletons) and its community count. The returned slice
-// is shared; callers must not modify it.
+// phases (level 0 = singletons) and its community count. The partition is
+// composed on each call into a fresh slice the caller owns, in O(n + Σ
+// sizes of the levels below level).
 func (d *Dendrogram) AtLevel(level int) (comm []int64, k int64, err error) {
 	if level < 0 || level > d.NumLevels() {
 		return nil, 0, fmt.Errorf("hierarchy: level %d outside [0,%d]", level, d.NumLevels())
 	}
-	return d.partitions[level], d.counts[level], nil
+	return d.compose(level), d.counts[level], nil
 }
 
-// Final returns the coarsest partition.
+// Final returns the coarsest partition, composed once by New. The slice is
+// shared; callers must not modify it.
 func (d *Dendrogram) Final() (comm []int64, k int64) {
-	return d.partitions[d.NumLevels()], d.counts[d.NumLevels()]
+	return d.final, d.counts[d.NumLevels()]
 }
 
 // CommunityCounts returns the community count per level, finest first
@@ -170,18 +166,17 @@ func (d *Dendrogram) MergedAt(level int) (int64, error) {
 // CutAtCount returns the finest partition with at most target communities,
 // or the coarsest available if every level exceeds target. This is how an
 // application imposes "a minimum number of communities" after the fact
-// instead of during the run.
+// instead of during the run. Like AtLevel it composes a fresh slice.
 func (d *Dendrogram) CutAtCount(target int64) (comm []int64, k int64, level int) {
-	for l := 0; l <= d.NumLevels(); l++ {
-		if d.counts[l] <= target {
-			return d.partitions[l], d.counts[l], l
-		}
+	level = slices.IndexFunc(d.counts, func(k int64) bool { return k <= target })
+	if level < 0 {
+		level = d.NumLevels()
 	}
-	last := d.NumLevels()
-	return d.partitions[last], d.counts[last], last
+	return d.compose(level), d.counts[level], level
 }
 
-// Members returns the original vertices of community c at the given level.
+// Members returns the original vertices of community c at the given level,
+// in ascending order, in O(n + Σ sizes of the levels below level).
 func (d *Dendrogram) Members(level int, c int64) ([]int64, error) {
 	comm, k, err := d.AtLevel(level)
 	if err != nil {
@@ -200,14 +195,15 @@ func (d *Dendrogram) Members(level int, c int64) ([]int64, error) {
 }
 
 // TraceVertex returns the community id of vertex v at every level, finest
-// first (entry 0 is v itself).
+// first (entry 0 is v itself), following v through the maps in O(levels).
 func (d *Dendrogram) TraceVertex(v int64) ([]int64, error) {
 	if v < 0 || v >= d.n {
 		return nil, fmt.Errorf("hierarchy: vertex %d outside [0,%d)", v, d.n)
 	}
 	out := make([]int64, d.NumLevels()+1)
-	for l := 0; l <= d.NumLevels(); l++ {
-		out[l] = d.partitions[l][v]
+	out[0] = v
+	for l, level := range d.levels {
+		out[l+1] = level[out[l]]
 	}
 	return out, nil
 }
